@@ -98,7 +98,7 @@ def cmd_tilting_check(args):
 def cmd_sgd(args):
     q = _load_quiver(args.quiver)
     t = _load_object(q, args.object[0])
-    rep = sgd.sgldim(t, window_pad=args.window_pad)
+    rep = sgd.sgldim(t)
     if args.csv:
         print("quiver,object-hash,value,witness")
         print("%s,%s,%d,%s" % (str(qv.classify(q)), _object_hash(t), rep.value,
@@ -181,6 +181,11 @@ def cmd_random_tilting(args):
     return 0
 
 
+# bound on the walks `verify delta|table` draws per requested instance, so the
+# loop ends even if walks keep landing on objects with no admissible split
+MAX_WALKS_PER_SAMPLE = 10
+
+
 def _corpus(q, seed, samples):
     out = []
     for k in range(samples):
@@ -230,10 +235,19 @@ def cmd_verify(args):
                     fail_row(row)
         _emit_rows(rows, ["check", "x", "y", "status", "detail"], fmt)
     elif which in ("delta", "table"):
+        if q.n < 2:
+            print("error: verify %s needs at least two vertices: a tilting object with one "
+                  "summand has no admissible split to mutate at" % which, file=sys.stderr)
+            return 2
         count = args.samples
         done = 0
         k = 0
         while done < count:
+            if k >= MAX_WALKS_PER_SAMPLE * count:
+                print("error: only %d of %d instances had an admissible split after %d walks"
+                      % (done, count, k), file=sys.stderr)
+                failures += 1
+                break
             t, _ = mu.random_tilting_walk(q, args.seed + k, 3 + k % 6)
             k += 1
             splits = mu.admissible_splits(t)
@@ -337,7 +351,6 @@ def build_parser():
     s = sub.add_parser("sgd")
     add_common(s, objects=1)
     s.add_argument("--csv", action="store_true")
-    s.add_argument("--window-pad", type=int, default=2)
     s.set_defaults(fn=cmd_sgd)
 
     for name, dual in (("mutate", False), ("comutate", True)):

@@ -2,8 +2,21 @@
 
 Objects are formal multisets of (positive root, shift) pairs; morphism
 dimensions follow the two-neighbour rule: module Homs at equal shift, Ext^1
-into the next shift, zero otherwise.  The fast tilting test (rigid, n distinct
-summands, unimodular class lattice) is backed by a slow thick-closure oracle.
+into the next shift, zero otherwise.  Since kQ is hereditary, every
+indecomposable of D^b(kQ) is a shifted module, so the rule is complete.
+
+For Q Dynkin every indecomposable module is directing, hence determined by its
+root and with at most one of Hom and Ext^1 nonzero between two of them (Happel,
+*Triangulated categories in the representation theory of finite dimensional
+algebras*, 1988; Ringel, *Tame algebras and integral quadratic forms*, LNM
+1099).  Both dimensions therefore come out of the Euler form in integer
+arithmetic; see pair_hom_dim.  Independent oracles for that closed form are
+reps.hom_dim_roots / reps.ext_dim_roots (intertwiner systems on modules built
+by reflection functors) and complexes.homk_pair_dim (chain maps modulo
+homotopy); the test suite and `verify homagree` compare against them.
+
+The fast tilting test (rigid, n distinct summands, unimodular class lattice)
+is backed by a slow thick-closure oracle.
 """
 
 import random as _random
@@ -105,11 +118,20 @@ def projective_generator(q, shift=0):
 
 
 def pair_hom_dim(q, r1, s1, r2, s2):
+    """dim Hom(M(r1)[s1], M(r2)[s2]) in D^b(kQ), from the Euler form alone.
+
+    Hom(M[s1], N[s2]) = Ext^(s2-s1)(M, N), which vanishes outside gaps 0 and 1
+    because kQ is hereditary.  The Euler form gives <r1,r2> = dim Hom - dim
+    Ext^1, and for directing indecomposables (all of them, when Q is Dynkin)
+    one of the two is zero, so dim Hom = max(<r1,r2>, 0) and dim Ext^1 =
+    max(-<r1,r2>, 0).  Oracles: reps.hom_dim_roots / reps.ext_dim_roots and
+    complexes.homk_pair_dim.
+    """
     gap = s2 - s1
     if gap == 0:
-        return reps.hom_dim_roots(q, r1, r2)
+        return max(qv.euler_form(q, r1, r2), 0)
     if gap == 1:
-        return reps.ext_dim_roots(q, r1, r2)
+        return max(-qv.euler_form(q, r1, r2), 0)
     return 0
 
 

@@ -270,6 +270,7 @@ def simple_root(q, i):
     return tuple(1 if j == i else 0 for j in range(q.n))
 
 
+@lru_cache(maxsize=None)
 def coxeter_matrix(q):
     """Integer matrix C with dim(tau M) = C . dim(M) for non-projective indecomposables."""
     e = euler_matrix(q)
@@ -278,6 +279,7 @@ def coxeter_matrix(q):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
+@lru_cache(maxsize=None)
 def coxeter_inverse(q):
     m = linalg.inverse([[Fraction(x) for x in row] for row in coxeter_matrix(q)])
     return tuple(tuple(int(x) for x in row) for row in m)

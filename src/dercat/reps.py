@@ -5,6 +5,10 @@ Hom spaces by solving the intertwiner equations, Ext^1 through the Euler form
 reflection functors, Krull-Schmidt decomposition by Hom-count back-substitution,
 and the module-level AR translate.
 
+hom_dim_roots / ext_dim_roots build both indecomposables and solve for their
+intertwiners.  They are the independent oracle for the closed Euler-form rule
+of derived.pair_hom_dim, which is what the rest of the package uses.
+
 All functions are pure; memoized tables are keyed by (quiver, roots) and
 guarded by a lock, so results are identical under any evaluation order.
 """
@@ -641,7 +645,11 @@ def knitting_order(q):
 
 
 def hom_dim_roots(q, r1, r2):
-    """dim Hom between the canonical indecomposables of two roots (memoized)."""
+    """dim Hom between the canonical indecomposables of two roots (memoized).
+
+    Oracle route: solves the intertwiner system; the closed form is
+    derived.pair_hom_dim.
+    """
     with _lock:
         hit = _homdim_cache.get((q, r1, r2))
     if hit is not None:
@@ -673,7 +681,9 @@ def decompose(x):
         for jdx in range(idx + 1, len(order)):
             s = order[jdx]
             if mult.get(s):
-                val -= mult[s] * hom_dim_roots(q, r, s)
+                # Hom between Dynkin indecomposables, closed form as in
+                # derived.pair_hom_dim
+                val -= mult[s] * max(qv.euler_form(q, r, s), 0)
         if val < 0:
             raise InternalInconsistencyError("negative multiplicity in decomposition")
         if val:

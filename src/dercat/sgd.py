@@ -1,10 +1,11 @@
 """Strong global dimension of endomorphism algebras of tilting objects.
 
-Two routes to the same number: length profiles evaluated with the
-stalk-summand Hom rule, and the same profiles evaluated with genuine chain-map
-computations on minimal complexes (plus, for a projective-slice tilting
-object, the literal sup of minimal-complex lengths).  Disagreement is a hard
-failure.
+Two routes to the same number.  sgldim evaluates length profiles with
+derived.pair_hom_dim, the closed Euler-form Hom rule (integer arithmetic only).
+sgldim_ringel is the oracle: the same profiles evaluated with genuine
+chain-map computations on minimal complexes (plus, for a projective-slice
+tilting object, the literal sup of minimal-complex lengths).  Disagreement is
+a hard failure.
 """
 
 import threading
@@ -28,11 +29,7 @@ class LengthProfile:
 class SgdReport:
     value: int
     witness: object          # DerivedObject, normalized so ell_minus = 0
-    window: tuple            # (k_lo, k_hi) scanned
-
-
-def _happel_pair(q, r1, s1, r2, s2):
-    return dv.pair_hom_dim(q, r1, s1, r2, s2)
+    window: tuple            # (min_shift - 1, max_shift + 1) of T
 
 
 def _chain_pair(q, r1, s1, r2, s2):
@@ -70,7 +67,7 @@ def ell_profile(t, x, engine="happel"):
     xb = x.basic()
     if xb.num_distinct() != 1 or x.summands[0].mult != 1:
         raise ValueError("X must be indecomposable")
-    pair = _happel_pair if engine == "happel" else _chain_pair
+    pair = dv.pair_hom_dim if engine == "happel" else _chain_pair
     (root, shift), = xb.indecs()
     return _profile(t.quiver, t.basic().indecs(), root, shift, pair)
 
@@ -79,44 +76,33 @@ _sgd_lock = threading.Lock()
 _sgd_cache = {}
 
 
-def _sgldim_scan(t, window_pad, pair):
+def _sgldim_scan(t, pair):
     q = t.quiver
     tb = t.basic()
     indecs = tb.indecs()
-    k_lo = tb.min_shift - 1 - window_pad
-    k_hi = tb.max_shift + 1 + window_pad
-    roots = qv.positive_roots(q)
     best_val = -1
     best_witness = None
-    per_root = {}
-    for k in range(k_lo, k_hi + 1):
-        for root in roots:
-            # ell is invariant under suspension of X, so each root is solved once
-            if root in per_root:
-                prof0 = per_root[root]
-            else:
-                prof0 = _profile(q, indecs, root, 0, pair)
-                per_root[root] = prof0
-            val = prof0.ell
-            witness_shift = -prof0.ell_minus
-            key = (witness_shift, root)
-            if val > best_val or (val == best_val and key < best_witness):
-                best_val = val
-                best_witness = key
+    # ell is invariant under suspension of X, so each root is solved once, at shift 0
+    for root in qv.positive_roots(q):
+        prof = _profile(q, indecs, root, 0, pair)
+        key = (-prof.ell_minus, root)
+        if prof.ell > best_val or (prof.ell == best_val and key < best_witness):
+            best_val = prof.ell
+            best_witness = key
     w = dv.stalk(q, best_witness[1], best_witness[0])
-    return SgdReport(best_val, w, (k_lo, k_hi))
+    return SgdReport(best_val, w, (tb.min_shift - 1, tb.max_shift + 1))
 
 
-def sgldim(t, window_pad=0):
-    """sup of ell_T over indecomposables in the shift window, with a witness."""
-    key = (t.basic().key(), window_pad, "happel")
+def sgldim(t):
+    """sup of ell_T over the indecomposables of D^b(kQ), with a witness."""
+    key = (t.basic().key(), "happel")
     with _sgd_lock:
         hit = _sgd_cache.get(key)
     if hit is not None:
         return hit
     if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
-    rep = _sgldim_scan(t, window_pad, _happel_pair)
+    rep = _sgldim_scan(t, dv.pair_hom_dim)
     with _sgd_lock:
         _sgd_cache[key] = rep
     return rep
@@ -130,13 +116,13 @@ def _is_projective_slice(t):
     return set(r for r, _ in tb.indecs()) == set(reps.proj_roots(q))
 
 
-def sgldim_ringel(t, window_pad=0):
+def sgldim_ringel(t):
     """Cross-oracle value: chain-map profiles, or genuine minimal-complex lengths
     when T is the projective generator (up to suspension).
 
     Raises on any disagreement with sgldim.
     """
-    key = (t.basic().key(), window_pad, "ringel")
+    key = (t.basic().key(), "ringel")
     with _sgd_lock:
         hit = _sgd_cache.get(key)
     if hit is not None:
@@ -144,7 +130,7 @@ def sgldim_ringel(t, window_pad=0):
     if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
     q = t.quiver
-    rep = _sgldim_scan(t, window_pad, _chain_pair)
+    rep = _sgldim_scan(t, _chain_pair)
     if _is_projective_slice(t):
         sup_len = 0
         for root in qv.positive_roots(q):
@@ -153,7 +139,7 @@ def sgldim_ringel(t, window_pad=0):
             raise InternalInconsistencyError(
                 "minimal-complex lengths disagree with the profile scan: %d vs %d"
                 % (sup_len, rep.value))
-    ref = sgldim(t, window_pad)
+    ref = sgldim(t)
     if rep.value != ref.value:
         raise InternalInconsistencyError(
             "dual strong-global-dimension algorithms disagree: %d vs %d"

@@ -62,9 +62,15 @@ def test_sgldim_witness_validity(a3, a4):
 
 
 def test_sgldim_window_robustness(a3):
+    # the scan window follows T's shifts, so suspending T moves it along
     for seed in range(8):
         t, _ = mu.random_tilting_walk(a3, seed, 5)
-        assert sgd.sgldim(t, window_pad=0).value == sgd.sgldim(t, window_pad=2).value
+        rep = sgd.sgldim(t)
+        assert rep.window == (t.min_shift - 1, t.max_shift + 1)
+        for k in (-3, 2):
+            moved = sgd.sgldim(t.shift(k))
+            assert moved.value == rep.value
+            assert moved.window == (rep.window[0] + k, rep.window[1] + k)
 
 
 def test_dual_algorithms_agree_on_walks(a3, d4):
