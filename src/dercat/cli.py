@@ -110,20 +110,22 @@ def cmd_sgd(args):
     return 0
 
 
-def _parse_t2(t, spec_str):
+def _parse_t2(t, spec_str, dual):
+    """The split with the listed summands as t2: admissible for mutate, any
+    partition for comutate (the split inverting a mutation need not be admissible)."""
     indecs = t.basic().indecs()
     try:
         picks = [indecs[int(i)] for i in spec_str.split(",")]
     except (ValueError, IndexError):
         raise ValueError("bad --t2 %r; expected comma-separated summand indices 0..%d"
                          % (spec_str, len(indecs) - 1))
-    return mu.make_split(t, picks)
+    return mu.partition(t, picks) if dual else mu.make_split(t, picks)
 
 
 def cmd_mutate(args, dual=False):
     q = _load_quiver(args.quiver)
     t = _load_object(q, args.object[0])
-    split = _parse_t2(t, args.t2)
+    split = _parse_t2(t, args.t2, dual)
     out = mu.co_mutate(t, split) if dual else mu.mutate(t, split)
     text = dv.format_object(out)
     if args.out:
@@ -284,9 +286,11 @@ def cmd_verify(args):
                     continue
                 try:
                     rep = sls.theoremA_verify(t, window_pad=args.window_pad)
+                    detail = "ell=%d sgd=%d slices=%d" % (rep.ell, rep.sgd, rep.slices_checked)
+                    if rep.truncated:
+                        detail += " truncated"
                     rows.append({"check": "a", "instance": _object_hash(t), "status": "pass",
-                                 "detail": "ell=%d sgd=%d slices=%d" % (rep.ell, rep.sgd,
-                                                                        rep.slices_checked)})
+                                 "detail": detail})
                 except reps.InternalInconsistencyError as e:
                     fail_row({"check": "a", "instance": _object_hash(t),
                               "status": "FAIL", "detail": str(e)}, t)

@@ -11,9 +11,9 @@ negates the differentials; stalks of modules sit in degrees (-1-k, -k) for an
 object placed at suspension k.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, quiver as qv, reps
 from .linalg import Subspace
@@ -290,24 +290,14 @@ def stalk_complex(q, root, shift=0):
                        {-1 - shift: blocks}, check=False)
 
 
-def stalk_sum_complex(q, summands):
-    """Direct sum of stalk complexes for (root, shift) pairs, in the given order."""
-    out = zero_complex(q)
-    for root, shift in summands:
-        out = out.direct_sum(stalk_complex(q, root, shift))
-    return out
-
-
 class ChainMap:
     """Degreewise morphisms commuting with the differentials."""
 
-    def __init__(self, source, target, comps, check=False):
+    def __init__(self, source, target, comps):
         self.source = source
         self.target = target
         self.comps = {d: f for d, f in comps.items()
                       if source.term(d) and target.term(d)}
-        if check and not self.is_chain_map():
-            raise ValueError("components do not commute with the differentials")
 
     def comp(self, d):
         if d in self.comps:
@@ -388,64 +378,18 @@ def cone(f):
 # Hom in the homotopy category
 
 
-def _morphism_layout(q, xrep_dims, yrep_dims, degrees):
-    offs = {}
-    total = 0
-    for d in degrees:
-        for v in range(q.n):
-            offs[(d, v)] = total
-            total += yrep_dims[d][v] * xrep_dims[d][v]
-    return offs, total
-
-
-def _commutation_rows(q, x, y, degrees, offs, total, xreps, yreps):
-    """Arrow-intertwining constraints for a degreewise collection of vertex maps."""
-    rows = []
-    for d in degrees:
-        m, n = xreps[d], yreps[d]
-        for a, (s, t) in enumerate(q.arrows):
-            if m.dims[s] == 0 or n.dims[t] == 0:
-                continue
-            ma, na = m.mats[a], n.mats[a]
-            for r in range(n.dims[t]):
-                for c in range(m.dims[s]):
-                    row = [Fraction(0)] * total
-                    for k in range(m.dims[t]):
-                        if ma[k][c] != 0:
-                            row[offs[(d, t)] + r * m.dims[t] + k] += ma[k][c]
-                    for k in range(n.dims[s]):
-                        if na[r][k] != 0:
-                            row[offs[(d, s)] + k * m.dims[s] + c] -= na[r][k]
-                    rows.append(row)
-    return rows
-
-
-def _vec_of_maps(q, offs, total, maps, xreps, yreps):
+def _vec_of_maps(offs, total, maps):
+    """Inverse of reps.vector_to_map for degreewise maps laid out by intertwiner_system."""
     vec = [Fraction(0)] * total
     for d, f in maps.items():
-        m, n = xreps[d], yreps[d]
-        for v in range(q.n):
+        m, n = f.source, f.target
+        for v in range(len(m.dims)):
             if m.dims[v] and n.dims[v]:
                 fm = f._mat(v)
                 for r in range(n.dims[v]):
                     for c in range(m.dims[v]):
-                        vec[offs[(d, v)] + r * m.dims[v] + c] = fm[r][c]
+                        vec[offs[d][v] + r * m.dims[v] + c] = fm[r][c]
     return vec
-
-
-def _maps_of_vec(q, offs, vec, degrees, xreps, yreps):
-    out = {}
-    for d in degrees:
-        m, n = xreps[d], yreps[d]
-        mats = []
-        for v in range(q.n):
-            mat = linalg.zeros(n.dims[v], m.dims[v])
-            for r in range(n.dims[v]):
-                for c in range(m.dims[v]):
-                    mat[r][c] = vec[offs[(d, v)] + r * m.dims[v] + c]
-            mats.append(mat)
-        out[d] = RepMap(m, n, mats)
-    return out
 
 
 class HomKSpace:
@@ -456,21 +400,14 @@ class HomKSpace:
         self.y = y
         q = x.quiver
         degrees = sorted(set(x.terms) & set(y.terms))
-        xreps = {d: x.term_rep(d) for d in set(x.terms) | set(y.terms) | set(
-            dd + 1 for dd in x.terms) | set(dd - 1 for dd in y.terms)}
-        yreps = {d: y.term_rep(d) for d in xreps}
-        self._degrees = degrees
-        self._offs, self._total = _morphism_layout(
-            q, {d: xreps[d].dims for d in degrees}, {d: yreps[d].dims for d in degrees}, degrees)
-        rows = _commutation_rows(q, x, y, degrees, self._offs, self._total, xreps, yreps)
+        self._pairs = {d: (x.term_rep(d), y.term_rep(d)) for d in degrees}
+        self._offs, self._total, rows = reps.intertwiner_system(self._pairs)
         # chain condition: phi^{d+1} dX^d - dY^d phi^d = 0, expressed on the unknowns
-        for d in sorted(set(x.terms)):
-            if not x.term(d):
-                continue
+        for d in sorted(x.terms):
             dx = x.diff(d)
             dy = y.diff(d)
-            src = xreps[d]
-            tgt = yreps.get(d + 1, y.term_rep(d + 1))
+            src, nxt = x.term_rep(d), x.term_rep(d + 1)
+            tgt = y.term_rep(d + 1)
             for v in range(q.n):
                 if src.dims[v] == 0 or tgt.dims[v] == 0:
                     continue
@@ -478,61 +415,27 @@ class HomKSpace:
                     for c in range(src.dims[v]):
                         row = [Fraction(0)] * self._total
                         nontrivial = False
-                        if (d + 1) in degrees:
+                        if (d + 1) in self._pairs:
                             dxm = dx._mat(v)
-                            for k in range(x.term_rep(d + 1).dims[v]):
+                            for k in range(nxt.dims[v]):
                                 if dxm[k][c] != 0:
-                                    row[self._offs[(d + 1, v)] + r * x.term_rep(d + 1).dims[v] + k] += dxm[k][c]
+                                    row[self._offs[d + 1][v] + r * nxt.dims[v] + k] += dxm[k][c]
                                     nontrivial = True
-                        if d in degrees:
+                        if d in self._pairs:
                             dym = dy._mat(v)
                             for k in range(y.term_rep(d).dims[v]):
                                 if dym[r][k] != 0:
-                                    row[self._offs[(d, v)] + k * src.dims[v] + c] -= dym[r][k]
+                                    row[self._offs[d][v] + k * src.dims[v] + c] -= dym[r][k]
                                     nontrivial = True
                         if nontrivial:
                             rows.append(row)
-        if self._total == 0:
-            z_basis = []
-        elif rows:
-            z_basis = linalg.nullspace(rows)
-        else:
-            z_basis = [[Fraction(1) if i == j else Fraction(0) for j in range(self._total)]
-                       for i in range(self._total)]
+        z_basis = linalg.solutions(rows, self._total)
         # homotopies: maps X^d -> Y^{d-1} with no chain condition
-        hdegrees = [d for d in x.terms if y.term(d - 1)]
-        hoffs, htotal = _morphism_layout(
-            q, {d: x.term_rep(d).dims for d in hdegrees},
-            {d: y.term_rep(d - 1).dims for d in hdegrees}, hdegrees)
-        hrows = []
-        for d in hdegrees:
-            m, n = x.term_rep(d), y.term_rep(d - 1)
-            for a, (s, t) in enumerate(q.arrows):
-                if m.dims[s] == 0 or n.dims[t] == 0:
-                    continue
-                ma, na = m.mats[a], n.mats[a]
-                for r in range(n.dims[t]):
-                    for c in range(m.dims[s]):
-                        row = [Fraction(0)] * htotal
-                        for k in range(m.dims[t]):
-                            if ma[k][c] != 0:
-                                row[hoffs[(d, t)] + r * m.dims[t] + k] += ma[k][c]
-                        for k in range(n.dims[s]):
-                            if na[r][k] != 0:
-                                row[hoffs[(d, s)] + k * m.dims[s] + c] -= na[r][k]
-                        hrows.append(row)
-        if htotal == 0:
-            h_basis = []
-        elif hrows:
-            h_basis = linalg.nullspace(hrows)
-        else:
-            h_basis = [[Fraction(1) if i == j else Fraction(0) for j in range(htotal)]
-                       for i in range(htotal)]
+        hpairs = {d: (x.term_rep(d), y.term_rep(d - 1)) for d in x.terms if y.term(d - 1)}
+        hoffs, htotal, hrows = reps.intertwiner_system(hpairs)
         boundaries = []
-        for hv in h_basis:
-            hmaps = _maps_of_vec(q, hoffs, hv, hdegrees,
-                                 {d: x.term_rep(d) for d in hdegrees},
-                                 {d: y.term_rep(d - 1) for d in hdegrees})
+        for hv in linalg.solutions(hrows, htotal):
+            hmaps = {d: reps.vector_to_map(m, n, hoffs[d], hv) for d, (m, n) in hpairs.items()}
             comps = {}
             for d in degrees:
                 parts = []
@@ -545,9 +448,7 @@ class HomKSpace:
                     for p in parts[1:]:
                         f = f.add(p)
                     comps[d] = f
-            boundaries.append(_vec_of_maps(q, self._offs, self._total, comps,
-                                           {d: x.term_rep(d) for d in degrees},
-                                           {d: y.term_rep(d) for d in degrees}))
+            boundaries.append(_vec_of_maps(self._offs, self._total, comps))
         bspan = Subspace(self._total)
         self._bbasis = []
         for bv in boundaries:
@@ -558,23 +459,17 @@ class HomKSpace:
             quot.add(bv)
         self._rep_vecs = [z_basis[i] for i in quot.extend_basis(z_basis)]
         self.dim = len(self._rep_vecs)
-        self._xreps = {d: x.term_rep(d) for d in degrees}
-        self._yreps = {d: y.term_rep(d) for d in degrees}
 
     @property
     def basis(self):
-        out = []
-        for vec in self._rep_vecs:
-            comps = _maps_of_vec(self.x.quiver, self._offs, vec, self._degrees,
-                                 self._xreps, self._yreps)
-            out.append(ChainMap(self.x, self.y, comps))
-        return out
+        return [ChainMap(self.x, self.y,
+                         {d: reps.vector_to_map(m, n, self._offs[d], vec)
+                          for d, (m, n) in self._pairs.items()})
+                for vec in self._rep_vecs]
 
     def coords(self, f):
         """Coordinates of a chain map in the quotient basis (modulo homotopy)."""
-        vec = _vec_of_maps(self.x.quiver, self._offs, self._total,
-                           {d: f.comp(d) for d in self._degrees},
-                           self._xreps, self._yreps)
+        vec = _vec_of_maps(self._offs, self._total, {d: f.comp(d) for d in self._pairs})
         cols = [list(v) for v in self._rep_vecs] + [list(b) for b in self._bbasis]
         if not cols:
             if any(x != 0 for x in vec):
@@ -585,59 +480,27 @@ class HomKSpace:
             raise reps.InternalInconsistencyError("chain map outside the computed Hom space")
         return tuple(sol[: self.dim])
 
-    def combination(self, coeffs):
-        """The chain map with the given quotient coordinates."""
-        vec = [Fraction(0)] * self._total
-        for c, bvec in zip(coeffs, self._rep_vecs):
-            if c:
-                vec = [xx + c * yy for xx, yy in zip(vec, bvec)]
-        comps = _maps_of_vec(self.x.quiver, self._offs, vec, self._degrees,
-                             self._xreps, self._yreps)
-        return ChainMap(self.x, self.y, comps)
-
 
 def hom_k(x, y):
     """Dimension and basis of homotopy classes of chain maps X -> Y."""
     return HomKSpace(x, y)
 
 
-# memoized per-quiver tables; guarded, read-mostly
-_cx_lock = threading.Lock()
-_stalk_cache = {}
-_homk_dim_cache = {}
-_homk_space_cache = {}
+# memoized per-quiver tables (functools.lru_cache; cache_info() reports use)
 
 
-def stalk_complex_cached(q, root, shift=0):
-    key = (q, root, shift)
-    with _cx_lock:
-        hit = _stalk_cache.get(key)
-    if hit is None:
-        hit = stalk_complex(q, root, shift)
-        with _cx_lock:
-            _stalk_cache[key] = hit
-    return hit
+@lru_cache(maxsize=None)
+def stalk_complex_cached(q, root, shift):
+    return stalk_complex(q, root, shift)
 
 
+@lru_cache(maxsize=None)
 def homk_space_cached(q, src, tgt):
     """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
-    key = (q, src, tgt)
-    with _cx_lock:
-        hit = _homk_space_cache.get(key)
-    if hit is None:
-        hit = hom_k(stalk_complex_cached(q, *src), stalk_complex_cached(q, *tgt))
-        with _cx_lock:
-            _homk_space_cache[key] = hit
-    return hit
+    return hom_k(stalk_complex_cached(q, *src), stalk_complex_cached(q, *tgt))
 
 
+@lru_cache(maxsize=None)
 def homk_pair_dim(q, r1, r2, gap):
     """dim Hom_K(res(M1), res(M2)[gap]); depends on the shift gap only."""
-    key = (q, r1, r2, gap)
-    with _cx_lock:
-        hit = _homk_dim_cache.get(key)
-    if hit is None:
-        hit = hom_k(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim
-        with _cx_lock:
-            _homk_dim_cache[key] = hit
-    return hit
+    return hom_k(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim

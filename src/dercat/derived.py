@@ -288,7 +288,7 @@ def _extension_middles(q, r_top, r_sub, rng):
     return out
 
 
-def generates_thick(t, max_rounds=None):
+def generates_thick(t):
     """Whether the thick closure of T reaches every indecomposable stalk.
 
     Saturates a set of roots under cones of morphisms between stalks: a module
@@ -300,9 +300,7 @@ def generates_thick(t, max_rounds=None):
     rng = _random.Random(20240 + q.n)
     have = set(r for r, _ in t.basic().indecs())
     all_roots = set(qv.positive_roots(q))
-    rounds = 0
-    while True:
-        rounds += 1
+    while have != all_roots:
         new = set()
         pairs = [(a, b) for a in sorted(have) for b in sorted(have)]
         for r1, r2 in pairs:
@@ -317,13 +315,9 @@ def generates_thick(t, max_rounds=None):
                 for mid in _extension_middles(q, r1, r2, rng):
                     new |= set(mid) - have
         if not new:
-            break
+            return False
         have |= new
-        if have == all_roots:
-            return True
-        if max_rounds and rounds >= max_rounds:
-            break
-    return have == all_roots
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_neg(a):
     return [[-x for x in row] for row in a]
 
@@ -83,10 +79,6 @@ def mat_mul_dims(a, b, rows, inner, cols):
     if rows == 0 or cols == 0 or inner == 0:
         return zeros(rows, cols)
     return mat_mul(a, b)
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
 
 
 def is_zero_mat(a):
@@ -159,6 +151,17 @@ def nullspace(a):
             v[pc] = -r[i][fc]
         basis.append(v)
     return basis
+
+
+def solutions(rows, cols):
+    """Basis of the solutions of the homogeneous system `rows` in `cols` unknowns.
+
+    Unlike nullspace, this knows the width of a system with no rows: then
+    every vector is a solution.
+    """
+    if cols == 0:
+        return []
+    return nullspace(rows) if rows else identity(cols)
 
 
 def solve(a, b):

@@ -10,7 +10,7 @@ tilting-ness; failures are raised, never papered over.
 import random as _random
 from dataclasses import dataclass
 
-from . import complexes as cx, derived as dv, linalg, quiver as qv, reps as rp, sgd, slices as sls
+from . import complexes as cx, derived as dv, linalg, reps as rp, sgd, slices as sls
 from .linalg import Subspace
 from .reps import InternalInconsistencyError
 
@@ -31,34 +31,35 @@ class ApproxTriangle:
     replacement: tuple       # resulting (root, shift)
 
 
-def make_split(t, t2_picks):
-    """Split T as (rest, chosen summands); Hom(t2, t1) must vanish."""
+def partition(t, t2_picks):
+    """Split T as (rest, chosen summands), with no condition on Hom between them.
+
+    This is all co_mutate needs: the split that inverts a mutation has the new
+    summands as t2, and Hom(t2, t1) need not vanish for it.
+    """
     tb = t.basic()
     picks = set((tuple(r), int(s)) for r, s in t2_picks)
     all_indecs = set(tb.indecs())
     if not picks or not picks <= all_indecs:
         raise ValueError("t2 must be a nonempty subset of the summands")
     t2 = tb.restrict(sorted(picks, key=lambda p: (p[1], p[0])))
-    t1_set = sorted(all_indecs - picks, key=lambda p: (p[1], p[0]))
-    t1 = tb.restrict(t1_set) if t1_set else None
-    if t1 is not None and dv.hom_dim(t2, t1) != 0:
-        raise ValueError("split is not admissible: Hom(t2, t1) != 0")
-    if t1 is None:
-        t1 = dv.DerivedObject(t.quiver, [])
+    t1 = tb.restrict(sorted(all_indecs - picks, key=lambda p: (p[1], p[0])))
     return Split(t1, t2)
 
 
-def admissible_splits(t, canonical_only=False):
+def make_split(t, t2_picks):
+    """Split T as (rest, chosen summands); Hom(t2, t1) must vanish."""
+    split = partition(t, t2_picks)
+    if not split.t1.is_zero() and dv.hom_dim(split.t2, split.t1) != 0:
+        raise ValueError("split is not admissible: Hom(t2, t1) != 0")
+    return split
+
+
+def admissible_splits(t):
     """All splits with both parts nonzero and Hom(t2, t1) = 0, in a fixed order."""
     tb = t.basic()
     indecs = tb.indecs()
     n = len(indecs)
-    if canonical_only:
-        top = tb.max_shift
-        picks = [p for p in indecs if p[1] == top]
-        if len(picks) == n:
-            return []
-        return [make_split(tb, picks)]
     out = []
     for mask in range(1, (1 << n) - 1):
         picks = [indecs[i] for i in range(n) if mask & (1 << i)]
@@ -72,7 +73,10 @@ def admissible_splits(t, canonical_only=False):
 
 def _radical_complement(q, src, tgt, others):
     """Basis indices of Hom(src, tgt) spanning a complement of the maps
-    factoring through the other summands, in the homotopy quotient."""
+    factoring through the other summands, in the homotopy quotient.
+
+    Serves both approximations: right ones vary src over add(t1), left ones tgt.
+    """
     sp = cx.homk_space_cached(q, src, tgt)
     if sp.dim == 0:
         return sp, []
@@ -164,7 +168,6 @@ def _object_of_complex(q, c):
     m = c.minimize()
     if m.is_zero():
         return dv.DerivedObject(q, [])
-    from . import reps as rp
     summands = []
     for d, h in m.homology().items():
         for root, mult in rp.decompose(h).items():
@@ -228,20 +231,7 @@ def left_approx_data(t1, x):
     copies = []
     for tgt in t1_indecs:
         others = [o for o in t1_indecs if o != tgt]
-        sp = cx.homk_space_cached(q, (xr, xs), tgt)
-        if sp.dim == 0:
-            continue
-        span = Subspace(sp.dim)
-        for mid in others:
-            through = cx.homk_space_cached(q, (xr, xs), mid)
-            onward = cx.homk_space_cached(q, mid, tgt)
-            if through.dim == 0 or onward.dim == 0:
-                continue
-            for g in through.basis:
-                for f in onward.basis:
-                    span.add(list(sp.coords(f.compose(g))))
-        unit = [[1 if i == j else 0 for j in range(sp.dim)] for i in range(sp.dim)]
-        chosen = span.extend_basis(unit)
+        sp, chosen = _radical_complement(q, (xr, xs), tgt, others)
         basis = sp.basis if chosen else []
         for k in chosen:
             pieces.append(cx.stalk_complex_cached(q, *tgt))

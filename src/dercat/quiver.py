@@ -233,10 +233,6 @@ def euler_form(q, d, e):
     return total
 
 
-def symmetric_euler_form(q, d, e):
-    return euler_form(q, d, e) + euler_form(q, e, d)
-
-
 @lru_cache(maxsize=None)
 def positive_roots(q):
     """All positive roots, by closure of the simple roots under simple reflections.

@@ -9,24 +9,19 @@ hom_dim_roots / ext_dim_roots build both indecomposables and solve for their
 intertwiners.  They are the independent oracle for the closed Euler-form rule
 of derived.pair_hom_dim, which is what the rest of the package uses.
 
-All functions are pure; memoized tables are keyed by (quiver, roots) and
-guarded by a lock, so results are identical under any evaluation order.
+All functions are pure; the memoized tables (indecomposables, knitting order,
+root Hom dimensions) are functools.lru_cache entries keyed by (quiver, roots),
+so results are identical under any evaluation order.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, quiver as qv
 from .linalg import Subspace
 
 PROJECTIVE = "projective"
-INJECTIVE = "injective"
-
-_lock = threading.Lock()
-_indec_cache = {}
-_homdim_cache = {}
-_knitting_cache = {}
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -82,17 +77,6 @@ def proj_rep(q, i):
     return Representation(q, dims, mats)
 
 
-def inj_rep(q, i):
-    dims = qv.inj_dims(q, i)
-    mats = []
-    for s, t in q.arrows:
-        if dims[s] and dims[t]:
-            mats.append([[Fraction(1)]])
-        else:
-            mats.append(linalg.zeros(dims[t], dims[s]))
-    return Representation(q, dims, mats)
-
-
 def direct_sum(reps):
     if not reps:
         raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
@@ -117,15 +101,13 @@ def direct_sum(reps):
 class RepMap:
     """Morphism of representations: one matrix per vertex, commuting with all arrows."""
 
-    def __init__(self, source, target, vertex_mats, check=False):
+    def __init__(self, source, target, vertex_mats):
         self.source = source
         self.target = target
         self.mats = [linalg.mat_from_rows(m) if m else [] for m in vertex_mats]
         for v in range(source.quiver.n):
             if target.dims[v] > 0 and linalg.shape(self.mats[v]) != (target.dims[v], source.dims[v]):
                 raise ValueError("vertex matrix shape mismatch at %d" % v)
-        if check and not self.is_morphism():
-            raise ValueError("vertex matrices do not commute with the arrow maps")
 
     def is_morphism(self):
         q = self.source.quiver
@@ -183,16 +165,14 @@ def zero_map(source, target):
                   [linalg.zeros(target.dims[v], source.dims[v]) for v in range(source.quiver.n)])
 
 
-def _hom_system(m, n):
-    """Rows of the intertwiner system; unknowns are the stacked vertex matrices."""
-    q = m.quiver
-    offs = []
-    total = 0
-    for v in range(q.n):
-        offs.append(total)
-        total += n.dims[v] * m.dims[v]
+def intertwiner_rows(m, n, offs, total):
+    """Rows of the system phi_t M_a = N_a phi_s over the arrows a: s -> t.
+
+    The unknowns are the vertex matrices phi_v (n.dims[v] x m.dims[v]), stored
+    row by row from offs[v] in a vector of length total.
+    """
     rows = []
-    for a, (s, t) in enumerate(q.arrows):
+    for a, (s, t) in enumerate(m.quiver.arrows):
         ma, na = m.mats[a], n.mats[a]
         for r in range(n.dims[t]):
             for c in range(m.dims[s]):
@@ -206,10 +186,30 @@ def _hom_system(m, n):
                     if na[r][k] != 0:
                         row[offs[s] + k * m.dims[s] + c] -= na[r][k]
                 rows.append(row)
-    return rows, offs, total
+    return rows
 
 
-def _vector_to_map(m, n, offs, vec):
+def intertwiner_system(pairs):
+    """Layout and intertwiner rows for the vertex maps of several pairs at once.
+
+    pairs[d] = (M, N), e.g. one pair per degree of a chain map.  Returns
+    (offs, total, rows): the maps of pair d start at offs[d][v] in one vector
+    of length total, in the order of pairs.
+    """
+    offs = {}
+    total = 0
+    for d, (m, n) in pairs.items():
+        offs[d] = []
+        for v in range(m.quiver.n):
+            offs[d].append(total)
+            total += n.dims[v] * m.dims[v]
+    rows = [row for d, (m, n) in pairs.items()
+            for row in intertwiner_rows(m, n, offs[d], total)]
+    return offs, total, rows
+
+
+def vector_to_map(m, n, offs, vec):
+    """The RepMap M -> N whose vertex matrices sit in vec at offs, as in intertwiner_rows."""
     mats = []
     for v in range(m.quiver.n):
         mat = linalg.zeros(n.dims[v], m.dims[v])
@@ -224,12 +224,8 @@ def hom_space(m, n):
     """Basis of Hom(M, N) as a list of RepMaps."""
     if m.quiver != n.quiver:
         raise ValueError("representations live over different quivers")
-    rows, offs, total = _hom_system(m, n)
-    if total == 0:
-        return []
-    basis = linalg.nullspace(rows) if rows else [
-        [Fraction(1) if i == j else Fraction(0) for j in range(total)] for i in range(total)]
-    return [_vector_to_map(m, n, offs, v) for v in basis]
+    offs, total, rows = intertwiner_system({0: (m, n)})
+    return [vector_to_map(m, n, offs[0], v) for v in linalg.solutions(rows, total)]
 
 
 def hom_dim_mod(m, n):
@@ -318,43 +314,6 @@ def cokernel(f):
     pr = RepMap(f.target, c, [projs[v] if cdims[v] and f.target.dims[v] else
                               linalg.zeros(cdims[v], f.target.dims[v]) for v in range(q.n)])
     return c, pr
-
-
-def image_dims(f):
-    q = f.source.quiver
-    return tuple(linalg.rank(f._mat(v)) if f.source.dims[v] and f.target.dims[v] else 0
-                 for v in range(q.n))
-
-
-def top_dims(m):
-    """Dimension vector of M / rad M."""
-    q = m.quiver
-    out = []
-    for v in range(q.n):
-        if m.dims[v] == 0:
-            out.append(0)
-            continue
-        span = Subspace(m.dims[v])
-        for a, (s, t) in enumerate(q.arrows):
-            if t != v or m.dims[s] == 0:
-                continue
-            mat = m.mats[a]
-            for c in range(m.dims[s]):
-                span.add([mat[r][c] for r in range(m.dims[v])])
-        out.append(m.dims[v] - span.dim)
-    return tuple(out)
-
-
-def _unique_path(q, i, j):
-    """The vertex sequence of the unique directed path i -> j, or None."""
-    if i == j:
-        return [i]
-    for s, t in q.arrows:
-        if s == i:
-            rest = _unique_path(q, t, j)
-            if rest is not None:
-                return [i] + rest
-    return None
 
 
 def _proj_generator_map(q, i, m, gen):
@@ -470,45 +429,6 @@ def _reflect_quiver(q, v):
     return qv.Quiver(q.n, tuple((t, s) if s == v or t == v else (s, t) for s, t in q.arrows))
 
 
-def reflect_at_sink(q, m, v):
-    """Bernstein-Gelfand-Ponomarev reflection at a sink; returns (quiver, rep)."""
-    in_arrows = [a for a, (s, t) in enumerate(q.arrows) if t == v]
-    srcs = [q.arrows[a][0] for a in in_arrows]
-    widths = [m.dims[s] for s in srcs]
-    total = sum(widths)
-    if m.dims[v] and total:
-        phi = []
-        for r in range(m.dims[v]):
-            row = []
-            for a in in_arrows:
-                row += list(m.mats[a][r])
-            phi.append(row)
-        kern = linalg.nullspace(phi)
-    else:
-        kern = [[Fraction(1) if i == j else Fraction(0) for j in range(total)] for i in range(total)]
-    kdim = len(kern)
-    newdims = list(m.dims)
-    newdims[v] = kdim
-    newq = _reflect_quiver(q, v)
-    mats = []
-    for a, (s, t) in enumerate(q.arrows):
-        if t != v:
-            mats.append(m.mats[a])
-            continue
-        # reversed arrow v -> s: project kernel vectors to the s block
-        off = 0
-        for b, w in zip(in_arrows, widths):
-            if b == a:
-                break
-            off += w
-        blk = linalg.zeros(m.dims[s], kdim)
-        for c, vec in enumerate(kern):
-            for r in range(m.dims[s]):
-                blk[r][c] = vec[off + r]
-        mats.append(blk)
-    return newq, Representation(newq, newdims, mats)
-
-
 def reflect_at_source(q, m, v):
     """Dual reflection at a source; returns (quiver, rep)."""
     out_arrows = [a for a, (s, t) in enumerate(q.arrows) if s == v]
@@ -562,17 +482,14 @@ def _sigma(q, r, v):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def indec_of_root(q, root):
-    """The indecomposable representation with the given positive root as dimension vector.
+    """The indecomposable representation with the given positive root (a tuple)
+    as dimension vector (memoized).
 
     Built by reducing the root to a simple one along an admissible sink sequence
     and applying the inverse reflection functors; deterministic.
     """
-    root = tuple(root)
-    with _lock:
-        hit = _indec_cache.get((q, root))
-    if hit is not None:
-        return hit
     if root not in qv.positive_roots(q):
         raise qv.QuiverError("not a positive root: %r" % (root,))
     stack = []
@@ -598,29 +515,22 @@ def indec_of_root(q, root):
             raise InternalInconsistencyError("reflection bookkeeping out of sync")
     if m.dims != root:
         raise InternalInconsistencyError("reflection functors missed the root %r" % (root,))
-    result = Representation(q, m.dims, m.mats)
-    with _lock:
-        _indec_cache[(q, root)] = result
-    return result
+    return Representation(q, m.dims, m.mats)
 
 
 # ---------------------------------------------------------------------------
 # Krull-Schmidt decomposition
 
 
+@lru_cache(maxsize=None)
 def knitting_order(q):
     """All positive roots ordered by (tau-orbit depth, slice position).
 
     In this order the matrix of Hom dimensions between indecomposables is
     upper uni-triangular, so decompose() is a single back-substitution.
     """
-    with _lock:
-        hit = _knitting_cache.get(q)
-    if hit is not None:
-        return hit
     qv.ensure_dynkin(q)
     phi_inv = qv.coxeter_inverse(q)
-    order = []
     roots = set(qv.positive_roots(q))
     slicepos = {v: i for i, v in enumerate(qv.sink_first_order(q))}
     per_orbit = []
@@ -639,25 +549,17 @@ def knitting_order(q):
     order = tuple(r for _, _, r in per_orbit)
     if len(order) != len(roots) or set(order) != roots:
         raise InternalInconsistencyError("knitting enumeration missed roots")
-    with _lock:
-        _knitting_cache[q] = order
     return order
 
 
+@lru_cache(maxsize=None)
 def hom_dim_roots(q, r1, r2):
     """dim Hom between the canonical indecomposables of two roots (memoized).
 
     Oracle route: solves the intertwiner system; the closed form is
     derived.pair_hom_dim.
     """
-    with _lock:
-        hit = _homdim_cache.get((q, r1, r2))
-    if hit is not None:
-        return hit
-    d = hom_dim_mod(indec_of_root(q, r1), indec_of_root(q, r2))
-    with _lock:
-        _homdim_cache[(q, r1, r2)] = d
-    return d
+    return hom_dim_mod(indec_of_root(q, r1), indec_of_root(q, r2))
 
 
 def ext_dim_roots(q, r1, r2):
@@ -745,15 +647,6 @@ def tau_module(m):
     return indec_of_root(m.quiver, r)
 
 
-def tau_inv_module(m):
-    if not is_indec(m):
-        raise ValueError("inverse tau needs an indecomposable input")
-    r = tau_inv_root(m.quiver, m.dims)
-    if r is None:
-        return INJECTIVE
-    return indec_of_root(m.quiver, r)
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -767,29 +660,54 @@ def format_rep(m):
     return "\n".join(lines) + "\n"
 
 
+def _parse_rep_line(q, line, dims, mats):
+    """Read one non-blank line of format_rep text: a `mat` line goes into mats;
+    returns the dimension vector read so far."""
+    if line.startswith("rep dims="):
+        if dims is not None:
+            raise ValueError("second `rep dims=` line")
+        body = line[len("rep dims="):].strip()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError("dimension vector must be bracketed")
+        dims = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
+        if len(dims) != q.n:
+            raise ValueError("%d dimensions for %d vertices" % (len(dims), q.n))
+        return dims
+    head, eq, body = line.partition("=")
+    words = head.split()
+    if not line.startswith("mat ") or not eq or len(words) != 2:
+        raise ValueError("expected `rep dims=[...]` or `mat <arrow> = [...]`")
+    a = int(words[1]) - 1
+    if not 0 <= a < len(q.arrows):
+        raise ValueError("no arrow %s; arrows are 1..%d" % (words[1], len(q.arrows)))
+    if a in mats:
+        raise ValueError("arrow %d given twice" % (a + 1))
+    body = body.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ValueError("matrix must be bracketed")
+    rows = []
+    for chunk in body[1:-1].split(";"):
+        chunk = chunk.strip().strip("[]")
+        if chunk:
+            rows.append([Fraction(x) for x in chunk.split(",")])
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("matrix rows of unequal length")
+    mats[a] = rows
+    return dims
+
+
 def parse_rep(q, text):
+    """Inverse of format_rep; a malformed line raises ValueError naming it."""
     dims = None
     mats = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("rep dims="):
-            body = line[len("rep dims="):].strip()
-            dims = tuple(int(x) for x in body.strip("[]").split(",") if x.strip())
-        elif line.startswith("mat "):
-            head, body = line.split("=", 1)
-            a = int(head.split()[1]) - 1
-            body = body.strip()
-            assert body.startswith("[") and body.endswith("]")
-            rows = []
-            for chunk in body[1:-1].split(";"):
-                chunk = chunk.strip().strip("[]")
-                if chunk:
-                    rows.append([Fraction(x) for x in chunk.split(",")])
-            mats[a] = rows
-        else:
-            raise ValueError("malformed representation line: %r" % raw)
+        try:
+            dims = _parse_rep_line(q, line, dims, mats)
+        except ValueError as e:
+            raise ValueError("malformed representation line %r: %s" % (raw, e)) from None
     if dims is None:
         raise ValueError("missing `rep dims=` line")
     full = []

@@ -8,8 +8,8 @@ tilting object, the literal sup of minimal-complex lengths).  Disagreement is
 a hard failure.
 """
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import complexes as cx, derived as dv, quiver as qv, reps
 from .reps import InternalInconsistencyError
@@ -60,20 +60,15 @@ def _profile(q, t_indecs, x_root, x_shift, pair):
     return LengthProfile(ell_minus, ell_plus)
 
 
-def ell_profile(t, x, engine="happel"):
+def ell_profile(t, x):
     """Length profile of an indecomposable X against a tilting object T."""
     if not dv.is_tilting(t):
         raise ValueError("length profiles are defined against tilting objects")
     xb = x.basic()
     if xb.num_distinct() != 1 or x.summands[0].mult != 1:
         raise ValueError("X must be indecomposable")
-    pair = dv.pair_hom_dim if engine == "happel" else _chain_pair
     (root, shift), = xb.indecs()
-    return _profile(t.quiver, t.basic().indecs(), root, shift, pair)
-
-
-_sgd_lock = threading.Lock()
-_sgd_cache = {}
+    return _profile(t.quiver, t.basic().indecs(), root, shift, dv.pair_hom_dim)
 
 
 def _sgldim_scan(t, pair):
@@ -95,17 +90,16 @@ def _sgldim_scan(t, pair):
 
 def sgldim(t):
     """sup of ell_T over the indecomposables of D^b(kQ), with a witness."""
-    key = (t.basic().key(), "happel")
-    with _sgd_lock:
-        hit = _sgd_cache.get(key)
-    if hit is not None:
-        return hit
-    if not dv.is_tilting(t):
+    return _sgldim(t.basic())
+
+
+# both engines are memoized on the basic object, so multiplicities and summand
+# order share one entry
+@lru_cache(maxsize=None)
+def _sgldim(tb):
+    if not dv.is_tilting(tb):
         raise ValueError("strong global dimension needs a tilting object")
-    rep = _sgldim_scan(t, dv.pair_hom_dim)
-    with _sgd_lock:
-        _sgd_cache[key] = rep
-    return rep
+    return _sgldim_scan(tb, dv.pair_hom_dim)
 
 
 def _is_projective_slice(t):
@@ -122,11 +116,11 @@ def sgldim_ringel(t):
 
     Raises on any disagreement with sgldim.
     """
-    key = (t.basic().key(), "ringel")
-    with _sgd_lock:
-        hit = _sgd_cache.get(key)
-    if hit is not None:
-        return hit
+    return _sgldim_ringel(t.basic())
+
+
+@lru_cache(maxsize=None)
+def _sgldim_ringel(t):
     if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
     q = t.quiver
@@ -144,6 +138,4 @@ def sgldim_ringel(t):
         raise InternalInconsistencyError(
             "dual strong-global-dimension algorithms disagree: %d vs %d"
             % (ref.value, rep.value))
-    with _sgd_lock:
-        _sgd_cache[key] = rep
     return rep

@@ -7,10 +7,10 @@ a canonical slice through its Hom-minimal summands, whose window reproduces
 the strong global dimension exactly (minus two).
 """
 
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from . import derived as dv, quiver as qv, reps, sgd
+from . import derived as dv, quiver as qv, sgd
 from .reps import InternalInconsistencyError
 
 
@@ -92,17 +92,10 @@ class ZQ:
         return inn
 
 
-_zq_lock = threading.Lock()
-_zq_cache = {}
-
-
+@lru_cache(maxsize=None)
 def zq_of(q):
-    with _zq_lock:
-        z = _zq_cache.get(q)
-        if z is None:
-            z = ZQ(q)
-            _zq_cache[q] = z
-        return z
+    """The shared, lazily growing ZQ of a quiver."""
+    return ZQ(q)
 
 
 @dataclass(frozen=True)

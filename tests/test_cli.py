@@ -1,6 +1,6 @@
 import pytest
 
-from dercat import cli, mutation as mu
+from dercat import cli, derived as dv, mutation as mu, quiver as qv, slices as sls
 
 
 @pytest.fixture
@@ -19,6 +19,40 @@ def test_verify_mutation_checks_reject_single_vertex(a1_file, which, capsys):
 def test_verify_delta_gives_up_after_walk_cap(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a2.q"
     path.write_text("vertices 2\narrow 1 2\n")
-    monkeypatch.setattr(mu, "admissible_splits", lambda t, canonical_only=False: [])
+    monkeypatch.setattr(mu, "admissible_splits", lambda t: [])
     assert cli.main(["verify", "delta", "--quiver", str(path), "--samples", "2"]) == 1
     assert "only 0 of 2 instances" in capsys.readouterr().err
+
+
+def test_comutate_inverts_mutate(tmp_path):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    t = dv.projective_generator(q)
+    obj.write_text(dv.format_object(t))
+    mutated, back = tmp_path / "m.obj", tmp_path / "back.obj"
+    # summand 2 is P1 = (1,1,1); Hom(P1, P2 + P3) = 0, so the split is admissible
+    assert cli.main(["mutate", "--quiver", str(quiver), "--object", str(obj),
+                     "--t2", "2", "--out", str(mutated)]) == 0
+    tp = dv.parse_object(q, mutated.read_text())
+    (new,) = [i for i, x in enumerate(tp.indecs()) if x not in t.indecs()]
+    assert cli.main(["comutate", "--quiver", str(quiver), "--object", str(mutated),
+                     "--t2", str(new), "--out", str(back)]) == 0
+    assert back.read_text() == obj.read_text()
+
+
+def test_verify_a_reports_truncation(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    argv = ["verify", "a", "--quiver", str(path), "--seed", "3", "--samples", "4"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert any("status=pass" in r for r in rows)
+    assert not any("truncated" in r for r in rows)
+    capped = sls.enumerate_slices
+    monkeypatch.setattr(sls, "enumerate_slices",
+                        lambda q, m_lo, m_hi, cap=None: capped(q, m_lo, m_hi, 1))
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    passed = [r for r in rows if "status=pass" in r]
+    assert passed and all(r.endswith("slices=1 truncated") for r in passed)

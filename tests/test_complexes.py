@@ -149,3 +149,13 @@ def test_happel_agreement_window(a2, a3):
                 want = (reps.hom_dim_roots(q, r1, r2) if gap == 0 else
                         reps.ext_dim_roots(q, r1, r2) if gap == 1 else 0)
                 assert cx.homk_pair_dim(q, r1, r2, gap) == want
+
+
+def test_hom_k_basis_maps_are_chain_maps():
+    # D5, alternating orientation; gaps 0 and 1 are the only ones with maps
+    d5_alt = qv.Quiver(5, ((0, 1), (2, 1), (2, 3), (2, 4)))
+    roots = qv.positive_roots(d5_alt)
+    for r1, r2 in itertools.product(roots, repeat=2):
+        for gap in (0, 1):
+            for f in cx.hom_k(res(d5_alt, r1), res(d5_alt, r2, gap)).basis:
+                assert f.is_chain_map()

@@ -17,8 +17,9 @@ def test_admissible_splits_a2(a2):
 
 def test_canonical_split_is_top_shift(a2):
     t = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), -1, 1)])
-    (split,) = mu.admissible_splits(t, canonical_only=True)
+    split = mu.make_split(t, [p for p in t.indecs() if p[1] == t.max_shift])
     assert split.t2.indecs() == (((0, 1), 0),)
+    assert split.t1.indecs() == (((1, 0), -1),)
 
 
 def test_single_summand_has_no_split(a1):

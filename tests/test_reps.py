@@ -215,3 +215,27 @@ def test_knitting_order_is_upper_triangular(a4):
     for r1, r2 in itertools.product(order, repeat=2):
         if r1 != r2 and reps.hom_dim_roots(a4, r1, r2):
             assert idx[r1] < idx[r2]
+
+
+def test_hom_space_maps_are_morphisms(d4):
+    indecs = [reps.indec_of_root(d4, r) for r in qv.positive_roots(d4)]
+    for m, n in itertools.product(indecs, repeat=2):
+        for f in reps.hom_space(m, n):
+            assert f.is_morphism()
+
+
+@pytest.mark.parametrize("text", [
+    "rep dims=[1,1,1]\nmat 9 = [[1]]\n",
+    "rep dims=[1,1,1]\nmat 0 = [[1]]\n",
+    "rep dims=[1,1]\n",
+    "rep dims=[1,1,1]\nrep dims=[1,1,1]\n",
+    "rep dims=1,1,1\n",
+    "rep dims=[1,1,1]\nmat 1 = 1\n",
+    "rep dims=[1,1,1]\nmat 1 = [[1]]\nmat 1 = [[2]]\n",
+    "rep dims=[1,1,1]\nmat 1 [[1]]\n",
+    "rep dims=[1,1,1]\nmat 1 = [[x]]\n",
+    "rep dims=[2,2,1]\nmat 1 = [[1,0];[2]]\n",
+])
+def test_parse_rep_rejects_malformed_lines(a3, text):
+    with pytest.raises(ValueError, match="malformed representation line"):
+        reps.parse_rep(a3, text)

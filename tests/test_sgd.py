@@ -103,3 +103,16 @@ def test_sgldim_three_witness_a4(a4):
     assert dv.is_tilting(t)
     assert sgd.sgldim(t).value == 3
     assert sgd.sgldim_ringel(t).value == 3
+
+
+def test_sgldim_memo_is_keyed_on_the_basic_object(a4):
+    t = dv.DerivedObject(a4, [((0, 0, 0, 1), 0, 1), ((1, 0, 0, 0), 0, 1),
+                              ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
+    rep = sgd.sgldim(t)
+    doubled = dv.DerivedObject(a4, [((0, 0, 0, 1), 0, 2), ((1, 0, 0, 0), 0, 1),
+                                    ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
+    reordered = dv.DerivedObject(a4, [((0, 1, 0, 0), 1, 1), ((1, 1, 1, 1), 0, 1),
+                                      ((1, 0, 0, 0), 0, 1), ((0, 0, 0, 1), 0, 1)])
+    assert sgd.sgldim(t) is rep
+    assert sgd.sgldim(doubled) is rep
+    assert sgd.sgldim(reordered) is rep
