@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors.
-Every command is deterministic given its input files and --seed.
+Every command is deterministic given its input files and --seed.  Every
+`verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
+run that checked nothing shows as such.
 """
 
 import argparse
@@ -314,6 +316,10 @@ def cmd_verify(args):
                     fail_row({"check": "b", "instance": _object_hash(t),
                               "status": "FAIL", "detail": str(e)}, t)
         _emit_rows(rows, ["check", "instance", "status", "detail"], fmt)
+    # pass and FAIL rows were checked; stdout stays the rows alone
+    checked = sum(1 for r in rows if r["status"] != "skip")
+    print("# checked=%d skipped=%d failed=%d" % (checked, len(rows) - checked, failures),
+          file=sys.stderr)
     return 1 if failures else 0
 
 

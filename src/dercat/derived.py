@@ -22,6 +22,7 @@ is backed by a slow thick-closure oracle.
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, quiver as qv, reps
 
@@ -225,14 +226,16 @@ def is_tilting(t):
     generates_thick; the production criterion keeps the exact K-group test in
     place of the exponential cone search.
     """
-    if t.is_zero():
+    return _is_tilting(t.basic())
+
+
+# memoized on the basic object, so multiplicities and summand order share one
+# entry; mutation and the length profiles test the same T again and again
+@lru_cache(maxsize=None)
+def _is_tilting(tb):
+    if tb.is_zero() or tb.num_distinct() != tb.quiver.n:
         return False
-    tb = t.basic()
-    if tb.num_distinct() != t.quiver.n:
-        return False
-    if not is_rigid(tb):
-        return False
-    return k0_unimodular(tb)
+    return is_rigid(tb) and k0_unimodular(tb)
 
 
 def rigidity_failure(t):

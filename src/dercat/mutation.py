@@ -56,18 +56,34 @@ def make_split(t, t2_picks):
 
 
 def admissible_splits(t):
-    """All splits with both parts nonzero and Hom(t2, t1) = 0, in a fixed order."""
+    """All splits with both parts nonzero and Hom(t2, t1) = 0, in ascending mask order.
+
+    Bit i of a mask picks summand i of t.basic() into t2.  The Hom pattern
+    between summands is computed once; a mask is admissible when no summand it
+    picks maps nonzero into a summand it leaves out.
+    """
     tb = t.basic()
+    q = tb.quiver
     indecs = tb.indecs()
     n = len(indecs)
+    full = (1 << n) - 1
+    # into[i]: bitmask of the summands j with Hom(T_i, T_j) != 0
+    into = [0] * n
+    for i, (ri, si) in enumerate(indecs):
+        for j, (rj, sj) in enumerate(indecs):
+            if dv.pair_hom_dim(q, ri, si, rj, sj):
+                into[i] |= 1 << j
+    # reach[mask]: the summands some summand in mask maps into, built from the
+    # mask without its lowest bit
+    reach = [0] * (full + 1)
     out = []
-    for mask in range(1, (1 << n) - 1):
-        picks = [indecs[i] for i in range(n) if mask & (1 << i)]
-        rest = [indecs[i] for i in range(n) if not mask & (1 << i)]
-        t2 = tb.restrict(picks)
-        t1 = tb.restrict(rest)
-        if dv.hom_dim(t2, t1) == 0:
-            out.append(Split(t1, t2))
+    for mask in range(1, full):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | into[low.bit_length() - 1]
+        if not reach[mask] & (full ^ mask):
+            picks = [indecs[i] for i in range(n) if mask >> i & 1]
+            rest = [indecs[i] for i in range(n) if not mask >> i & 1]
+            out.append(Split(tb.restrict(rest), tb.restrict(picks)))
     return out
 
 
@@ -294,7 +310,7 @@ def co_mutate_with_data(t, split):
     Inverts mutate on the matching split (replacement summands against the same
     t1).  The dualized vanishing Hom(t1, t2) = 0 is how fresh dual mutations
     arise, but it can fail on a matching split, so only the partition is
-    required here; the tilting check on the output stays as the hard gate.
+    required here; a split whose output is not tilting raises ValueError.
     """
     q = t.quiver
     tb = t.basic()
@@ -312,7 +328,9 @@ def co_mutate_with_data(t, split):
         new_summands.append((rr, rs))
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
     if not dv.is_tilting(out):
-        raise InternalInconsistencyError("co-mutation produced a non-tilting object")
+        # any partition is accepted above, so this is a wrong split, not a broken invariant
+        raise ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
+                         "does not invert a mutation" % (split.t2.indecs(),))
     return out, triangles
 
 

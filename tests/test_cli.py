@@ -56,3 +56,30 @@ def test_verify_a_reports_truncation(tmp_path, monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     passed = [r for r in rows if "status=pass" in r]
     assert passed and all(r.endswith("slices=1 truncated") for r in passed)
+
+
+def test_comutate_rejects_a_split_that_inverts_no_mutation(tmp_path, capsys):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text(dv.format_object(dv.projective_generator(q)))
+    mutated = tmp_path / "m.obj"
+    assert cli.main(["mutate", "--quiver", str(quiver), "--object", str(obj),
+                     "--t2", "2", "--out", str(mutated)]) == 0
+    capsys.readouterr()
+    # summand 2 of the result is (0,1,1)[0], an old summand, not the new one
+    assert cli.main(["comutate", "--quiver", str(quiver), "--object", str(mutated),
+                     "--t2", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "non-tilting" in err and "((0, 1, 1), 0)" in err
+    assert "invariant breach" not in err
+
+
+def test_verify_reports_counts_on_stderr(tmp_path, capsys):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    assert cli.main(["verify", "a", "--quiver", str(path), "--seed", "0", "--samples", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("status=skip") == 3
+    assert "checked" not in out
+    assert err.splitlines()[-1] == "# checked=0 skipped=3 failed=0"

@@ -80,6 +80,16 @@ def test_is_tilting_counts_distinct_and_allows_multiplicity(a2):
     assert not dv.is_tilting(obj(a2, ((1, 1), 0, 2)))
 
 
+def test_is_tilting_memo_is_keyed_on_the_basic_object(a3):
+    # the mutation of the projective generator at P1 = (1,1,1)
+    t = obj(a3, ((1, 0, 0), -1, 1), ((0, 0, 1), 0, 1), ((0, 1, 1), 0, 1))
+    doubled = obj(a3, ((1, 0, 0), -1, 1), ((0, 0, 1), 0, 2), ((0, 1, 1), 0, 1))
+    permuted = obj(a3, ((0, 1, 1), 0, 1), ((1, 0, 0), -1, 1), ((0, 0, 1), 0, 1))
+    dv._is_tilting.cache_clear()
+    assert [dv.is_tilting(x) for x in (t, doubled, permuted)] == [True] * 3
+    assert dv._is_tilting.cache_info().currsize == 1
+
+
 def test_is_tilting_shift_invariant(a2, a3):
     for q, t in ((a2, dv.projective_generator(a2)), (a3, dv.projective_generator(a3))):
         for k in (-2, -1, 1, 3):

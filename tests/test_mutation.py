@@ -205,3 +205,29 @@ def test_random_walk_respects_spread_cap(a4):
         t, _ = mu.random_tilting_walk(a4, seed, 10, spread_cap=3)
         assert t.spread <= 3
         assert dv.is_tilting(t)
+
+
+def brute_force_splits(t):
+    """admissible_splits by its definition: a hom_dim sum per mask, ascending."""
+    tb = t.basic()
+    indecs = tb.indecs()
+    n = len(indecs)
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        t2 = tb.restrict([indecs[i] for i in range(n) if mask >> i & 1])
+        t1 = tb.restrict([indecs[i] for i in range(n) if not mask >> i & 1])
+        if dv.hom_dim(t2, t1) == 0:
+            out.append(mu.Split(t1, t2))
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "vertices 4\narrow 1 2\narrow 2 3\narrow 3 4\n",
+    "vertices 5\narrow 1 2\narrow 3 2\narrow 3 4\narrow 3 5\n",
+    "vertices 6\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\narrow 3 6\n",
+], ids=["A4", "D5-alt", "E6-alt"])
+def test_admissible_splits_match_brute_force(text):
+    q = qv.parse_quiver(text)
+    for seed in range(3):
+        t, _ = mu.random_tilting_walk(q, seed, 3)
+        assert mu.admissible_splits(t) == brute_force_splits(t), seed

@@ -82,6 +82,14 @@ def test_decompose_round_trip(d4):
         assert reps.decompose(reps.indec_of_root(d4, r)) == {r: 1}
 
 
+def test_decompose_root_dims_with_zero_arrow_map(a2):
+    # S1 + S2: its dimension vector (1,1) is a root, but dim End = 2, so the
+    # brick test must not take it for the indecomposable of that root
+    x = reps.Representation(a2, (1, 1), [[[0]]])
+    assert reps.hom_dim_mod(x, x) == 2
+    assert reps.decompose(x) == {(1, 0): 1, (0, 1): 1}
+
+
 def test_decompose_zero(a2):
     assert reps.decompose(reps.zero_rep(a2)) == {}
 
