@@ -66,21 +66,15 @@ def admissible_splits(t):
     q = tb.quiver
     indecs = tb.indecs()
     n = len(indecs)
-    full = (1 << n) - 1
     # into[i]: bitmask of the summands j with Hom(T_i, T_j) != 0
     into = [0] * n
     for i, (ri, si) in enumerate(indecs):
         for j, (rj, sj) in enumerate(indecs):
             if dv.pair_hom_dim(q, ri, si, rj, sj):
                 into[i] |= 1 << j
-    # reach[mask]: the summands some summand in mask maps into, built from the
-    # mask without its lowest bit
-    reach = [0] * (full + 1)
     out = []
-    for mask in range(1, full):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | into[low.bit_length() - 1]
-        if not reach[mask] & (full ^ mask):
+    for mask in range(1, (1 << n) - 1):
+        if all(not into[i] & ~mask for i in range(n) if mask >> i & 1):
             picks = [indecs[i] for i in range(n) if mask >> i & 1]
             rest = [indecs[i] for i in range(n) if not mask >> i & 1]
             out.append(Split(tb.restrict(rest), tb.restrict(picks)))
@@ -310,7 +304,11 @@ def co_mutate_with_data(t, split):
     Inverts mutate on the matching split (replacement summands against the same
     t1).  The dualized vanishing Hom(t1, t2) = 0 is how fresh dual mutations
     arise, but it can fail on a matching split, so only the partition is
-    required here; a split whose output is not tilting raises ValueError.
+    required here.  A non-tilting output under Hom(t1, t2) = 0 is a broken
+    invariant, since that condition makes the output tilting; under
+    Hom(t1, t2) != 0 it raises ValueError, as the split may not invert any
+    mutation.  A fault in the co-mutation itself on a split of the second kind
+    reads as that ValueError too; the round-trip tests against mutate catch it.
     """
     q = t.quiver
     tb = t.basic()
@@ -328,7 +326,8 @@ def co_mutate_with_data(t, split):
         new_summands.append((rr, rs))
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
     if not dv.is_tilting(out):
-        # any partition is accepted above, so this is a wrong split, not a broken invariant
+        if dv.hom_dim(split.t1, split.t2) == 0:
+            raise InternalInconsistencyError("co-mutation produced a non-tilting object")
         raise ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
                          "does not invert a mutation" % (split.t2.indecs(),))
     return out, triangles

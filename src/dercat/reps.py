@@ -9,8 +9,7 @@ decompose first runs the brick test: a module with dim End = 1 is
 indecomposable (a decomposable one has two orthogonal idempotents), and a
 Dynkin indecomposable is the brick fixed by its root, so one End system settles
 the common case of an exchange-triangle cone.  Only a decomposable module goes
-on to the Hom-count back-substitution, and then only for the roots r <= dims
-componentwise, the only ones that can occur as summands.
+on to the Hom-count back-substitution.
 
 hom_dim_roots / ext_dim_roots build both indecomposables and solve for their
 intertwiners.  They are the independent oracle for the closed Euler-form rule
@@ -582,9 +581,7 @@ def decompose(x):
     Brick test: dim End(X) = 1 means X is indecomposable, hence the
     indecomposable of the root dims(X) (Dynkin indecomposables are bricks and
     are determined by their dimension vector).  Otherwise the multiplicities
-    come from dim Hom(M(r), X) by back-substitution in knitting order, over the
-    roots r <= dims(X) componentwise only: no other root can be a summand, and
-    the Hom matrix restricted to these roots is still uni-triangular.
+    come from dim Hom(M(r), X) by back-substitution in knitting order.
     """
     q = x.quiver
     if x.is_zero():
@@ -594,7 +591,7 @@ def decompose(x):
             raise InternalInconsistencyError(
                 "brick with dimension vector %r, which is not a positive root" % (x.dims,))
         return {x.dims: 1}
-    order = [r for r in knitting_order(q) if all(a <= b for a, b in zip(r, x.dims))]
+    order = knitting_order(q)
     h = [hom_dim_mod(indec_of_root(q, r), x) for r in order]
     mult = {}
     for idx in range(len(order) - 1, -1, -1):

@@ -37,8 +37,3 @@ def test_decompose_direct_sum_of_three():
     x = reps.direct_sum([reps.indec_of_root(q, r) for r in picks])
     assert reps.decompose(x) == {(0, 1, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 1): 2}
 
-
-def test_decompose_recovers_every_indecomposable():
-    q = qv.parse_quiver(QUIVERS["E6-alt"])
-    for r in qv.positive_roots(q):
-        assert reps.decompose(reps.indec_of_root(q, r)) == {r: 1}, r

@@ -100,6 +100,17 @@ def test_comutate_round_trip_batch(a3, d4):
                 assert back == t.basic()
 
 
+def test_comutate_on_dual_admissible_splits_is_tilting(a3, d4):
+    # swapping the parts of an admissible split gives Hom(t1, t2) = 0, the dual
+    # exchange condition, under which co_mutate must give a tilting object (so
+    # a non-tilting output there is an invariant breach, never the split)
+    for q in (a3, d4):
+        for seed in range(4):
+            t, _ = mu.random_tilting_walk(q, seed, 3)
+            for split in mu.admissible_splits(t):
+                assert dv.is_tilting(mu.co_mutate(t, mu.Split(split.t2, split.t1)))
+
+
 def test_approximation_property_and_minimality(a4):
     # surjectivity of Hom(t1_i, M) -> Hom(t1_i, X) and no splittable copy
     for seed in (1, 3, 5):

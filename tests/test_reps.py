@@ -78,8 +78,10 @@ def test_decompose_hand_example(a2):
 
 
 def test_decompose_round_trip(d4):
-    for r in qv.positive_roots(d4):
-        assert reps.decompose(reps.indec_of_root(d4, r)) == {r: 1}
+    e6_alt = qv.parse_quiver("vertices 6\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\narrow 3 6\n")
+    for q in (d4, e6_alt):
+        for r in qv.positive_roots(q):
+            assert reps.decompose(reps.indec_of_root(q, r)) == {r: 1}, r
 
 
 def test_decompose_root_dims_with_zero_arrow_map(a2):
