@@ -117,10 +117,14 @@ def _parse_t2(t, spec_str, dual):
     partition for comutate (the split inverting a mutation need not be admissible)."""
     indecs = t.basic().indecs()
     try:
-        picks = [indecs[int(i)] for i in spec_str.split(",")]
-    except (ValueError, IndexError):
+        idx = [int(i) for i in spec_str.split(",")]
+    except ValueError:
+        idx = None
+    # a negative index would silently pick from the end of the list
+    if idx is None or not all(0 <= i < len(indecs) for i in idx):
         raise ValueError("bad --t2 %r; expected comma-separated summand indices 0..%d"
                          % (spec_str, len(indecs) - 1))
+    picks = [indecs[i] for i in idx]
     return mu.partition(t, picks) if dual else mu.make_split(t, picks)
 
 
@@ -281,40 +285,27 @@ def cmd_verify(args):
     elif which in ("a", "b"):
         for t in _corpus(q, args.seed, args.samples):
             value = sgd.sgldim(t).value
-            if which == "a":
-                if value < 2:
-                    rows.append({"check": "a", "instance": _object_hash(t),
-                                 "status": "skip", "detail": "hereditary"})
-                    continue
-                try:
+            row = {"check": which, "instance": _object_hash(t), "status": "pass"}
+            if value < 2:
+                rows.append(dict(row, status="skip", detail="hereditary"))
+                continue
+            try:
+                if which == "a":
                     rep = sls.theoremA_verify(t, window_pad=args.window_pad)
-                    detail = "ell=%d sgd=%d slices=%d" % (rep.ell, rep.sgd, rep.slices_checked)
-                    if rep.truncated:
-                        detail += " truncated"
-                    rows.append({"check": "a", "instance": _object_hash(t), "status": "pass",
-                                 "detail": detail})
-                except reps.InternalInconsistencyError as e:
-                    fail_row({"check": "a", "instance": _object_hash(t),
-                              "status": "FAIL", "detail": str(e)}, t)
-            else:
-                if value < 2:
-                    rows.append({"check": "b", "instance": _object_hash(t),
-                                 "status": "skip", "detail": "hereditary"})
-                    continue
-                try:
+                    row["detail"] = "ell=%d sgd=%d slices=%d%s" % (
+                        rep.ell, rep.sgd, rep.slices_checked, " truncated" if rep.truncated else "")
+                else:
                     seq = mu.theoremB_sequence(t)
-                    ok = len(seq) - 1 == value - 2 and all(
-                        sgd.sgldim(obj).value == 2 + i for i, (obj, _) in enumerate(seq))
-                    row = {"check": "b", "instance": _object_hash(t),
-                           "status": "pass" if ok else "FAIL",
-                           "detail": "length=%d" % (len(seq) - 1)}
-                    if ok:
-                        rows.append(row)
-                    else:
-                        fail_row(row, t)
-                except reps.InternalInconsistencyError as e:
-                    fail_row({"check": "b", "instance": _object_hash(t),
-                              "status": "FAIL", "detail": str(e)}, t)
+                    row["detail"] = "length=%d" % (len(seq) - 1)
+                    if len(seq) - 1 != value - 2 or any(
+                            sgd.sgldim(obj).value != 2 + i for i, (obj, _) in enumerate(seq)):
+                        row["status"] = "FAIL"
+            except reps.InternalInconsistencyError as e:
+                row.update(status="FAIL", detail=str(e))
+            if row["status"] == "pass":
+                rows.append(row)
+            else:
+                fail_row(row, t)
         _emit_rows(rows, ["check", "instance", "status", "detail"], fmt)
     # pass and FAIL rows were checked; stdout stays the rows alone
     checked = sum(1 for r in rows if r["status"] != "skip")

@@ -81,9 +81,12 @@ def _assemble_blocks(q, src_indices, tgt_indices, blocks):
 
 
 class ProjComplex:
-    """Bounded complex of direct sums of indecomposable projectives."""
+    """Bounded complex of direct sums of indecomposable projectives.
 
-    def __init__(self, q, terms, diffs, check=True):
+    The constructor trusts its differentials; `validate()` checks d o d = 0.
+    """
+
+    def __init__(self, q, terms, diffs):
         self.quiver = q
         self.terms = {d: tuple(t) for d, t in terms.items() if t}
         self.diffs = {}
@@ -91,8 +94,6 @@ class ProjComplex:
             if d in self.terms and (d + 1) in self.terms:
                 self.diffs[d] = [[blk for blk in row] for row in blocks]
         self._term_reps = {}
-        if check:
-            self.validate()
 
     def degrees(self):
         return sorted(self.terms)
@@ -136,7 +137,7 @@ class ProjComplex:
         for d, blocks in self.diffs.items():
             diffs[d - k] = [[None if blk is None else blk.scale(sign) for blk in row]
                             for row in blocks]
-        return ProjComplex(self.quiver, terms, diffs, check=False)
+        return ProjComplex(self.quiver, terms, diffs)
 
     def direct_sum(self, other):
         assert self.quiver == other.quiver
@@ -158,7 +159,7 @@ class ProjComplex:
                 rows.append(row)
             if rows:
                 diffs[d] = rows
-        return ProjComplex(self.quiver, terms, diffs, check=False)
+        return ProjComplex(self.quiver, terms, diffs)
 
     def blocks_or_zero(self, d):
         if d in self.diffs:
@@ -226,7 +227,7 @@ class ProjComplex:
             for dd in (d, d + 1):
                 if dd in terms and not terms[dd]:
                     del terms[dd]
-        return ProjComplex(q, {d: tuple(t) for d, t in terms.items()}, diffs, check=False)
+        return ProjComplex(q, {d: tuple(t) for d, t in terms.items()}, diffs)
 
     def homology(self):
         """H^d for each degree, as representations (only nonzero ones returned)."""
@@ -276,7 +277,7 @@ def ringel_length(x):
 
 
 def zero_complex(q):
-    return ProjComplex(q, {}, {}, check=False)
+    return ProjComplex(q, {}, {})
 
 
 def stalk_complex(q, root, shift=0):
@@ -284,10 +285,10 @@ def stalk_complex(q, root, shift=0):
     m = reps.indec_of_root(q, root)
     res = reps.proj_resolution(m)
     if not res.p1_indices:
-        return ProjComplex(q, {-shift: tuple(res.p0_indices)}, {}, check=False)
+        return ProjComplex(q, {-shift: tuple(res.p0_indices)}, {})
     blocks = _slice_blocks(q, res.p1_indices, res.p0_indices, res.d)
     return ProjComplex(q, {-1 - shift: tuple(res.p1_indices), -shift: tuple(res.p0_indices)},
-                       {-1 - shift: blocks}, check=False)
+                       {-1 - shift: blocks})
 
 
 class ChainMap:
@@ -369,7 +370,7 @@ def cone(f):
             rows.append(row)
         if rows:
             diffs[d] = rows
-    out = ProjComplex(q, terms, diffs, check=False)
+    out = ProjComplex(q, terms, diffs)
     out.validate()
     return out
 
@@ -454,10 +455,7 @@ class HomKSpace:
         for bv in boundaries:
             if bspan.add(bv):
                 self._bbasis.append(bv)
-        quot = Subspace(self._total)
-        for bv in self._bbasis:
-            quot.add(bv)
-        self._rep_vecs = [z_basis[i] for i in quot.extend_basis(z_basis)]
+        self._rep_vecs = [z_basis[i] for i in bspan.extend_basis(z_basis)]
         self.dim = len(self._rep_vecs)
 
     @property

@@ -5,10 +5,20 @@ the approximation is assembled from chain-map bases (multiplicities from the
 quotient by composite morphisms), its cone is minimized, and the homology is
 decomposed back into stalks.  Every mutation output is re-checked for
 tilting-ness; failures are raised, never papered over.
+
+Mutation and co-mutation are the two dual halves of silting mutation
+(Aihara-Iyama, Silting mutation in triangulated categories, 2012) and share one
+exchange path, `_exchange`, with a `left` flag.  Apart from the conditions each
+direction puts on its split, the flag changes three things only: which end of
+the Hom space the t1 summand takes (`_approx_data`), whether the
+approximation's blocks are joined by columns (a map out of the sum) or by rows
+(a map into it, `_assemble`), and whether the cone is shifted down
+(`_replace_by_cone`).
 """
 
 import random as _random
 from dataclasses import dataclass
+from functools import reduce
 
 from . import complexes as cx, derived as dv, linalg, reps as rp, sgd, slices as sls
 from .linalg import Subspace
@@ -99,78 +109,22 @@ def _radical_complement(q, src, tgt, others):
         for f in through.basis:
             for g in onward.basis:
                 span.add(list(sp.coords(g.compose(f))))
-    unit = [[1 if i == j else 0 for j in range(sp.dim)] for i in range(sp.dim)]
-    chosen = span.extend_basis(unit)
-    return sp, chosen
+    return sp, span.extend_basis(linalg.identity(sp.dim))
 
 
-def _sum_map_to(q, pieces, maps, target):
-    """Assemble chain maps piece_i -> target into one map from their direct sum."""
+def _assemble(q, x_cx, pieces, maps, into):
+    """One chain map between x and the direct sum of the pieces, from one map
+    per piece: x -> sum (blocks joined by rows) when `into`, else sum -> x
+    (blocks joined by columns)."""
     total = cx.zero_complex(q)
     for p in pieces:
         total = total.direct_sum(p)
-    comps = {}
-    for d in total.degrees():
-        if not target.term(d):
-            continue
-        mats = []
-        tgt_rep = target.term_rep(d)
-        for v in range(q.n):
-            cols = []
-            for p, f in zip(pieces, maps):
-                pw = p.term_rep(d).dims[v]
-                if pw == 0:
-                    continue
-                block = f.comp(d)._mat(v) if p.term(d) else None
-                if block is None:
-                    block = linalg.zeros(tgt_rep.dims[v], pw)
-                cols.append(block)
-            if tgt_rep.dims[v] and cols:
-                mat = cols[0]
-                for c in cols[1:]:
-                    mat = linalg.hstack(mat, c)
-                mats.append(mat)
-            else:
-                mats.append(linalg.zeros(tgt_rep.dims[v], total.term_rep(d).dims[v]))
-        comps[d] = rp.RepMap(total.term_rep(d), tgt_rep, mats)
-    return total, cx.ChainMap(total, target, comps)
-
-
-def _map_into_sum(q, source, pieces, maps):
-    """Assemble chain maps source -> piece_i into one map to their direct sum."""
-    total = cx.zero_complex(q)
-    for p in pieces:
-        total = total.direct_sum(p)
-    comps = {}
-    for d in source.degrees():
-        if not total.term(d):
-            continue
-        src_rep = source.term_rep(d)
-        rows = []
-        for p, f in zip(pieces, maps):
-            if sum(p.term_rep(d).dims) == 0:
-                continue
-            rows.append((p, f.comp(d) if p.term(d) else None))
-        mats = []
-        for v in range(q.n):
-            stacked = []
-            for p, block in rows:
-                ph = p.term_rep(d).dims[v]
-                if ph == 0:
-                    continue
-                if block is None:
-                    stacked.append(linalg.zeros(ph, src_rep.dims[v]))
-                else:
-                    stacked.append(block._mat(v))
-            if stacked and src_rep.dims[v]:
-                mat = stacked[0]
-                for b in stacked[1:]:
-                    mat = linalg.vstack(mat, b)
-                mats.append(mat)
-            else:
-                mats.append(linalg.zeros(total.term_rep(d).dims[v], src_rep.dims[v]))
-        comps[d] = rp.RepMap(src_rep, total.term_rep(d), mats)
-    return total, cx.ChainMap(source, total, comps)
+    src, tgt = (x_cx, total) if into else (total, x_cx)
+    join = linalg.vstack if into else linalg.hstack
+    comps = {d: rp.RepMap(src.term_rep(d), tgt.term_rep(d),
+                          [reduce(join, [f.comp(d)._mat(v) for f in maps]) for v in range(q.n)])
+             for d in src.degrees() if tgt.term(d)}
+    return cx.ChainMap(src, tgt, comps)
 
 
 def _object_of_complex(q, c):
@@ -188,110 +142,98 @@ def _object_of_complex(q, c):
 @dataclass
 class ApproxData:
     copies: list       # one (root, shift) per summand copy of the approximation
-    piece_maps: list   # matching chain maps copy -> x
-    m_cx: object       # sum complex of the copies
+    piece_maps: list   # matching chain maps copy -> x (right) or x -> copy (left)
     big: object        # assembled chain map, None when the approximation is zero
     x_cx: object
 
 
-def right_approx_data(t1, x):
-    """Minimal right approximation of the summand x from add(t1).
+def _approx_data(t1, x, left):
+    """Minimal approximation of the summand x by add(t1): add(t1) -> x, or
+    x -> add(t1) when `left`.
 
-    Multiplicity of each t1 summand is the dimension of Hom into x modulo the
-    maps factoring through the other summands; components are basis
+    Multiplicity of each t1 summand is the dimension of Hom between it and x
+    modulo the maps factoring through the other summands; components are basis
     representatives completing that quotient.
     """
     q = t1.quiver
-    xr, xs = x
-    t1_indecs = list(t1.basic().indecs())
-    x_cx = cx.stalk_complex_cached(q, xr, xs)
-    pieces = []
-    maps = []
+    t1_indecs = t1.basic().indecs()
+    x_cx = cx.stalk_complex_cached(q, *x)
     copies = []
-    for src in t1_indecs:
-        others = [o for o in t1_indecs if o != src]
-        sp, chosen = _radical_complement(q, src, (xr, xs), others)
+    maps = []
+    for s in t1_indecs:
+        others = [o for o in t1_indecs if o != s]
+        ends = (x, s) if left else (s, x)
+        sp, chosen = _radical_complement(q, *ends, others)
         basis = sp.basis if chosen else []
         for k in chosen:
-            pieces.append(cx.stalk_complex_cached(q, *src))
+            copies.append(s)
             maps.append(basis[k])
-            copies.append(src)
-    if not pieces:
-        return ApproxData([], [], cx.zero_complex(q), None, x_cx)
-    m_cx, big = _sum_map_to(q, pieces, maps, x_cx)
-    return ApproxData(copies, maps, m_cx, big, x_cx)
+    if not copies:
+        return ApproxData([], [], None, x_cx)
+    pieces = [cx.stalk_complex_cached(q, *s) for s in copies]
+    return ApproxData(copies, maps, _assemble(q, x_cx, pieces, maps, left), x_cx)
 
 
-def minimal_right_approx(t1, x):
-    """(approximation object, chain map onto the summand x); map is None if zero."""
-    data = right_approx_data(t1, x)
-    m = dv.DerivedObject(t1.quiver, [(r, s, 1) for r, s in data.copies]
-                         ) if data.copies else dv.DerivedObject(t1.quiver, [])
-    return m, data.big
+def right_approx_data(t1, x):
+    """Minimal right approximation add(t1) -> x of the summand x."""
+    return _approx_data(t1, x, False)
 
 
 def left_approx_data(t1, x):
     """Dual construction: minimal left approximation x -> add(t1)."""
-    q = t1.quiver
-    xr, xs = x
-    t1_indecs = list(t1.basic().indecs())
-    x_cx = cx.stalk_complex_cached(q, xr, xs)
-    pieces = []
-    maps = []
-    copies = []
-    for tgt in t1_indecs:
-        others = [o for o in t1_indecs if o != tgt]
-        sp, chosen = _radical_complement(q, (xr, xs), tgt, others)
-        basis = sp.basis if chosen else []
-        for k in chosen:
-            pieces.append(cx.stalk_complex_cached(q, *tgt))
-            maps.append(basis[k])
-            copies.append(tgt)
-    if not pieces:
-        return ApproxData([], [], cx.zero_complex(q), None, x_cx)
-    m_cx, big = _map_into_sum(q, x_cx, pieces, maps)
-    return ApproxData(copies, maps, m_cx, big, x_cx)
+    return _approx_data(t1, x, True)
 
 
-def _replace_by_cone(q, data, direction):
+def _replace_by_cone(q, data, left):
     """Cone of the approximation, as a stalk object; asserted indecomposable."""
     if data.big is None:
         # zero approximation: the triangle degenerates to a pure (co)suspension
-        obj = _object_of_complex(q, data.x_cx)
-        return obj.shift(-1) if direction == "right" else obj.shift(1)
-    c = cx.cone(data.big)
-    obj = _object_of_complex(q, c)
-    if direction == "right":
+        return _object_of_complex(q, data.x_cx).shift(1 if left else -1)
+    obj = _object_of_complex(q, cx.cone(data.big))
+    if not left:
         obj = obj.shift(-1)
-    total_mult = sum(s.mult for s in obj.summands)
-    if total_mult != 1:
+    if sum(s.mult for s in obj.summands) != 1:
         raise InternalInconsistencyError(
             "exchange produced a decomposable replacement: %r" % (obj,))
     return obj
 
 
-def mutate_with_data(t, split):
-    """Mutation at the given split; returns (new object, exchange triangles)."""
+def _exchange(t, split, left):
+    """Replace each t2 summand x by the cone of its approximation from add(t1):
+    right approximations for mutation, left ones for co-mutation.
+    Returns (new object, exchange triangles)."""
     q = t.quiver
     tb = t.basic()
     if not dv.is_tilting(tb):
         raise ValueError("mutation starts from a tilting object")
     if set(split.t1.indecs()) | set(split.t2.indecs()) != set(tb.indecs()):
         raise ValueError("split does not partition the summands of T")
-    if dv.hom_dim(split.t2, split.t1) != 0:
+    if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
+    # the public entry points, looked up at call time, so that a wrapper put
+    # around either one (to count calls, say) sees the calls made from here
+    approx = left_approx_data if left else right_approx_data
     triangles = []
     new_summands = list(split.t1.indecs())
     for x in split.t2.indecs():
-        data = right_approx_data(split.t1, x)
-        repl = _replace_by_cone(q, data, "right")
-        (rr, rs), = repl.indecs()
-        triangles.append(ApproxTriangle(x, tuple(data.copies), data.big, (rr, rs)))
-        new_summands.append((rr, rs))
+        data = approx(split.t1, x)
+        (repl,) = _replace_by_cone(q, data, left).indecs()
+        triangles.append(ApproxTriangle(x, tuple(data.copies), data.big, repl))
+        new_summands.append(repl)
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
     if not dv.is_tilting(out):
-        raise InternalInconsistencyError("mutation produced a non-tilting object")
+        if not left:
+            raise InternalInconsistencyError("mutation produced a non-tilting object")
+        if dv.hom_dim(split.t1, split.t2) == 0:
+            raise InternalInconsistencyError("co-mutation produced a non-tilting object")
+        raise ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
+                         "does not invert a mutation" % (split.t2.indecs(),))
     return out, triangles
+
+
+def mutate_with_data(t, split):
+    """Mutation at the given split; returns (new object, exchange triangles)."""
+    return _exchange(t, split, False)
 
 
 def mutate(t, split):
@@ -310,27 +252,7 @@ def co_mutate_with_data(t, split):
     mutation.  A fault in the co-mutation itself on a split of the second kind
     reads as that ValueError too; the round-trip tests against mutate catch it.
     """
-    q = t.quiver
-    tb = t.basic()
-    if not dv.is_tilting(tb):
-        raise ValueError("mutation starts from a tilting object")
-    if set(split.t1.indecs()) | set(split.t2.indecs()) != set(tb.indecs()):
-        raise ValueError("split does not partition the summands of T")
-    triangles = []
-    new_summands = list(split.t1.indecs())
-    for x in split.t2.indecs():
-        data = left_approx_data(split.t1, x)
-        repl = _replace_by_cone(q, data, "left")
-        (rr, rs), = repl.indecs()
-        triangles.append(ApproxTriangle(x, tuple(data.copies), data.big, (rr, rs)))
-        new_summands.append((rr, rs))
-    out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
-    if not dv.is_tilting(out):
-        if dv.hom_dim(split.t1, split.t2) == 0:
-            raise InternalInconsistencyError("co-mutation produced a non-tilting object")
-        raise ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
-                         "does not invert a mutation" % (split.t2.indecs(),))
-    return out, triangles
+    return _exchange(t, split, True)
 
 
 def co_mutate(t, split):

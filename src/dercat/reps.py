@@ -279,6 +279,23 @@ def kernel(f):
     return k, inc
 
 
+def _complement_projection(cols, dim):
+    """Cokernel projection of the dim x len(cols) matrix with these columns.
+
+    The complement of the column span is spanned by the standard vectors that
+    extend its echelon basis; the rows returned project Q^dim onto it."""
+    if not dim:
+        return []
+    span = Subspace(dim)
+    for c in cols:
+        span.add(c)
+    im_basis = [list(r) for r in span.rows]
+    std = linalg.identity(dim)
+    chosen = span.extend_basis(std)
+    u = linalg.transpose(im_basis + [std[i] for i in chosen])
+    return linalg.inverse(u)[len(im_basis):]
+
+
 def cokernel(f):
     """Cokernel of a morphism, with its projection map."""
     q = f.source.quiver
@@ -292,24 +309,12 @@ def cokernel(f):
             sections.append([])
             cdims.append(0)
             continue
-        span = Subspace(nv)
-        if f.source.dims[v]:
-            fm = f._mat(v)
-            for c in range(f.source.dims[v]):
-                span.add([fm[r][c] for r in range(nv)])
-        im_basis = [list(r) for r in span.rows]
-        ext = Subspace(nv)
-        for r in im_basis:
-            ext.add(r)
-        std = [[Fraction(1) if i == j else Fraction(0) for j in range(nv)] for i in range(nv)]
-        chosen = ext.extend_basis(std)
-        cols = [list(c) for c in im_basis] + [std[i] for i in chosen]
-        u = linalg.transpose(cols)
-        uinv = linalg.inverse(u)
-        pr = uinv[len(im_basis):]
-        cdims.append(len(chosen))
+        fm = f._mat(v)
+        pr = _complement_projection([[fm[r][c] for r in range(nv)]
+                                     for c in range(f.source.dims[v])], nv)
+        cdims.append(len(pr))
         projs.append(pr)
-        sections.append(linalg.solve_matrix(pr, linalg.identity(len(chosen))) if chosen else [])
+        sections.append(linalg.solve_matrix(pr, linalg.identity(len(pr))) if pr else [])
     cmats = []
     for a, (s, t) in enumerate(q.arrows):
         if cdims[s] == 0 or cdims[t] == 0:
@@ -363,8 +368,7 @@ def projective_cover(m):
             mat = m.mats[a]
             for c in range(m.dims[s]):
                 span.add([mat[r][c] for r in range(m.dims[v])])
-        std = [[Fraction(1) if x == y else Fraction(0) for y in range(m.dims[v])]
-               for x in range(m.dims[v])]
+        std = linalg.identity(m.dims[v])
         for i in span.extend_basis(std):
             indices.append(v)
             maps.append(_proj_generator_map(q, v, m, std[i])[1])
@@ -441,25 +445,11 @@ def reflect_at_source(q, m, v):
     tgts = [q.arrows[a][1] for a in out_arrows]
     heights = [m.dims[t] for t in tgts]
     total = sum(heights)
-    span = Subspace(total)
-    if m.dims[v] and total:
-        for c in range(m.dims[v]):
-            col = []
-            for a in out_arrows:
-                col += [m.mats[a][r][c] for r in range(m.dims[q.arrows[a][1]])]
-            span.add(col)
-    im_basis = [list(r) for r in span.rows]
-    ext = Subspace(total)
-    for r in im_basis:
-        ext.add(r)
-    std = [[Fraction(1) if i == j else Fraction(0) for j in range(total)] for i in range(total)]
-    chosen = ext.extend_basis(std)
-    cdim = len(chosen)
-    if total:
-        u = linalg.transpose([list(c) for c in im_basis] + [std[i] for i in chosen])
-        pr = linalg.inverse(u)[len(im_basis):]
-    else:
-        pr = []
+    # column c of M_v -> (sum of M_t over the arrows v -> t), stacked in arrow order
+    cols = [[m.mats[a][r][c] for a, t in zip(out_arrows, tgts) for r in range(m.dims[t])]
+            for c in range(m.dims[v])]
+    pr = _complement_projection(cols, total)
+    cdim = len(pr)
     newdims = list(m.dims)
     newdims[v] = cdim
     newq = _reflect_quiver(q, v)

@@ -31,3 +31,8 @@ def d4():
 @pytest.fixture(scope="session")
 def d5():
     return qv.Quiver(5, ((0, 4), (1, 4), (4, 2), (2, 3)))
+
+
+@pytest.fixture(scope="session")
+def e6_alt():
+    return qv.parse_quiver("vertices 6\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\narrow 3 6\n")

@@ -83,3 +83,28 @@ def test_verify_reports_counts_on_stderr(tmp_path, capsys):
     assert out.count("status=skip") == 3
     assert "checked" not in out
     assert err.splitlines()[-1] == "# checked=0 skipped=3 failed=0"
+
+
+def test_mutate_rejects_an_out_of_range_summand_index(tmp_path, capsys):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text(dv.format_object(dv.projective_generator(q)))
+    for verb in ("mutate", "comutate"):
+        for t2 in ("-1", "3", "0,-3"):
+            argv = [verb, "--quiver", str(quiver), "--object", str(obj), "--t2", t2]
+            assert cli.main(argv) == 2, (verb, t2)
+            out, err = capsys.readouterr()
+            assert out == "" and "bad --t2" in err
+
+
+def test_object_file_rejects_unknown_and_repeated_keys(tmp_path, capsys):
+    quiver, obj = tmp_path / "a3.q", tmp_path / "t.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    # "shfit" would have read as shift 0, and the second "shift" would have won
+    for bad, why in (("summand dim=[1,1,1] shfit=-1", "unknown key 'shfit'"),
+                     ("summand dim=[1,1,1] shift=0 shift=-1", "repeated key 'shift'")):
+        obj.write_text("summand dim=[0,0,1]\nsummand dim=[0,1,1]\n" + bad + "\n")
+        assert cli.main(["sgd", "--quiver", str(quiver), "--object", str(obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "line 3" in err and why in err

@@ -136,9 +136,9 @@ def test_d_squared_validation(a2):
     p1 = reps.proj_rep(a2, 0)
     f = reps.hom_space(p2, p1)[0]
     g = reps.hom_space(p1, reps.proj_rep(a2, 0))[0]
+    c = cx.ProjComplex(a2, {0: (1,), 1: (0,), 2: (0,)}, {0: [[f]], 1: [[g]]})
     with pytest.raises(ValueError):
-        cx.ProjComplex(a2, {0: (1,), 1: (0,), 2: (0,)},
-                       {0: [[f]], 1: [[g]]}, check=True)
+        c.validate()
 
 
 def test_happel_agreement_window(a2, a3):

@@ -1,6 +1,7 @@
 import pytest
 
 from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
+from dercat.linalg import Subspace
 
 
 def free_t(q):
@@ -34,21 +35,21 @@ def test_make_split_rejects_inadmissible(a2):
 
 def test_minimal_right_approx_socle(a2):
     t1 = dv.stalk(a2, (0, 1))
-    m, f = mu.minimal_right_approx(t1, ((1, 1), 0))
-    assert m.indecs() == (((0, 1), 0),)
-    assert f is not None
+    data = mu.right_approx_data(t1, ((1, 1), 0))
+    assert data.copies == [((0, 1), 0)]
+    assert data.big is not None
 
 
 def test_minimal_right_approx_zero(a2):
     t1 = dv.stalk(a2, (1, 1))   # Hom(P1, P2) = 0
-    m, f = mu.minimal_right_approx(t1, ((0, 1), 0))
-    assert m.is_zero() and f is None
+    data = mu.right_approx_data(t1, ((0, 1), 0))
+    assert data.copies == [] and data.big is None
 
 
 def test_minimal_right_approx_ext_class(a2):
     t1 = dv.stalk(a2, (1, 0), -1)
-    m, f = mu.minimal_right_approx(t1, ((0, 1), 0))
-    assert m.indecs() == (((1, 0), -1),)
+    data = mu.right_approx_data(t1, ((0, 1), 0))
+    assert data.copies == [((1, 0), -1)]
 
 
 def test_mutate_projectives_a2(a2):
@@ -88,8 +89,8 @@ def test_comutate_round_trip_examples(a2):
     assert back == t
 
 
-def test_comutate_round_trip_batch(a3, d4):
-    for q in (a3, d4):
+def test_comutate_round_trip_batch(a3, d4, e6_alt):
+    for q in (a3, d4, e6_alt):
         for seed in range(10):
             t, _ = mu.random_tilting_walk(q, seed, 3 + seed % 4)
             splits = mu.admissible_splits(t)
@@ -100,48 +101,65 @@ def test_comutate_round_trip_batch(a3, d4):
                 assert back == t.basic()
 
 
-def test_comutate_on_dual_admissible_splits_is_tilting(a3, d4):
+def test_comutate_on_dual_admissible_splits_is_tilting(a3, d4, e6_alt):
     # swapping the parts of an admissible split gives Hom(t1, t2) = 0, the dual
     # exchange condition, under which co_mutate must give a tilting object (so
     # a non-tilting output there is an invariant breach, never the split)
-    for q in (a3, d4):
+    for q in (a3, d4, e6_alt):
         for seed in range(4):
             t, _ = mu.random_tilting_walk(q, seed, 3)
             for split in mu.admissible_splits(t):
                 assert dv.is_tilting(mu.co_mutate(t, mu.Split(split.t2, split.t1)))
 
 
+def factored_span(q, x, s, data, left, skip=None):
+    """Hom(s, x) (right) or Hom(x, s) (left), with the span of its maps that
+    factor through the approximation's components other than number `skip`."""
+    sp = cx.homk_space_cached(q, x, s) if left else cx.homk_space_cached(q, s, x)
+    span = Subspace(sp.dim)
+    for j, (c, f) in enumerate(zip(data.copies, data.piece_maps)):
+        if j == skip:
+            continue
+        link = cx.homk_space_cached(q, c, s) if left else cx.homk_space_cached(q, s, c)
+        for g in link.basis:
+            span.add(list(sp.coords(g.compose(f) if left else f.compose(g))))
+    return sp, span
+
+
+def check_minimal_approximation(q, t1, x, data, left):
+    for s in t1.indecs():
+        sp, span = factored_span(q, x, s, data, left)
+        assert span.dim == sp.dim  # approximation property
+    for c, (s, f) in enumerate(zip(data.copies, data.piece_maps)):
+        sp, others = factored_span(q, x, s, data, left, skip=c)
+        assert not others.contains(list(sp.coords(f)))  # no redundant component
+
+
 def test_approximation_property_and_minimality(a4):
-    # surjectivity of Hom(t1_i, M) -> Hom(t1_i, X) and no splittable copy
+    # every map t1_i -> X factors through the approximation; no splittable copy
     for seed in (1, 3, 5):
         t, _ = mu.random_tilting_walk(a4, seed, 5)
         split = mu.admissible_splits(t)[0]
         for x in split.t2.indecs():
             data = mu.right_approx_data(split.t1, x)
-            if data.big is None:
-                continue
-            q = a4
-            target_sp = cx.homk_space_cached(q, x, x)  # placeholder to warm cache
-            for src in set(data.copies):
-                sp = cx.homk_space_cached(q, src, x)
-                from dercat.linalg import Subspace
-                span = Subspace(sp.dim)
-                for piece_src, f in zip(data.copies, data.piece_maps):
-                    through = cx.homk_space_cached(q, src, piece_src)
-                    for g in through.basis:
-                        span.add(list(sp.coords(f.compose(g))))
-                assert span.dim == sp.dim  # approximation property
-            for c, (src_c, f_c) in enumerate(zip(data.copies, data.piece_maps)):
-                sp = cx.homk_space_cached(q, src_c, x)
-                from dercat.linalg import Subspace
-                others = Subspace(sp.dim)
-                for j, (src_j, f_j) in enumerate(zip(data.copies, data.piece_maps)):
-                    if j == c:
-                        continue
-                    through = cx.homk_space_cached(q, src_c, src_j)
-                    for g in through.basis:
-                        others.add(list(sp.coords(f_j.compose(g))))
-                assert not others.contains(list(sp.coords(f_c)))  # right minimality
+            if data.big is not None:
+                check_minimal_approximation(a4, split.t1, x, data, False)
+
+
+def test_left_approximation_property_and_minimality(a4, e6_alt):
+    # the dual: every map X -> t1_i factors through the approximation.  Taken
+    # against the t2 part of an admissible split, where Hom(X, t1) can be nonzero
+    checked = 0
+    for q in (a4, e6_alt):
+        for seed in (1, 3, 5):
+            t, _ = mu.random_tilting_walk(q, seed, 5)
+            for split in mu.admissible_splits(t)[:2]:
+                for x in split.t1.indecs():
+                    data = mu.left_approx_data(split.t2, x)
+                    if data.big is not None:
+                        check_minimal_approximation(q, split.t2, x, data, True)
+                        checked += 1
+    assert checked
 
 
 def test_length_table_cells_and_full_window(a3):
