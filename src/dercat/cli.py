@@ -78,21 +78,15 @@ def cmd_tilting_check(args):
     q = _load_quiver(args.quiver)
     t = _load_object(q, args.object[0])
     tb = t.basic()
-    rigid = dv.is_rigid(tb)
-    count_ok = tb.num_distinct() == q.n
+    failure = dv.rigidity_failure(tb)
     unimodular = dv.k0_unimodular(tb)
     tilting = dv.is_tilting(tb)
-    print("rigid: %s" % ("yes" if rigid else "no"))
-    if not rigid:
-        i, src, tgt = dv.rigidity_failure(tb)
+    print("rigid: %s" % ("no" if failure else "yes"))
+    if failure:
+        i, src, tgt = failure
         print("  Hom(%r[%d], %r[%d]) != 0 at i=%d" % (src[0], src[1], tgt[0], tgt[1] + i, i))
     print("summands: %d of %d" % (tb.num_distinct(), q.n))
     print("unimodular classes: %s" % ("yes" if unimodular else "no"))
-    if args.slow and tilting:
-        gen = dv.generates_thick(tb)
-        print("thick closure generates: %s" % ("yes" if gen else "no"))
-        if not gen:
-            return 1
     print("tilting: %s" % ("yes" if tilting else "no"))
     return 0 if tilting else 1
 
@@ -314,6 +308,14 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+def non_negative_int(text):
+    """argparse type of the count options: a negative count is a usage error (exit 2)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %d" % n)
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="dercat",
                                 description="Exact derived-category computations for Dynkin quivers")
@@ -346,7 +348,6 @@ def build_parser():
     st = spt.add_subparsers(dest="sub", required=True)
     tc = st.add_parser("check")
     add_common(tc, objects=1)
-    tc.add_argument("--slow", action="store_true", help="also run the thick-closure oracle")
     tc.set_defaults(fn=cmd_tilting_check)
 
     s = sub.add_parser("sgd")
@@ -364,7 +365,7 @@ def build_parser():
     sl = sub.add_parser("slice")
     add_common(sl, objects=1)
     sl.add_argument("--all-slices", action="store_true")
-    sl.add_argument("--window-pad", type=int, default=2)
+    sl.add_argument("--window-pad", type=non_negative_int, default=2)
     sl.set_defaults(fn=cmd_slice)
 
     tb = sub.add_parser("theoremb")
@@ -376,15 +377,15 @@ def build_parser():
     rt = sub.add_parser("random-tilting")
     rt.add_argument("--quiver", required=True)
     rt.add_argument("--seed", type=int, required=True)
-    rt.add_argument("--steps", type=int, default=0)
+    rt.add_argument("--steps", type=non_negative_int, default=0)
     rt.set_defaults(fn=cmd_random_tilting)
 
     ve = sub.add_parser("verify")
     ve.add_argument("which", choices=["a", "b", "table", "delta", "serre", "homagree"])
     ve.add_argument("--quiver", required=True)
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--samples", type=int, default=20)
-    ve.add_argument("--window-pad", type=int, default=2)
+    ve.add_argument("--samples", type=non_negative_int, default=20)
+    ve.add_argument("--window-pad", type=non_negative_int, default=2)
     ve.add_argument("--csv", action="store_true")
     ve.add_argument("--jsonl", action="store_true")
     ve.set_defaults(fn=cmd_verify)

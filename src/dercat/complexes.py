@@ -324,19 +324,6 @@ class ChainMap:
                 comps[d] = self.comp(d).compose(other.comp(d))
         return ChainMap(other.source, self.target, comps)
 
-    def add(self, other):
-        comps = {}
-        for d in set(self.comps) | set(other.comps):
-            comps[d] = self.comp(d).add(other.comp(d))
-        return ChainMap(self.source, self.target, comps)
-
-    def scale(self, c):
-        return ChainMap(self.source, self.target,
-                        {d: f.scale(c) for d, f in self.comps.items()})
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.comps.values())
-
 
 def identity_chain_map(x):
     return ChainMap(x, x, {d: reps.identity_map(x.term_rep(d)) for d in x.degrees()})
@@ -479,11 +466,6 @@ class HomKSpace:
         return tuple(sol[: self.dim])
 
 
-def hom_k(x, y):
-    """Dimension and basis of homotopy classes of chain maps X -> Y."""
-    return HomKSpace(x, y)
-
-
 # memoized per-quiver tables (functools.lru_cache; cache_info() reports use)
 
 
@@ -495,10 +477,10 @@ def stalk_complex_cached(q, root, shift):
 @lru_cache(maxsize=None)
 def homk_space_cached(q, src, tgt):
     """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
-    return hom_k(stalk_complex_cached(q, *src), stalk_complex_cached(q, *tgt))
+    return HomKSpace(stalk_complex_cached(q, *src), stalk_complex_cached(q, *tgt))
 
 
 @lru_cache(maxsize=None)
 def homk_pair_dim(q, r1, r2, gap):
     """dim Hom_K(res(M1), res(M2)[gap]); depends on the shift gap only."""
-    return hom_k(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim
+    return HomKSpace(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim

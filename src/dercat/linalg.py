@@ -203,34 +203,6 @@ def inverse(a):
     return inv if mat_eq(mat_mul(a, inv), identity(n)) else None
 
 
-def det(a):
-    n, m = shape(a)
-    assert n == m
-    if n == 0:
-        return ONE
-    m_ = copy_mat(a)
-    sign = 1
-    d = ONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m_[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return ZERO
-        if pr != c:
-            m_[c], m_[pr] = m_[pr], m_[c]
-            sign = -sign
-        pv = m_[c][c]
-        d *= pv
-        for i in range(c + 1, n):
-            if m_[i][c] != 0:
-                f = m_[i][c] / pv
-                m_[i] = [x - f * y for x, y in zip(m_[i], m_[c])]
-    return d * sign
-
-
 class Subspace:
     """Row space accumulated in reduced echelon form.
 

@@ -58,12 +58,6 @@ class Quiver:
                         queue.append(t)
         return seen != self.n
 
-    def arrows_out(self, v):
-        return [(s, t) for s, t in self.arrows if s == v]
-
-    def arrows_in(self, v):
-        return [(s, t) for s, t in self.arrows if t == v]
-
     def neighbors(self, v):
         out = set()
         for s, t in self.arrows:

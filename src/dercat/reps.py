@@ -1,9 +1,8 @@
 """Quiver representations over exact rationals.
 
-Hom spaces by solving the intertwiner equations, Ext^1 through the Euler form
-(with a resolution-based cross-check), indecomposables from positive roots via
-reflection functors, Krull-Schmidt decomposition, and the module-level AR
-translate.
+Hom spaces by solving the intertwiner equations, Ext^1 through the Euler form,
+indecomposables from positive roots via reflection functors, Krull-Schmidt
+decomposition, and the AR translate on roots.
 
 decompose first runs the brick test: a module with dim End = 1 is
 indecomposable (a decomposable one has two orthogonal idempotents), and a
@@ -26,8 +25,6 @@ from functools import lru_cache
 
 from . import linalg, quiver as qv
 from .linalg import Subspace
-
-PROJECTIVE = "projective"
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -238,14 +235,6 @@ def hom_dim_mod(m, n):
     return len(hom_space(m, n))
 
 
-def ext1_dim(m, n):
-    """dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>; hereditary, so exact."""
-    d = hom_dim_mod(m, n) - qv.euler_form(m.quiver, m.dims, n.dims)
-    if d < 0:
-        raise InternalInconsistencyError("negative Ext dimension for %r, %r" % (m.dims, n.dims))
-    return d
-
-
 def kernel(f):
     """Kernel of a morphism, with its inclusion map."""
     q = f.source.quiver
@@ -424,13 +413,6 @@ def proj_resolution(m):
     return ProjResolution(p1_indices, p0_indices, p1, p0, d, eps)
 
 
-def ext1_dim_via_resolution(m, n):
-    """dim Ext^1 from Hom(P0,N) -> Hom(P1,N); independent of the Euler-form route."""
-    res = proj_resolution(m)
-    return (hom_dim_mod(res.p1, n) - hom_dim_mod(res.p0, n) + hom_dim_mod(m, n)
-            if not res.p1.is_zero() else 0)
-
-
 # ---------------------------------------------------------------------------
 # reflection functors and indecomposables from roots
 
@@ -606,13 +588,8 @@ def decompose(x):
     return mult
 
 
-def is_indec(x):
-    d = decompose(x)
-    return len(d) == 1 and next(iter(d.values())) == 1
-
-
 # ---------------------------------------------------------------------------
-# AR translate on modules
+# AR translate on roots
 
 
 def proj_roots(q):
@@ -644,16 +621,6 @@ def tau_inv_root(q, root):
     return out
 
 
-def tau_module(m):
-    """AR translate of an indecomposable; the marker string for projectives."""
-    if not is_indec(m):
-        raise ValueError("tau is only defined summand-wise; input is decomposable")
-    r = tau_root(m.quiver, m.dims)
-    if r is None:
-        return PROJECTIVE
-    return indec_of_root(m.quiver, r)
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -665,59 +632,3 @@ def format_rep(m):
             rows = ";".join("[%s]" % ",".join(str(x) for x in row) for row in m.mats[a])
             lines.append("mat %d = [%s]" % (a + 1, rows))
     return "\n".join(lines) + "\n"
-
-
-def _parse_rep_line(q, line, dims, mats):
-    """Read one non-blank line of format_rep text: a `mat` line goes into mats;
-    returns the dimension vector read so far."""
-    if line.startswith("rep dims="):
-        if dims is not None:
-            raise ValueError("second `rep dims=` line")
-        body = line[len("rep dims="):].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError("dimension vector must be bracketed")
-        dims = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
-        if len(dims) != q.n:
-            raise ValueError("%d dimensions for %d vertices" % (len(dims), q.n))
-        return dims
-    head, eq, body = line.partition("=")
-    words = head.split()
-    if not line.startswith("mat ") or not eq or len(words) != 2:
-        raise ValueError("expected `rep dims=[...]` or `mat <arrow> = [...]`")
-    a = int(words[1]) - 1
-    if not 0 <= a < len(q.arrows):
-        raise ValueError("no arrow %s; arrows are 1..%d" % (words[1], len(q.arrows)))
-    if a in mats:
-        raise ValueError("arrow %d given twice" % (a + 1))
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError("matrix must be bracketed")
-    rows = []
-    for chunk in body[1:-1].split(";"):
-        chunk = chunk.strip().strip("[]")
-        if chunk:
-            rows.append([Fraction(x) for x in chunk.split(",")])
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("matrix rows of unequal length")
-    mats[a] = rows
-    return dims
-
-
-def parse_rep(q, text):
-    """Inverse of format_rep; a malformed line raises ValueError naming it."""
-    dims = None
-    mats = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            dims = _parse_rep_line(q, line, dims, mats)
-        except ValueError as e:
-            raise ValueError("malformed representation line %r: %s" % (raw, e)) from None
-    if dims is None:
-        raise ValueError("missing `rep dims=` line")
-    full = []
-    for a, (s, t) in enumerate(q.arrows):
-        full.append(mats.get(a, linalg.zeros(dims[t], dims[s])))
-    return Representation(q, dims, full)

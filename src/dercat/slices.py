@@ -73,9 +73,6 @@ class ZQ:
                     return (m, i)
         raise InternalInconsistencyError("object %r not found in ZQ" % (obj,))
 
-    def tau(self, v):
-        return (v[0] - 1, v[1])
-
     def tau_inv(self, v):
         return (v[0] + 1, v[1])
 
@@ -109,14 +106,6 @@ class Slice:
 
     def positions(self):
         return {i: m for m, i in self.vertices}
-
-    def shift(self, k):
-        z = zq_of(self.quiver)
-        objs = tuple((r, s + k) for r, s in self.objects)
-        verts = tuple(z.vertex_of(o) for o in objs)
-        srcs = tuple(z.vertex_of((z.object_of(*v)[0], z.object_of(*v)[1] + k))
-                     for v in self.sources)
-        return Slice(self.quiver, verts, objs, srcs)
 
 
 def _slice_from_positions(q, pos):

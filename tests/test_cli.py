@@ -108,3 +108,56 @@ def test_object_file_rejects_unknown_and_repeated_keys(tmp_path, capsys):
         assert cli.main(["sgd", "--quiver", str(quiver), "--object", str(obj)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "line 3" in err and why in err
+
+
+@pytest.mark.parametrize("dim", ["1,1,1", "[[1,1,1]]"])
+def test_object_file_needs_one_bracket_pair(tmp_path, capsys, dim):
+    quiver, obj = tmp_path / "a3.q", tmp_path / "t.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    # the projective generator, but for the brackets round its first vector
+    obj.write_text("summand dim=%s\nsummand dim=[0,1,1]\nsummand dim=[0,0,1]\n" % dim)
+    assert cli.main(["tilting", "check", "--quiver", str(quiver), "--object", str(obj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "delta", "--samples", "-2"],
+    ["random-tilting", "--seed", "0", "--steps", "-3"],
+    ["verify", "a", "--window-pad", "-1"],
+    ["slice", "--object", "t.obj", "--window-pad", "-1"],
+])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    assert cli.main(argv + ["--quiver", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a non-negative integer" in err
+
+
+def test_tilting_check_names_a_rigidity_witness(tmp_path, capsys):
+    quiver, obj = tmp_path / "a2.q", tmp_path / "t.obj"
+    quiver.write_text("vertices 2\narrow 1 2\n")
+    # P1 and P1[1]: Hom(P1[1], P1[1]) != 0 is a nonzero map T -> T[-1]
+    obj.write_text("summand dim=[1,1] shift=0\nsummand dim=[1,1] shift=1\n")
+    assert cli.main(["tilting", "check", "--quiver", str(quiver), "--object", str(obj)]) == 1
+    assert capsys.readouterr().out == (
+        "rigid: no\n"
+        "  Hom((1, 1)[0], (1, 1)[0]) != 0 at i=-1\n"
+        "summands: 2 of 2\n"
+        "unimodular classes: no\n"
+        "tilting: no\n")
+
+
+def test_ind_list_reps_prints_each_indecomposable(tmp_path, capsys):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    assert cli.main(["ind", "list", "--reps", "--quiver", str(path)]) == 0
+    # knitting order: the projectives P3, P2, P1, then their inverse translates
+    assert capsys.readouterr().out == (
+        "rep dims=[0,0,1]\n"
+        "rep dims=[0,1,1]\nmat 2 = [[1]]\n"
+        "rep dims=[1,1,1]\nmat 1 = [[1]]\nmat 2 = [[1]]\n"
+        "rep dims=[0,1,0]\n"
+        "rep dims=[1,1,0]\nmat 1 = [[1]]\n"
+        "rep dims=[1,0,0]\n")

@@ -39,23 +39,23 @@ def test_shift_conventions(a2):
 def test_shift_adjunction(a2):
     x = res(a2, (1, 0))
     y = res(a2, (0, 1))
-    assert cx.hom_k(x, y.shift(1)).dim == cx.hom_k(x.shift(-1), y).dim
+    assert cx.HomKSpace(x, y.shift(1)).dim == cx.HomKSpace(x.shift(-1), y).dim
 
 
 def test_hom_k_identity(a3):
     for r in qv.positive_roots(a3):
-        assert cx.hom_k(res(a3, r), res(a3, r)).dim >= 1
+        assert cx.HomKSpace(res(a3, r), res(a3, r)).dim >= 1
 
 
 def test_hom_k_double_shift_vanishes(a2):
     for r1, r2 in itertools.product(qv.positive_roots(a2), repeat=2):
-        assert cx.hom_k(res(a2, r1), res(a2, r2, 2)).dim == 0
+        assert cx.HomKSpace(res(a2, r1), res(a2, r2, 2)).dim == 0
 
 
 def test_hom_k_ext_direction(a2):
     # the nonsplit extension lives one shift up, source to target
-    assert cx.hom_k(res(a2, (1, 0)), res(a2, (0, 1), 1)).dim == 1
-    assert cx.hom_k(res(a2, (0, 1)), res(a2, (1, 0), 1)).dim == 0
+    assert cx.HomKSpace(res(a2, (1, 0)), res(a2, (0, 1), 1)).dim == 1
+    assert cx.HomKSpace(res(a2, (0, 1)), res(a2, (1, 0), 1)).dim == 0
 
 
 def test_cone_of_identity_contractible(a2):
@@ -72,7 +72,7 @@ def test_cone_of_zero_splits(a2):
 
 def test_cone_socle_inclusion_is_simple_stalk(a2):
     p2, p1 = res(a2, (0, 1)), res(a2, (1, 1))
-    f = cx.hom_k(p2, p1).basis[0]
+    f = cx.HomKSpace(p2, p1).basis[0]
     c = cx.cone(f).minimize()
     assert {d: reps.decompose(h) for d, h in c.homology().items()} == {0: {(1, 0): 1}}
 
@@ -81,7 +81,7 @@ def test_cone_k0_identity(a3):
     rng_pairs = [((1, 1, 0), (0, 1, 1)), ((1, 0, 0), (1, 1, 1)), ((0, 0, 1), (0, 1, 1))]
     for r1, r2 in rng_pairs:
         x, y = res(a3, r1), res(a3, r2)
-        space = cx.hom_k(x, y)
+        space = cx.HomKSpace(x, y)
         for f in space.basis:
             c = cx.cone(f)
             want = tuple(ky - kx for kx, ky in zip(k0_of_complex(x), k0_of_complex(y)))
@@ -157,5 +157,5 @@ def test_hom_k_basis_maps_are_chain_maps():
     roots = qv.positive_roots(d5_alt)
     for r1, r2 in itertools.product(roots, repeat=2):
         for gap in (0, 1):
-            for f in cx.hom_k(res(d5_alt, r1), res(d5_alt, r2, gap)).basis:
+            for f in cx.HomKSpace(res(d5_alt, r1), res(d5_alt, r2, gap)).basis:
                 assert f.is_chain_map()

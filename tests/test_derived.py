@@ -60,11 +60,12 @@ def test_serre_window_scan(a2, a3):
 
 
 def test_is_rigid_examples(a2):
-    assert dv.is_rigid(dv.projective_generator(a2))
+    assert dv.rigidity_failure(dv.projective_generator(a2)) is None
     bad = obj(a2, ((0, 1), 0, 1), ((1, 0), 1, 1))
-    assert not dv.is_rigid(bad)  # Hom(S1[1], S2[2]) = Ext^1(S1, S2) != 0
+    # Hom(S1[1], S2[2]) = Ext^1(S1, S2) != 0
+    assert dv.rigidity_failure(bad) == (2, ((1, 0), 1), ((0, 1), 0))
     for r in qv.positive_roots(a2):
-        assert dv.is_rigid(dv.stalk(a2, r))
+        assert dv.rigidity_failure(dv.stalk(a2, r)) is None
 
 
 def test_is_tilting_examples(a2):
