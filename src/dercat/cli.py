@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors.
+Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors,
+141 stdout closed by its reader (as a shell reports death by SIGPIPE).
 Every command is deterministic given its input files and --seed.  Every
 `verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
 run that checked nothing shows as such.
@@ -9,6 +10,7 @@ run that checked nothing shows as such.
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import complexes as cx, derived as dv, mutation as mu, quiver as qv, reps, sgd, slices as sls
@@ -399,7 +401,13 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe must show here, not at exit
+        return code
+    except BrokenPipeError:
+        # `dercat ... | head`: quiet; devnull stops a second failure at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError, qv.QuiverError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -193,25 +193,37 @@ def k0_class(x):
 
 
 def k0_unimodular(t):
-    """Whether the classes of the distinct summands span the full lattice.
+    """Whether the classes of the distinct summands span the full lattice,
+    i.e. k0_inverse finds an integral inverse (determinant +-1).
 
-    The test is that the integer matrix of classes has an integral inverse
-    (for an integer matrix, the same as determinant +-1).  Kept as a
-    documented cheap guard inside is_tilting.  In D^b(kQ) a rigid object with n
-    distinct summands already generates (cf. Aihara-Iyama, Silting mutation in
-    triangulated categories, 2012), and on every rigid n-summand object with
-    shifts in {0, 1} over A3, D4 and alternating A4 this test never changed the
-    verdict.  It costs one n x n inverse per basic object (is_tilting is
-    memoized), and `dercat tilting check` prints its verdict as the
-    `unimodular classes:` line.
+    Kept as a documented cheap guard inside is_tilting.  In D^b(kQ) a rigid
+    object with n distinct summands already generates (cf. Aihara-Iyama,
+    Silting mutation in triangulated categories, 2012), and on every rigid
+    n-summand object with shifts in {0, 1} over A3, D4 and alternating A4
+    this test never changed the verdict.  `dercat tilting check` prints its
+    verdict as the `unimodular classes:` line.
     """
-    tb = t.basic()
+    return k0_inverse(t.basic()) is not None
+
+
+@lru_cache(maxsize=None)
+def k0_inverse(t):
+    """Integral inverse of the class matrix of T's distinct summands, or None.
+
+    Column j is the class of summand j of t.indecs(), so row j of the inverse
+    gives that summand's coefficient in the basis [T]: the T-coordinates of
+    mutation's exchange filter.  None unless T has n distinct summands whose
+    classes span the lattice.  Memoized: callers pass the basic object, so one
+    n x n inverse serves the tilting test and every exchange from T.
+    """
     q = t.quiver
-    if tb.num_distinct() != q.n:
-        return False
-    cols = [k0_class(stalk(q, r, s)) for r, s in tb.indecs()]
+    if t.num_distinct() != q.n:
+        return None
+    cols = [k0_class(stalk(q, r, s)) for r, s in t.indecs()]
     inv = linalg.inverse(linalg.mat_from_rows(zip(*cols)))
-    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
+    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def is_tilting(t):

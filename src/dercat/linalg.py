@@ -89,15 +89,6 @@ def mat_eq(a, b):
     return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def hstack(a, b):
-    assert len(a) == len(b)
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return copy_mat(a) + copy_mat(b)
-
-
 def rref(a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = copy_mat(a)
@@ -206,8 +197,8 @@ def inverse(a):
 class Subspace:
     """Row space accumulated in reduced echelon form.
 
-    Supports incremental spans: add vectors, membership tests, and picking
-    complements, all exactly over Q.
+    Supports incremental spans: add vectors and pick complements, all exactly
+    over Q.
     """
 
     def __init__(self, ambient_dim):
@@ -226,9 +217,6 @@ class Subspace:
                 f = v[p]
                 v = [x - f * y for x, y in zip(v, row)]
         return v
-
-    def contains(self, v):
-        return all(x == 0 for x in self._reduce(v))
 
     def add(self, v):
         """Insert v into the span; returns True if the dimension grew."""

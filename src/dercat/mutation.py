@@ -1,27 +1,30 @@
-"""Tilting mutation: splits, minimal approximations, exchange triangles.
+"""Tilting mutation: splits, exchange triangles, Theorem B chains.
 
-The replacement of each summand is computed honestly in the homotopy category:
-the approximation is assembled from chain-map bases (multiplicities from the
-quotient by composite morphisms), its cone is minimized, and the homology is
-decomposed back into stalks.  Every mutation output is re-checked for
-tilting-ness; failures are raised, never papered over.
+Mutation at a split T = t1 + t2 replaces each t2 summand x by the Y of its
+exchange triangle Y -> B -> x -> Y[1], where B -> x is the minimal right
+add(t1)-approximation; co-mutation uses x -> B -> Y -> x[1] with the minimal
+left one.  The two are the dual halves of silting mutation (Aihara-Iyama,
+Silting mutation in triangulated categories, 2012) and share one path,
+`_exchange`, with a `left` flag.
 
-Mutation and co-mutation are the two dual halves of silting mutation
-(Aihara-Iyama, Silting mutation in triangulated categories, 2012) and share one
-exchange path, `_exchange`, with a `left` flag.  Apart from the conditions each
-direction puts on its split, the flag changes three things only: which end of
-the Hom space the t1 summand takes (`_approx_data`), whether the
-approximation's blocks are joined by columns (a map out of the sum) or by rows
-(a map into it, `_assemble`), and whether the cone is shifted down
-(`_replace_by_cone`).
+Y is read off K0 in integers.  The summand classes of T are a basis (the
+integral inverse derived.k0_inverse), and [Y] = [B] - [x], so Y has
+T-coordinates -1 at x, 0 at the other t2 summands and its multiplicity in B
+at each t1 summand: the index of the exchange (ibid., section 2).
+`_survivors` tries every positive root at the shift of x and the one below
+(above, for co-mutation), and keeps a candidate whose coordinates have that
+sign pattern, which is rigid against t1, and whose connecting map with x is
+nonzero.  The true Y always survives, so a unique survivor is Y, and its t1
+coordinates are the approximation's multiplicities.  Any other count is an
+InternalInconsistencyError, except that no survivor on a co-mutation split
+with Hom(t1, t2) != 0, which need not invert any mutation, is a ValueError.
+Every output is re-checked for tilting-ness.
 """
 
 import random as _random
 from dataclasses import dataclass
-from functools import reduce
 
-from . import complexes as cx, derived as dv, linalg, reps as rp, sgd, slices as sls
-from .linalg import Subspace
+from . import derived as dv, quiver as qv, sgd, slices as sls
 from .reps import InternalInconsistencyError
 
 
@@ -33,11 +36,11 @@ class Split:
 
 @dataclass
 class ApproxTriangle:
-    """One exchange triangle: replacement -> approx -> summand -> replacement[1]."""
+    """One exchange triangle: replacement -> approx -> summand -> replacement[1]
+    (co-mutation: summand -> approx -> replacement -> summand[1])."""
 
     x: tuple                 # the (root, shift) summand being exchanged
     approx_copies: tuple     # (root, shift) summands of the approximation
-    chain_map: object        # the approximation as a chain map (or None when zero)
     replacement: tuple       # resulting (root, shift)
 
 
@@ -91,117 +94,35 @@ def admissible_splits(t):
     return out
 
 
-def _radical_complement(q, src, tgt, others):
-    """Basis indices of Hom(src, tgt) spanning a complement of the maps
-    factoring through the other summands, in the homotopy quotient.
-
-    Serves both approximations: right ones vary src over add(t1), left ones tgt.
-    """
-    sp = cx.homk_space_cached(q, src, tgt)
-    if sp.dim == 0:
-        return sp, []
-    span = Subspace(sp.dim)
-    for mid in others:
-        through = cx.homk_space_cached(q, src, mid)
-        onward = cx.homk_space_cached(q, mid, tgt)
-        if through.dim == 0 or onward.dim == 0:
-            continue
-        for f in through.basis:
-            for g in onward.basis:
-                span.add(list(sp.coords(g.compose(f))))
-    return sp, span.extend_basis(linalg.identity(sp.dim))
-
-
-def _assemble(q, x_cx, pieces, maps, into):
-    """One chain map between x and the direct sum of the pieces, from one map
-    per piece: x -> sum (blocks joined by rows) when `into`, else sum -> x
-    (blocks joined by columns)."""
-    total = cx.zero_complex(q)
-    for p in pieces:
-        total = total.direct_sum(p)
-    src, tgt = (x_cx, total) if into else (total, x_cx)
-    join = linalg.vstack if into else linalg.hstack
-    comps = {d: rp.RepMap(src.term_rep(d), tgt.term_rep(d),
-                          [reduce(join, [f.comp(d)._mat(v) for f in maps]) for v in range(q.n)])
-             for d in src.degrees() if tgt.term(d)}
-    return cx.ChainMap(src, tgt, comps)
+def _survivors(q, coords, t1, t2, x, left):
+    """The ((root, shift), T-coordinates) candidates passing the exchange
+    filter for the t2 summand x.  `coords[r]` holds the T-coordinates of
+    M(r)[0] by summand; M(r)[s] has (-1)^s times them."""
+    rx, sx = x
+    out = []
+    for r, base in coords.items():
+        for s in ((sx, sx + 1) if left else (sx - 1, sx)):
+            c = {o: -v if s % 2 else v for o, v in base.items()}
+            if c[x] != -1 or any(c[o] for o in t2 if o != x) or any(c[o] < 0 for o in t1):
+                continue
+            # the connecting map: Y -> x[1] shifted down for co-mutation, x -> Y[1]
+            linked = (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
+                      else dv.pair_hom_dim(q, rx, sx, r, s + 1))
+            # t1 and Y are rigid on their own, so this tests Y against t1
+            if linked and dv.rigidity_failure(dv.DerivedObject(
+                    q, [(a, b, 1) for a, b in t1 + ((r, s),)])) is None:
+                out.append(((r, s), c))
+    return out
 
 
-def _object_of_complex(q, c):
-    """Stalk decomposition of a complex: minimize, take homology, decompose."""
-    m = c.minimize()
-    if m.is_zero():
-        return dv.DerivedObject(q, [])
-    summands = []
-    for d, h in m.homology().items():
-        for root, mult in rp.decompose(h).items():
-            summands.append((root, -d, mult))
-    return dv.DerivedObject(q, summands)
-
-
-@dataclass
-class ApproxData:
-    copies: list       # one (root, shift) per summand copy of the approximation
-    piece_maps: list   # matching chain maps copy -> x (right) or x -> copy (left)
-    big: object        # assembled chain map, None when the approximation is zero
-    x_cx: object
-
-
-def _approx_data(t1, x, left):
-    """Minimal approximation of the summand x by add(t1): add(t1) -> x, or
-    x -> add(t1) when `left`.
-
-    Multiplicity of each t1 summand is the dimension of Hom between it and x
-    modulo the maps factoring through the other summands; components are basis
-    representatives completing that quotient.
-    """
-    q = t1.quiver
-    t1_indecs = t1.basic().indecs()
-    x_cx = cx.stalk_complex_cached(q, *x)
-    copies = []
-    maps = []
-    for s in t1_indecs:
-        others = [o for o in t1_indecs if o != s]
-        ends = (x, s) if left else (s, x)
-        sp, chosen = _radical_complement(q, *ends, others)
-        basis = sp.basis if chosen else []
-        for k in chosen:
-            copies.append(s)
-            maps.append(basis[k])
-    if not copies:
-        return ApproxData([], [], None, x_cx)
-    pieces = [cx.stalk_complex_cached(q, *s) for s in copies]
-    return ApproxData(copies, maps, _assemble(q, x_cx, pieces, maps, left), x_cx)
-
-
-def right_approx_data(t1, x):
-    """Minimal right approximation add(t1) -> x of the summand x."""
-    return _approx_data(t1, x, False)
-
-
-def left_approx_data(t1, x):
-    """Dual construction: minimal left approximation x -> add(t1)."""
-    return _approx_data(t1, x, True)
-
-
-def _replace_by_cone(q, data, left):
-    """Cone of the approximation, as a stalk object; asserted indecomposable."""
-    if data.big is None:
-        # zero approximation: the triangle degenerates to a pure (co)suspension
-        return _object_of_complex(q, data.x_cx).shift(1 if left else -1)
-    obj = _object_of_complex(q, cx.cone(data.big))
-    if not left:
-        obj = obj.shift(-1)
-    if sum(s.mult for s in obj.summands) != 1:
-        raise InternalInconsistencyError(
-            "exchange produced a decomposable replacement: %r" % (obj,))
-    return obj
+def _not_an_inverse(t2):
+    return ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
+                      "does not invert a mutation" % (t2,))
 
 
 def _exchange(t, split, left):
-    """Replace each t2 summand x by the cone of its approximation from add(t1):
-    right approximations for mutation, left ones for co-mutation.
-    Returns (new object, exchange triangles)."""
+    """Replace each t2 summand by its unique exchange survivor; returns (new
+    object, exchange triangles)."""
     q = t.quiver
     tb = t.basic()
     if not dv.is_tilting(tb):
@@ -210,15 +131,22 @@ def _exchange(t, split, left):
         raise ValueError("split does not partition the summands of T")
     if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
-    # the public entry points, looked up at call time, so that a wrapper put
-    # around either one (to count calls, say) sees the calls made from here
-    approx = left_approx_data if left else right_approx_data
+    t1, t2 = split.t1.indecs(), split.t2.indecs()
+    inv = dv.k0_inverse(tb)
+    # T-coordinates of each M(r)[0]: the integral inverse applied to its class r
+    coords = {r: dict(zip(tb.indecs(), (sum(a * b for a, b in zip(row, r)) for row in inv)))
+              for r in qv.positive_roots(q)}
     triangles = []
-    new_summands = list(split.t1.indecs())
-    for x in split.t2.indecs():
-        data = approx(split.t1, x)
-        (repl,) = _replace_by_cone(q, data, left).indecs()
-        triangles.append(ApproxTriangle(x, tuple(data.copies), data.big, repl))
+    new_summands = list(t1)
+    for x in t2:
+        found = _survivors(q, coords, t1, t2, x, left)
+        if len(found) != 1:
+            if left and not found and dv.hom_dim(split.t1, split.t2) != 0:
+                raise _not_an_inverse(t2)
+            raise InternalInconsistencyError(
+                "%d exchange candidates for %r, not one" % (len(found), x))
+        ((repl, c),) = found
+        triangles.append(ApproxTriangle(x, tuple(o for o in t1 for _ in range(c[o])), repl))
         new_summands.append(repl)
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
     if not dv.is_tilting(out):
@@ -226,8 +154,7 @@ def _exchange(t, split, left):
             raise InternalInconsistencyError("mutation produced a non-tilting object")
         if dv.hom_dim(split.t1, split.t2) == 0:
             raise InternalInconsistencyError("co-mutation produced a non-tilting object")
-        raise ValueError("co-mutation at t2 = %r gives a non-tilting object; the split "
-                         "does not invert a mutation" % (split.t2.indecs(),))
+        raise _not_an_inverse(t2)
     return out, triangles
 
 
@@ -241,16 +168,16 @@ def mutate(t, split):
 
 
 def co_mutate_with_data(t, split):
-    """Dual mutation: left approximations, cone taken without the downward shift.
+    """Dual mutation: each t2 summand x goes to the cone of its minimal left
+    add(t1)-approximation x -> B.
 
-    Inverts mutate on the matching split (replacement summands against the same
-    t1).  The dualized vanishing Hom(t1, t2) = 0 is how fresh dual mutations
-    arise, but it can fail on a matching split, so only the partition is
-    required here.  A non-tilting output under Hom(t1, t2) = 0 is a broken
-    invariant, since that condition makes the output tilting; under
-    Hom(t1, t2) != 0 it raises ValueError, as the split may not invert any
-    mutation.  A fault in the co-mutation itself on a split of the second kind
-    reads as that ValueError too; the round-trip tests against mutate catch it.
+    Inverts mutate on the matching split (replacement summands against the
+    same t1).  That split can have Hom(t1, t2) != 0, so only the partition is
+    required.  Under Hom(t1, t2) = 0 the output is tilting, so anything but
+    one survivor per summand, or a non-tilting output, is a broken invariant.
+    Otherwise the split may invert no mutation: no survivor, or a non-tilting
+    output, raises ValueError.  A fault in the exchange itself there reads as
+    that ValueError too; the round-trip tests against mutate catch it.
     """
     return _exchange(t, split, True)
 

@@ -6,6 +6,11 @@ sgldim_ringel is the oracle: the same profiles evaluated with genuine
 chain-map computations on minimal complexes (plus, for a projective-slice
 tilting object, the literal sup of minimal-complex lengths).  Disagreement is
 a hard failure.
+
+The product modules (quiver, derived, slices, mutation) import nothing from
+complexes, and the test suite checks that.  This module is the one mixed
+layer: its own route is closed-form, but its oracle sgldim_ringel needs the
+chain-map engine, so it imports complexes.
 """
 
 from dataclasses import dataclass

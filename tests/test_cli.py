@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from dercat import cli, derived as dv, mutation as mu, quiver as qv, slices as sls
@@ -161,3 +166,33 @@ def test_ind_list_reps_prints_each_indecomposable(tmp_path, capsys):
         "rep dims=[0,1,0]\n"
         "rep dims=[1,1,0]\nmat 1 = [[1]]\n"
         "rep dims=[1,0,0]\n")
+
+
+def test_closed_stdout_is_not_a_usage_error(tmp_path):
+    path = tmp_path / "a5.q"
+    path.write_text("vertices 5\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "dercat.cli", "ind", "list", "--reps",
+                             "--quiver", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()   # the reader goes away before the first write
+    err = proc.stderr.read().decode()
+    # 0 only if the whole output was written before the close took effect
+    assert proc.wait() in (141, 0)
+    assert "error:" not in err and "Traceback" not in err
+
+
+# A4 with an isolated fifth vertex, and the s.gl.dim-3 object of A4 plus its simple
+A4_A1 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\n"
+A4_A1_OBJECT = ("summand dim=[0,0,0,1,0]\nsummand dim=[1,0,0,0,0]\nsummand dim=[1,1,1,1,0]\n"
+                "summand dim=[0,1,0,0,0] shift=1\nsummand dim=[0,0,0,0,1]\n")
+
+
+@pytest.mark.parametrize("verb", [["slice"], ["slice", "--all-slices"], ["theoremb"]])
+def test_slice_verbs_reject_a_disconnected_quiver(tmp_path, capsys, verb):
+    quiver, obj = tmp_path / "q.q", tmp_path / "t.obj"
+    quiver.write_text(A4_A1)
+    obj.write_text(A4_A1_OBJECT)
+    assert cli.main(verb + ["--quiver", str(quiver), "--object", str(obj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: slice machinery needs a connected quiver" in err

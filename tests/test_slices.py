@@ -123,6 +123,19 @@ def test_enumerate_slices_a2(a2):
         assert sls.is_section(a2, s.positions())
 
 
+@pytest.mark.parametrize("window", [(-1, 1), (0, 2), (-2, 1)])
+def test_enumerate_slices_matches_brute_force(d4, e6_alt, window):
+    m_lo, m_hi = window
+    for q in (d4, e6_alt):
+        found, truncated = sls.enumerate_slices(q, m_lo, m_hi)
+        assert not truncated
+        got = sorted(tuple(s.positions()[i] for i in range(q.n)) for s in found)
+        # every position vector in the window, in ascending order, that is a section
+        want = [p for p in itertools.product(range(m_lo, m_hi + 1), repeat=q.n)
+                if sls.is_section(q, dict(enumerate(p)))]
+        assert got == want
+
+
 def test_theoremA_on_quasi_tilted(a3):
     t = dv.DerivedObject(a3, [((0, 0, 1), 0, 1), ((1, 0, 0), 0, 1), ((1, 1, 1), 0, 1)])
     rep = sls.theoremA_verify(t)
