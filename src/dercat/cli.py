@@ -5,15 +5,54 @@ Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors,
 Every command is deterministic given its input files and --seed.  Every
 `verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
 run that checked nothing shows as such.
+
+A process runs only the layers its verb uses.  quiver, linalg, derived and sgd
+are imported here, and they are all that `quiver validate`, `sgd`, `tilting
+check`, `hom` and `verify serre` run.  reps, complexes, slices and mutation are
+bound through _lazy: each is in sys.modules from start-up, but its code runs
+on its first attribute access.  So `mutate`, `comutate`, `theoremb`,
+`random-tilting` and `verify b|table|delta` add mutation, `slice` adds slices,
+`verify a` adds both, `ind list` adds reps, and `verify homagree` adds reps and
+complexes.  The layers load through LazyLoader rather than through imports
+inside each command because a tool that wraps functions in place (the
+benchmark's tracer, bench/traced.py) looks every layer up in sys.modules right
+after importing this module: all eight are there, and each runs when the tool
+reads it.
 """
 
 import argparse
-import hashlib
-import json
+import importlib.util
 import os
 import sys
 
-from . import complexes as cx, derived as dv, mutation as mu, quiver as qv, reps, sgd, slices as sls
+from . import derived as dv, quiver as qv, sgd
+
+
+def _lazy(name):
+    """dercat.<name>, whose code runs on its first attribute access.
+
+    The importlib.util.LazyLoader recipe, plus one guard: a module already in
+    sys.modules is returned as it is.  The recipe would make a second module
+    object, and a monkeypatch on one copy would miss the other.
+    """
+    full = "%s.%s" % (__package__, name)
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    loader.exec_module(module)
+    # as an eager import would, so `import dercat.<name>` can reach it
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+reps = _lazy("reps")
+cx = _lazy("complexes")
+sls = _lazy("slices")
+mu = _lazy("mutation")
 
 
 def _read(path):
@@ -30,6 +69,7 @@ def _load_object(q, path):
 
 
 def _object_hash(x):
+    import hashlib   # here, not at the top: most verbs never hash
     return hashlib.sha256(dv.format_object(x).encode()).hexdigest()[:12]
 
 
@@ -39,6 +79,7 @@ def _emit_rows(rows, header, fmt):
         for r in rows:
             print(",".join(str(r[h]) for h in header))
     elif fmt == "jsonl":
+        import json   # here, not at the top: only `verify --jsonl` prints JSON
         for r in rows:
             print(json.dumps(r, sort_keys=True))
     else:
@@ -67,9 +108,6 @@ def cmd_ind_list(args):
 
 def cmd_hom(args):
     q = _load_quiver(args.quiver)
-    if len(args.object) != 2:
-        print("hom needs exactly two --object files", file=sys.stderr)
-        return 2
     x = _load_object(q, args.object[0])
     y = _load_object(q, args.object[1])
     print("dim Hom = %d" % dv.hom_dim(x, y))
@@ -273,7 +311,7 @@ def cmd_verify(args):
                     detail = "cells=%d" % cells
                 rows.append({"check": which, "instance": _object_hash(t),
                              "status": "pass", "detail": detail})
-            except reps.InternalInconsistencyError as e:
+            except qv.InternalInconsistencyError as e:
                 fail_row({"check": which, "instance": _object_hash(t),
                           "status": "FAIL", "detail": str(e)}, t)
             done += 1
@@ -296,7 +334,7 @@ def cmd_verify(args):
                     if len(seq) - 1 != value - 2 or any(
                             sgd.sgldim(obj).value != 2 + i for i, (obj, _) in enumerate(seq)):
                         row["status"] = "FAIL"
-            except reps.InternalInconsistencyError as e:
+            except qv.InternalInconsistencyError as e:
                 row.update(status="FAIL", detail=str(e))
             if row["status"] == "pass":
                 rows.append(row)
@@ -323,11 +361,12 @@ def build_parser():
                                 description="Exact derived-category computations for Dynkin quivers")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, objects=0):
+    def add_common(sp, objects):
         sp.add_argument("--quiver", required=True, help="quiver file")
-        if objects:
-            sp.add_argument("--object", action="append", required=True,
-                            help="object file (repeatable)")
+        sp.add_argument("--object", action="append", required=True,
+                        help="object file" if objects == 1 else "object file, twice: X then Y")
+        # main checks the count: `append` alone would take extra files and ignore them
+        sp.set_defaults(objects_needed=(sp.prog, objects))
 
     spq = sub.add_parser("quiver", help="quiver utilities")
     sq = spq.add_subparsers(dest="sub", required=True)
@@ -343,7 +382,7 @@ def build_parser():
     il.set_defaults(fn=cmd_ind_list)
 
     h = sub.add_parser("hom")
-    add_common(h, objects=1)
+    add_common(h, objects=2)
     h.set_defaults(fn=cmd_hom)
 
     spt = sub.add_parser("tilting", help="tilting checks")
@@ -388,8 +427,9 @@ def build_parser():
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--samples", type=non_negative_int, default=20)
     ve.add_argument("--window-pad", type=non_negative_int, default=2)
-    ve.add_argument("--csv", action="store_true")
-    ve.add_argument("--jsonl", action="store_true")
+    fmt = ve.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--jsonl", action="store_true")
     ve.set_defaults(fn=cmd_verify)
     return p
 
@@ -400,6 +440,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    prog, needed = getattr(args, "objects_needed", (None, 0))
+    if needed and len(args.object) != needed:
+        print("error: %s takes exactly %d --object file%s, got %d"
+              % (prog, needed, "s" if needed > 1 else "", len(args.object)), file=sys.stderr)
+        return 2
     try:
         code = args.fn(args)
         sys.stdout.flush()   # a closed pipe must show here, not at exit
@@ -411,7 +456,7 @@ def main(argv=None):
     except (OSError, ValueError, qv.QuiverError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except reps.InternalInconsistencyError as e:
+    except qv.InternalInconsistencyError as e:
         print("invariant breach: %s" % e, file=sys.stderr)
         return 1
 

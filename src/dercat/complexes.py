@@ -6,6 +6,10 @@ maps between single projectives.  Hom spaces in the homotopy category are
 computed by solving the chain-map system exactly and quotienting by the image
 of the homotopy system.
 
+sgldim_ringel, the chain-map oracle of sgd.sgldim, lives here too: it runs
+sgd's profile scan with homk_pair_dim in place of the Euler-form rule.  This
+module imports the product modules (derived, sgd), never the reverse.
+
 Shift convention: shift(X, 1) moves the term of degree d to degree d-1 and
 negates the differentials; stalks of modules sit in degrees (-1-k, -k) for an
 object placed at suspension k.
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, quiver as qv, reps
+from . import derived as dv, linalg, quiver as qv, reps, sgd
 from .linalg import Subspace
 from .reps import RepMap
 
@@ -244,7 +248,7 @@ class ProjComplex:
                 if z.dims[v] and prev.source.dims[v]:
                     sol = linalg.solve_matrix(inc._mat(v), prev._mat(v))
                     if sol is None:
-                        raise reps.InternalInconsistencyError("image not inside kernel")
+                        raise qv.InternalInconsistencyError("image not inside kernel")
                     gmats.append(sol)
                 else:
                     gmats.append(linalg.zeros(z.dims[v], prev.source.dims[v]))
@@ -458,11 +462,11 @@ class HomKSpace:
         cols = [list(v) for v in self._rep_vecs] + [list(b) for b in self._bbasis]
         if not cols:
             if any(x != 0 for x in vec):
-                raise reps.InternalInconsistencyError("nonzero map in a zero Hom space")
+                raise qv.InternalInconsistencyError("nonzero map in a zero Hom space")
             return ()
         sol = linalg.solve(linalg.transpose(cols), vec)
         if sol is None:
-            raise reps.InternalInconsistencyError("chain map outside the computed Hom space")
+            raise qv.InternalInconsistencyError("chain map outside the computed Hom space")
         return tuple(sol[: self.dim])
 
 
@@ -484,3 +488,50 @@ def homk_space_cached(q, src, tgt):
 def homk_pair_dim(q, r1, r2, gap):
     """dim Hom_K(res(M1), res(M2)[gap]); depends on the shift gap only."""
     return HomKSpace(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim
+
+
+# ---------------------------------------------------------------------------
+# strong global dimension from chain maps: the oracle of sgd.sgldim
+
+
+def _chain_pair(q, r1, s1, r2, s2):
+    return homk_pair_dim(q, r1, r2, s2 - s1)
+
+
+def _is_projective_slice(t):
+    tb = t.basic()
+    q = t.quiver
+    if tb.num_distinct() != q.n or tb.spread != 0:
+        return False
+    return set(r for r, _ in tb.indecs()) == set(qv.proj_roots(q))
+
+
+def sgldim_ringel(t):
+    """Cross-oracle value: chain-map profiles, or genuine minimal-complex lengths
+    when T is the projective generator (up to suspension).
+
+    Raises on any disagreement with sgd.sgldim.
+    """
+    return _sgldim_ringel(t.basic())
+
+
+@lru_cache(maxsize=None)
+def _sgldim_ringel(t):
+    if not dv.is_tilting(t):
+        raise ValueError("strong global dimension needs a tilting object")
+    q = t.quiver
+    rep = sgd.sgldim_scan(t, _chain_pair)
+    if _is_projective_slice(t):
+        sup_len = 0
+        for root in qv.positive_roots(q):
+            sup_len = max(sup_len, ringel_length(stalk_complex_cached(q, root, 0)).length)
+        if sup_len != rep.value:
+            raise qv.InternalInconsistencyError(
+                "minimal-complex lengths disagree with the profile scan: %d vs %d"
+                % (sup_len, rep.value))
+    ref = sgd.sgldim(t)
+    if rep.value != ref.value:
+        raise qv.InternalInconsistencyError(
+            "dual strong-global-dimension algorithms disagree: %d vs %d"
+            % (ref.value, rep.value))
+    return rep

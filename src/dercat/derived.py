@@ -17,14 +17,15 @@ homotopy); the test suite and `verify homagree` compare against them.
 
 The tilting test (rigid, n distinct summands, integral inverse of the class
 matrix) has one independent oracle for its generation half, the thick-closure
-search generates_thick; only the test suite calls it.
+search reps.generates_thick; only the test suite calls it.  This module is on
+the product path, so it imports neither reps nor complexes: the AR translate
+it needs is quiver.tau_root / quiver.tau_inv_root.
 """
 
-import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg, quiver as qv, reps
+from . import linalg, quiver as qv
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ def tau_derived(x):
     q = x.quiver
     out = []
     for s in x.summands:
-        t = reps.tau_root(q, s.root)
+        t = qv.tau_root(q, s.root)
         if t is None:
-            i = reps.proj_roots(q).index(s.root)
+            i = qv.proj_roots(q).index(s.root)
             out.append((qv.inj_dims(q, i), s.shift - 1, s.mult))
         else:
             out.append((t, s.shift, s.mult))
@@ -167,9 +168,9 @@ def tau_inv_derived(x):
     q = x.quiver
     out = []
     for s in x.summands:
-        t = reps.tau_inv_root(q, s.root)
+        t = qv.tau_inv_root(q, s.root)
         if t is None:
-            i = reps.inj_roots(q).index(s.root)
+            i = qv.inj_roots(q).index(s.root)
             out.append((qv.proj_dims(q, i), s.shift + 1, s.mult))
         else:
             out.append((t, s.shift, s.mult))
@@ -230,7 +231,7 @@ def is_tilting(t):
     """Rigid, n distinct indecomposable summands, unimodular class lattice.
 
     The generation half of the definition is not searched for here: the
-    thick-closure oracle generates_thick certifies it in the test suite, and
+    thick-closure oracle reps.generates_thick certifies it in the test suite, and
     the production criterion keeps the exact K-group test in place of that
     exponential cone search.
     """
@@ -265,78 +266,6 @@ def rigidity_failure(t):
                 if s2 + i - s1 in (0, 1) and pair_hom_dim(tb.quiver, r1, s1, r2, s2 + i):
                     return i, (r1, s1), (r2, s2)
     return None
-
-
-# ---------------------------------------------------------------------------
-# thick-closure generation oracle (slow; used by the test suite)
-
-
-def _sampled_maps(m, n, rng):
-    basis = reps.hom_space(m, n)
-    out = list(basis)
-    if len(basis) > 1:
-        for _ in range(3):
-            f = basis[0].scale(rng.randint(-2, 2))
-            for g in basis[1:]:
-                f = f.add(g.scale(rng.randint(-2, 2)))
-            out.append(f)
-    return out
-
-
-def _extension_middles(q, r_top, r_sub, rng):
-    """Middle terms of sampled extensions of M(r_top) by M(r_sub), as root multisets."""
-    m = reps.indec_of_root(q, r_top)
-    n = reps.indec_of_root(q, r_sub)
-    res = reps.proj_resolution(m)
-    if res.p1.is_zero():
-        return []
-    out = []
-    for h in _sampled_maps(res.p1, n, rng):
-        # pushout of (P1 -> P0, P1 -> N): cokernel of x -> (d x, -h x)
-        p0n = reps.direct_sum([res.p0, n])
-        mats = []
-        for v in range(q.n):
-            top = res.d._mat(v)
-            bot = linalg.mat_scale(-1, h._mat(v))
-            mats.append([list(r) for r in top] + [list(r) for r in bot]
-                        if res.p1.dims[v] else linalg.zeros(p0n.dims[v], 0))
-        f = reps.RepMap(res.p1, p0n, mats)
-        e, _ = reps.cokernel(f)
-        out.append(reps.decompose(e))
-    return out
-
-
-def generates_thick(t):
-    """Whether the thick closure of T reaches every indecomposable stalk.
-
-    Saturates a set of roots under cones of morphisms between stalks: a module
-    map contributes its kernel and cokernel, an extension class contributes the
-    middle term.  Morphisms are sampled from Hom bases plus seeded combinations,
-    so membership claims are sound; saturation is re-run until stable.  A
-    test-only oracle: no CLI verb calls it.
-    """
-    q = t.quiver
-    rng = _random.Random(20240 + q.n)
-    have = set(r for r, _ in t.basic().indecs())
-    all_roots = set(qv.positive_roots(q))
-    while have != all_roots:
-        new = set()
-        pairs = [(a, b) for a in sorted(have) for b in sorted(have)]
-        for r1, r2 in pairs:
-            m = reps.indec_of_root(q, r1)
-            n = reps.indec_of_root(q, r2)
-            for f in _sampled_maps(m, n, rng):
-                k, _ = reps.kernel(f)
-                c, _ = reps.cokernel(f)
-                for part in (reps.decompose(k), reps.decompose(c)):
-                    new |= set(part) - have
-            if reps.ext_dim_roots(q, r1, r2) > 0:
-                for mid in _extension_middles(q, r1, r2, rng):
-                    new |= set(mid) - have
-        if not new:
-            return False
-        have |= new
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import random as _random
 from dataclasses import dataclass
 
 from . import derived as dv, quiver as qv, sgd, slices as sls
-from .reps import InternalInconsistencyError
+from .quiver import InternalInconsistencyError
 
 
 @dataclass(frozen=True)

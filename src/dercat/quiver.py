@@ -1,7 +1,12 @@
-"""Quivers, Dynkin classification, Euler form, positive roots.
+"""Quivers, Dynkin classification, Euler form, positive roots, AR translate on roots.
 
 Vertices are 1-based in files and 0-based everywhere in code; the parser and
 printer do the translation.  All values are immutable after construction.
+
+This is the bottom layer every other module imports, so it also holds the
+package's error class InternalInconsistencyError and the root-level AR
+translate (tau_root / tau_inv_root, with the projective and injective roots
+it wraps at): integer functions of the Coxeter matrix, which lives here too.
 """
 
 from dataclasses import dataclass
@@ -21,6 +26,10 @@ class QuiverFormatError(QuiverError):
 
 class NotDynkinError(QuiverError):
     """Operation requires a Dynkin quiver."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """An invariant the theory guarantees failed to hold; never expected."""
 
 
 @dataclass(frozen=True)
@@ -322,3 +331,36 @@ def proj_dims(q, i):
 def inj_dims(q, i):
     p = path_exists(q)
     return tuple(1 if p[j][i] else 0 for j in range(q.n))
+
+
+# ---------------------------------------------------------------------------
+# AR translate on roots
+
+
+def proj_roots(q):
+    return tuple(proj_dims(q, i) for i in range(q.n))
+
+
+def inj_roots(q):
+    return tuple(inj_dims(q, i) for i in range(q.n))
+
+
+def tau_root(q, root):
+    """Root of tau(M) for the indecomposable M of the given root; None if projective."""
+    if root in proj_roots(q):
+        return None
+    phi = coxeter_matrix(q)
+    out = tuple(sum(phi[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
+    if out not in positive_roots(q):
+        raise InternalInconsistencyError("tau left the root system: %r" % (out,))
+    return out
+
+
+def tau_inv_root(q, root):
+    if root in inj_roots(q):
+        return None
+    phi_inv = coxeter_inverse(q)
+    out = tuple(sum(phi_inv[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
+    if out not in positive_roots(q):
+        raise InternalInconsistencyError("inverse tau left the root system: %r" % (out,))
+    return out

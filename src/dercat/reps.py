@@ -1,8 +1,9 @@
 """Quiver representations over exact rationals.
 
 Hom spaces by solving the intertwiner equations, Ext^1 through the Euler form,
-indecomposables from positive roots via reflection functors, Krull-Schmidt
-decomposition, and the AR translate on roots.
+indecomposables from positive roots via reflection functors, and Krull-Schmidt
+decomposition.  The AR translate on roots is integer arithmetic and lives in
+quiver (tau_root / tau_inv_root).
 
 decompose first runs the brick test: a module with dim End = 1 is
 indecomposable (a decomposable one has two orthogonal idempotents), and a
@@ -14,21 +15,23 @@ hom_dim_roots / ext_dim_roots build both indecomposables and solve for their
 intertwiners.  They are the independent oracle for the closed Euler-form rule
 of derived.pair_hom_dim, which is what the rest of the package uses.
 
+generates_thick, the thick-closure search, is the oracle for the generation
+half of derived.is_tilting; only the test suite calls it.  Beyond the oracles
+this module serves only `dercat ind list`: no module of the integer route
+(quiver, linalg, derived, sgd, slices, mutation) imports it.
+
 All functions are pure; the memoized tables (indecomposables, knitting order,
 root Hom dimensions) are functools.lru_cache entries keyed by (quiver, roots),
 so results are identical under any evaluation order.
 """
 
+import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, quiver as qv
 from .linalg import Subspace
-
-
-class InternalInconsistencyError(RuntimeError):
-    """An invariant the theory guarantees failed to hold; never expected."""
 
 
 class Representation:
@@ -260,7 +263,7 @@ def kernel(f):
         rhs = linalg.mat_mul(f.source.mats[a], incs[s])
         sol = linalg.solve_matrix(incs[t], rhs)
         if sol is None:
-            raise InternalInconsistencyError("kernel is not a subrepresentation")
+            raise qv.InternalInconsistencyError("kernel is not a subrepresentation")
         kmats.append(sol)
     k = Representation(q, kdims, kmats)
     inc = RepMap(k, f.source, [incs[v] if kdims[v] and f.source.dims[v] else
@@ -408,7 +411,7 @@ def proj_resolution(m):
     p1_indices, cover = projective_cover(k)
     p1 = cover.source
     if p1.dims != k.dims:
-        raise InternalInconsistencyError("first syzygy is not projective")
+        raise qv.InternalInconsistencyError("first syzygy is not projective")
     d = inc.compose(cover)
     return ProjResolution(p1_indices, p0_indices, p1, p0, d, eps)
 
@@ -484,15 +487,15 @@ def indec_of_root(q, root):
             cur_r = _sigma(cur_q, cur_r, v)
             cur_q = _reflect_quiver(cur_q, v)
     if found is None:
-        raise InternalInconsistencyError("root reduction failed for %r" % (root,))
+        raise qv.InternalInconsistencyError("root reduction failed for %r" % (root,))
     m = simple_rep(cur_q, found)
     back_q = cur_q
     for prev_q, v in reversed(stack):
         back_q, m = reflect_at_source(back_q, m, v)
         if back_q != prev_q:
-            raise InternalInconsistencyError("reflection bookkeeping out of sync")
+            raise qv.InternalInconsistencyError("reflection bookkeeping out of sync")
     if m.dims != root:
-        raise InternalInconsistencyError("reflection functors missed the root %r" % (root,))
+        raise qv.InternalInconsistencyError("reflection functors missed the root %r" % (root,))
     return Representation(q, m.dims, m.mats)
 
 
@@ -526,7 +529,7 @@ def knitting_order(q):
     per_orbit.sort()
     order = tuple(r for _, _, r in per_orbit)
     if len(order) != len(roots) or set(order) != roots:
-        raise InternalInconsistencyError("knitting enumeration missed roots")
+        raise qv.InternalInconsistencyError("knitting enumeration missed roots")
     return order
 
 
@@ -543,7 +546,7 @@ def hom_dim_roots(q, r1, r2):
 def ext_dim_roots(q, r1, r2):
     d = hom_dim_roots(q, r1, r2) - qv.euler_form(q, r1, r2)
     if d < 0:
-        raise InternalInconsistencyError("negative Ext dimension")
+        raise qv.InternalInconsistencyError("negative Ext dimension")
     return d
 
 
@@ -560,7 +563,7 @@ def decompose(x):
         return {}
     if hom_dim_mod(x, x) == 1:
         if x.dims not in qv.positive_roots(q):
-            raise InternalInconsistencyError(
+            raise qv.InternalInconsistencyError(
                 "brick with dimension vector %r, which is not a positive root" % (x.dims,))
         return {x.dims: 1}
     order = knitting_order(q)
@@ -576,7 +579,7 @@ def decompose(x):
                 # derived.pair_hom_dim
                 val -= mult[s] * max(qv.euler_form(q, r, s), 0)
         if val < 0:
-            raise InternalInconsistencyError("negative multiplicity in decomposition")
+            raise qv.InternalInconsistencyError("negative multiplicity in decomposition")
         if val:
             mult[r] = val
     total = [0] * q.n
@@ -584,41 +587,80 @@ def decompose(x):
         for v in range(q.n):
             total[v] += m * r[v]
     if tuple(total) != x.dims:
-        raise InternalInconsistencyError("decomposition does not add up to %r" % (x.dims,))
+        raise qv.InternalInconsistencyError("decomposition does not add up to %r" % (x.dims,))
     return mult
 
 
 # ---------------------------------------------------------------------------
-# AR translate on roots
+# thick-closure generation oracle (slow; used by the test suite)
 
 
-def proj_roots(q):
-    return tuple(qv.proj_dims(q, i) for i in range(q.n))
-
-
-def inj_roots(q):
-    return tuple(qv.inj_dims(q, i) for i in range(q.n))
-
-
-def tau_root(q, root):
-    """Root of tau(M) for the indecomposable M of the given root; None if projective."""
-    if root in proj_roots(q):
-        return None
-    phi = qv.coxeter_matrix(q)
-    out = tuple(sum(phi[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in qv.positive_roots(q):
-        raise InternalInconsistencyError("tau left the root system: %r" % (out,))
+def _sampled_maps(m, n, rng):
+    basis = hom_space(m, n)
+    out = list(basis)
+    if len(basis) > 1:
+        for _ in range(3):
+            f = basis[0].scale(rng.randint(-2, 2))
+            for g in basis[1:]:
+                f = f.add(g.scale(rng.randint(-2, 2)))
+            out.append(f)
     return out
 
 
-def tau_inv_root(q, root):
-    if root in inj_roots(q):
-        return None
-    phi_inv = qv.coxeter_inverse(q)
-    out = tuple(sum(phi_inv[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in qv.positive_roots(q):
-        raise InternalInconsistencyError("inverse tau left the root system: %r" % (out,))
+def _extension_middles(q, r_top, r_sub, rng):
+    """Middle terms of sampled extensions of M(r_top) by M(r_sub), as root multisets."""
+    m = indec_of_root(q, r_top)
+    n = indec_of_root(q, r_sub)
+    res = proj_resolution(m)
+    if res.p1.is_zero():
+        return []
+    out = []
+    for h in _sampled_maps(res.p1, n, rng):
+        # pushout of (P1 -> P0, P1 -> N): cokernel of x -> (d x, -h x)
+        p0n = direct_sum([res.p0, n])
+        mats = []
+        for v in range(q.n):
+            top = res.d._mat(v)
+            bot = linalg.mat_scale(-1, h._mat(v))
+            mats.append([list(r) for r in top] + [list(r) for r in bot]
+                        if res.p1.dims[v] else linalg.zeros(p0n.dims[v], 0))
+        f = RepMap(res.p1, p0n, mats)
+        e, _ = cokernel(f)
+        out.append(decompose(e))
     return out
+
+
+def generates_thick(t):
+    """Whether the thick closure of T reaches every indecomposable stalk.
+
+    Saturates a set of roots under cones of morphisms between stalks: a module
+    map contributes its kernel and cokernel, an extension class contributes the
+    middle term.  Morphisms are sampled from Hom bases plus seeded combinations,
+    so membership claims are sound; saturation is re-run until stable.  A
+    test-only oracle: no CLI verb calls it.
+    """
+    q = t.quiver
+    rng = _random.Random(20240 + q.n)
+    have = set(r for r, _ in t.basic().indecs())
+    all_roots = set(qv.positive_roots(q))
+    while have != all_roots:
+        new = set()
+        pairs = [(a, b) for a in sorted(have) for b in sorted(have)]
+        for r1, r2 in pairs:
+            m = indec_of_root(q, r1)
+            n = indec_of_root(q, r2)
+            for f in _sampled_maps(m, n, rng):
+                k, _ = kernel(f)
+                c, _ = cokernel(f)
+                for part in (decompose(k), decompose(c)):
+                    new |= set(part) - have
+            if ext_dim_roots(q, r1, r2) > 0:
+                for mid in _extension_middles(q, r1, r2, rng):
+                    new |= set(mid) - have
+        if not new:
+            return False
+        have |= new
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Strong global dimension of endomorphism algebras of tilting objects.
 
-Two routes to the same number.  sgldim evaluates length profiles with
-derived.pair_hom_dim, the closed Euler-form Hom rule (integer arithmetic only).
-sgldim_ringel is the oracle: the same profiles evaluated with genuine
-chain-map computations on minimal complexes (plus, for a projective-slice
-tilting object, the literal sup of minimal-complex lengths).  Disagreement is
-a hard failure.
+sgldim evaluates length profiles with derived.pair_hom_dim, the closed
+Euler-form Hom rule (integer arithmetic only).  Its oracle is
+complexes.sgldim_ringel: the same profiles evaluated with genuine chain-map
+computations on minimal complexes (plus, for a projective-slice tilting
+object, the literal sup of minimal-complex lengths).  Disagreement is a hard
+failure.
 
-The product modules (quiver, derived, slices, mutation) import nothing from
-complexes, and the test suite checks that.  This module is the one mixed
-layer: its own route is closed-form, but its oracle sgldim_ringel needs the
-chain-map engine, so it imports complexes.
+This module is on the product path with quiver, linalg, derived, slices and
+mutation, and like them imports neither reps nor complexes; the test suite
+checks that.  The oracle imports this module, never the reverse.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import complexes as cx, derived as dv, quiver as qv, reps
-from .reps import InternalInconsistencyError
+from . import derived as dv, quiver as qv
+from .quiver import InternalInconsistencyError
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,6 @@ class SgdReport:
     value: int
     witness: object          # DerivedObject, normalized so ell_minus = 0
     window: tuple            # (min_shift - 1, max_shift + 1) of T
-
-
-def _chain_pair(q, r1, s1, r2, s2):
-    return cx.homk_pair_dim(q, r1, r2, s2 - s1)
 
 
 def _profile(q, t_indecs, x_root, x_shift, pair):
@@ -76,7 +71,12 @@ def ell_profile(t, x):
     return _profile(t.quiver, t.basic().indecs(), root, shift, dv.pair_hom_dim)
 
 
-def _sgldim_scan(t, pair):
+def sgldim_scan(t, pair):
+    """sup of ell_T with its witness, each Hom dimension read off pair(q, r1, s1, r2, s2).
+
+    sgldim passes derived.pair_hom_dim; complexes.sgldim_ringel passes chain-map
+    Hom dimensions.
+    """
     q = t.quiver
     tb = t.basic()
     indecs = tb.indecs()
@@ -98,49 +98,10 @@ def sgldim(t):
     return _sgldim(t.basic())
 
 
-# both engines are memoized on the basic object, so multiplicities and summand
-# order share one entry
+# memoized on the basic object, so multiplicities and summand order share one
+# entry (complexes.sgldim_ringel is memoized the same way)
 @lru_cache(maxsize=None)
 def _sgldim(tb):
     if not dv.is_tilting(tb):
         raise ValueError("strong global dimension needs a tilting object")
-    return _sgldim_scan(tb, dv.pair_hom_dim)
-
-
-def _is_projective_slice(t):
-    tb = t.basic()
-    q = t.quiver
-    if tb.num_distinct() != q.n or tb.spread != 0:
-        return False
-    return set(r for r, _ in tb.indecs()) == set(reps.proj_roots(q))
-
-
-def sgldim_ringel(t):
-    """Cross-oracle value: chain-map profiles, or genuine minimal-complex lengths
-    when T is the projective generator (up to suspension).
-
-    Raises on any disagreement with sgldim.
-    """
-    return _sgldim_ringel(t.basic())
-
-
-@lru_cache(maxsize=None)
-def _sgldim_ringel(t):
-    if not dv.is_tilting(t):
-        raise ValueError("strong global dimension needs a tilting object")
-    q = t.quiver
-    rep = _sgldim_scan(t, _chain_pair)
-    if _is_projective_slice(t):
-        sup_len = 0
-        for root in qv.positive_roots(q):
-            sup_len = max(sup_len, cx.ringel_length(cx.stalk_complex_cached(q, root, 0)).length)
-        if sup_len != rep.value:
-            raise InternalInconsistencyError(
-                "minimal-complex lengths disagree with the profile scan: %d vs %d"
-                % (sup_len, rep.value))
-    ref = sgldim(t)
-    if rep.value != ref.value:
-        raise InternalInconsistencyError(
-            "dual strong-global-dimension algorithms disagree: %d vs %d"
-            % (ref.value, rep.value))
-    return rep
+    return sgldim_scan(tb, dv.pair_hom_dim)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import derived as dv, quiver as qv, sgd
-from .reps import InternalInconsistencyError
+from .quiver import InternalInconsistencyError
 
 
 class SliceError(ValueError):

@@ -196,3 +196,73 @@ def test_slice_verbs_reject_a_disconnected_quiver(tmp_path, capsys, verb):
     assert cli.main(verb + ["--quiver", str(quiver), "--object", str(obj)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error: slice machinery needs a connected quiver" in err
+
+
+@pytest.mark.parametrize("argv,given", [
+    (["sgd"], 2), (["tilting", "check"], 2), (["mutate", "--t2", "0"], 2),
+    (["comutate", "--t2", "0"], 2), (["slice"], 2), (["theoremb"], 2), (["hom"], 1), (["hom"], 3),
+])
+def test_a_wrong_number_of_object_files_is_a_usage_error(tmp_path, capsys, argv, given):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text(dv.format_object(dv.projective_generator(q)))
+    # the extra file need not exist: the count is checked before any file is read
+    objects = [str(obj)] + [str(tmp_path / "missing.obj")] * (given - 1)
+    argv = argv + ["--quiver", str(quiver)] + [a for o in objects for a in ("--object", o)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    needed = 2 if argv[0] == "hom" else 1
+    assert out == "" and "exactly %d --object file" % needed in err and "got %d" % given in err
+
+
+def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    assert cli.main(["verify", "serre", "--quiver", str(path), "--csv", "--jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
+# Run in a fresh interpreter: its last stdout line is the exit code, then the
+# dercat modules whose code has run.  A LazyLoader module that has not run yet is an
+# instance of a ModuleType subclass, so `type(m) is ModuleType` tells them apart.
+LAYER_PROBE = """
+import sys, types
+from dercat import cli
+layers = ("quiver", "linalg", "reps", "complexes", "derived", "sgd", "slices", "mutation")
+missing = [n for n in layers if "dercat." + n not in sys.modules]
+assert not missing, missing
+code = cli.main(sys.argv[1:])
+print(code, *sorted(k.split(".")[1] for k, m in list(sys.modules.items())
+                    if k.startswith("dercat.") and type(m) is types.ModuleType))
+"""
+
+D4_ALT = "vertices 4\narrow 1 2\narrow 3 2\narrow 4 2\n"
+
+
+def _run_fresh(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
+    quiver, obj = tmp_path / "d4.q", tmp_path / "p.obj"
+    quiver.write_text(D4_ALT)
+    obj.write_text(dv.format_object(dv.projective_generator(qv.parse_quiver(D4_ALT))))
+    q, o = ["--quiver", str(quiver)], ["--object", str(obj)]
+    product = ["cli", "derived", "linalg", "quiver", "sgd"]
+    for argv in (["quiver", "validate"] + q, ["sgd"] + q + o, ["tilting", "check"] + q + o,
+                 ["hom"] + q + o + o):
+        assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + product, argv
+    ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
+    assert ran == ["0"] + sorted(product + ["complexes", "reps"])
+
+
+def test_lazy_layer_reuses_an_imported_module():
+    code = ("import sys\nfrom dercat import mutation\nfrom dercat import cli\n"
+            "print(cli.mu is mutation and sys.modules['dercat.mutation'] is mutation)\n")
+    assert _run_fresh(code) == ["True"]

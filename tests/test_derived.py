@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dercat import derived as dv, quiver as qv
+from dercat import derived as dv, quiver as qv, reps
 
 
 def obj(q, *parts):
@@ -124,13 +124,13 @@ def test_thick_oracle_agrees_on_module_census(a2):
     for pair in itertools.combinations(roots, 2):
         t = obj(a2, (pair[0], 0, 1), (pair[1], 0, 1))
         if dv.is_tilting(t):
-            assert dv.generates_thick(t)
+            assert reps.generates_thick(t)
 
 
 def test_thick_oracle_rejects_non_generator(a2):
     t = obj(a2, ((1, 1), 0, 1), ((1, 1), 1, 1))
     assert not dv.is_tilting(t)
-    assert not dv.generates_thick(t)
+    assert not reps.generates_thick(t)
 
 
 def test_thick_oracle_on_a3_census(a3):
@@ -138,7 +138,7 @@ def test_thick_oracle_on_a3_census(a3):
     for triple in itertools.combinations(roots, 3):
         t = dv.DerivedObject(a3, [(r, 0, 1) for r in triple])
         if dv.is_tilting(t):
-            assert dv.generates_thick(t)
+            assert reps.generates_thick(t)
 
 
 def test_object_file_round_trip(a2):

@@ -6,7 +6,7 @@ import pytest
 
 from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
 from dercat.linalg import Subspace
-from dercat.reps import InternalInconsistencyError
+from dercat.quiver import InternalInconsistencyError
 
 
 def free_t(q):
@@ -280,11 +280,11 @@ def test_two_exchange_survivors_are_a_breach(a2, monkeypatch):
         mu.co_mutate(t, mu.Split(split.t2, split.t1))
 
 
-def test_product_modules_do_not_import_complexes():
-    # the chain-complex engine serves the oracles alone; sgd is left out
-    # because its oracle sgldim_ringel needs it
+def test_product_modules_do_not_import_oracles():
+    # the module engine (reps) and the chain-complex engine (complexes) serve
+    # the oracles alone; the oracles import the product modules, never the reverse
     src = pathlib.Path(mu.__file__).parent
-    for name in ("quiver", "derived", "slices", "mutation"):
+    for name in ("quiver", "linalg", "derived", "sgd", "slices", "mutation"):
         imported = set()
         for node in ast.walk(ast.parse((src / (name + ".py")).read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -292,4 +292,4 @@ def test_product_modules_do_not_import_complexes():
                 imported.update(a.name for a in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
-        assert "complexes" not in imported, name
+        assert not imported & {"reps", "complexes"}, name

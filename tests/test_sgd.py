@@ -1,6 +1,6 @@
 import pytest
 
-from dercat import derived as dv, mutation as mu, quiver as qv, sgd
+from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
 
 
 def test_profile_examples(a2):
@@ -42,7 +42,7 @@ def test_sgldim_semisimple(a1):
 def test_sgldim_tilted_still_hereditary(a2):
     t = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), -1, 1)])
     assert sgd.sgldim(t).value == 1
-    assert sgd.sgldim_ringel(t).value == 1
+    assert cx.sgldim_ringel(t).value == 1
 
 
 def test_sgldim_shift_invariance(a3):
@@ -77,7 +77,7 @@ def test_dual_algorithms_agree_on_walks(a3, d4):
     for q in (a3, d4):
         for seed in range(12):
             t, _ = mu.random_tilting_walk(q, seed, 4 + seed % 5)
-            assert sgd.sgldim(t).value == sgd.sgldim_ringel(t).value
+            assert sgd.sgldim(t).value == cx.sgldim_ringel(t).value
 
 
 def test_sgldim_rejects_non_tilting(a2):
@@ -102,7 +102,7 @@ def test_sgldim_three_witness_a4(a4):
                               ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
     assert dv.is_tilting(t)
     assert sgd.sgldim(t).value == 3
-    assert sgd.sgldim_ringel(t).value == 3
+    assert cx.sgldim_ringel(t).value == 3
 
 
 def test_sgldim_memo_is_keyed_on_the_basic_object(a4):
