@@ -75,9 +75,10 @@ def _object_hash(x):
 
 def _emit_rows(rows, header, fmt):
     if fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(r[h]) for h in header))
+        import csv   # here, not at the top: only the --csv outputs write CSV
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([r[h] for h in header] for r in rows)
     elif fmt == "jsonl":
         import json   # here, not at the top: only `verify --jsonl` prints JSON
         for r in rows:
@@ -136,9 +137,10 @@ def cmd_sgd(args):
     t = _load_object(q, args.object[0])
     rep = sgd.sgldim(t)
     if args.csv:
-        print("quiver,object-hash,value,witness")
-        print("%s,%s,%d,%s" % (str(qv.classify(q)), _object_hash(t), rep.value,
-                               dv.format_object(rep.witness).strip().replace("\n", ";")))
+        row = {"quiver": "+".join(sorted(str(k) for k in qv.classify_components(q))),
+               "object-hash": _object_hash(t), "value": rep.value,
+               "witness": dv.format_object(rep.witness).strip().replace("\n", ";")}
+        _emit_rows([row], ["quiver", "object-hash", "value", "witness"], "csv")
     else:
         print("s.gl.dim = %d" % rep.value)
         print("witness:")
@@ -180,11 +182,7 @@ def cmd_slice(args):
     q = _load_quiver(args.quiver)
     t = _load_object(q, args.object[0])
     if args.all_slices:
-        z = sls.zq_of(q)
-        verts = [z.vertex_of(o) for o in t.basic().indecs()]
-        m_lo = min(m for m, _ in verts) - args.window_pad
-        m_hi = max(m for m, _ in verts) + args.window_pad
-        found, truncated = sls.enumerate_slices(q, m_lo, m_hi)
+        found, truncated = sls.window_slices(t, args.window_pad)
         for s in found:
             print("slice: " + " ".join("[%s]@%d" % (",".join(map(str, r)), sh)
                                        for r, sh in s.objects))

@@ -1,18 +1,19 @@
-"""Bounded complexes of projectives: the homotopy-category model.
+"""Bounded complexes of projectives: the homotopy-category oracle.
+
+What remains here: stalk_complex, the minimal projective resolution of an
+indecomposable stalk; ProjComplex.minimize, which strips contractible
+summands; HomKSpace, Hom in the homotopy category, solved exactly as the
+chain-map system modulo the image of the homotopy system; ringel_length, the
+degree span of a minimal complex; and sgldim_ringel, the chain-map oracle of
+sgd.sgldim, which runs sgd's profile scan with homk_pair_dim in place of the
+Euler-form rule.  This module imports the product modules (derived, sgd),
+never the reverse.
 
 Terms are multisets of indecomposable projectives (stored as vertex index
 lists); differentials are morphisms of representations, kept as block grids of
-maps between single projectives.  Hom spaces in the homotopy category are
-computed by solving the chain-map system exactly and quotienting by the image
-of the homotopy system.
-
-sgldim_ringel, the chain-map oracle of sgd.sgldim, lives here too: it runs
-sgd's profile scan with homk_pair_dim in place of the Euler-form rule.  This
-module imports the product modules (derived, sgd), never the reverse.
-
-Shift convention: shift(X, 1) moves the term of degree d to degree d-1 and
-negates the differentials; stalks of modules sit in degrees (-1-k, -k) for an
-object placed at suspension k.
+maps between single projectives.  Shift convention: shift(X, 1) moves the term
+of degree d to degree d-1 and negates the differentials; stalks of modules sit
+in degrees (-1-k, -k) for an object placed at suspension k.
 """
 
 from dataclasses import dataclass
@@ -85,10 +86,7 @@ def _assemble_blocks(q, src_indices, tgt_indices, blocks):
 
 
 class ProjComplex:
-    """Bounded complex of direct sums of indecomposable projectives.
-
-    The constructor trusts its differentials; `validate()` checks d o d = 0.
-    """
+    """Bounded complex of sums of indecomposable projectives; d o d = 0 is trusted."""
 
     def __init__(self, q, terms, diffs):
         self.quiver = q
@@ -127,13 +125,6 @@ class ProjComplex:
             return _assemble_blocks(self.quiver, self.term(d), self.term(d + 1), self.diffs[d])
         return reps.zero_map(self.term_rep(d), self.term_rep(d + 1))
 
-    def validate(self):
-        for d in self.degrees():
-            if self.term(d + 1) and self.term(d + 2):
-                sq = self.diff(d + 1).compose(self.diff(d))
-                if not sq.is_zero():
-                    raise ValueError("differential does not square to zero at degree %d" % d)
-
     def shift(self, k):
         sign = Fraction(-1) ** (k % 2)
         terms = {d - k: t for d, t in self.terms.items()}
@@ -142,33 +133,6 @@ class ProjComplex:
             diffs[d - k] = [[None if blk is None else blk.scale(sign) for blk in row]
                             for row in blocks]
         return ProjComplex(self.quiver, terms, diffs)
-
-    def direct_sum(self, other):
-        assert self.quiver == other.quiver
-        terms = {}
-        diffs = {}
-        for d in set(self.terms) | set(other.terms):
-            terms[d] = self.term(d) + other.term(d)
-        for d in terms:
-            if not terms.get(d + 1):
-                continue
-            rows = []
-            na, nb = len(self.term(d)), len(other.term(d))
-            for b in range(len(self.term(d + 1))):
-                row = [self.diffs[d][b][a] if d in self.diffs else None for a in range(na)]
-                rows.append(row + [None] * nb)
-            for b in range(len(other.term(d + 1))):
-                row = [None] * na
-                row += [other.diffs[d][b][a] if d in other.diffs else None for a in range(nb)]
-                rows.append(row)
-            if rows:
-                diffs[d] = rows
-        return ProjComplex(self.quiver, terms, diffs)
-
-    def blocks_or_zero(self, d):
-        if d in self.diffs:
-            return self.diffs[d]
-        return [[None] * len(self.term(d)) for _ in self.term(d + 1)]
 
     def minimize(self):
         """Homotopy-equivalent complex with radical differentials.
@@ -233,31 +197,6 @@ class ProjComplex:
                     del terms[dd]
         return ProjComplex(q, {d: tuple(t) for d, t in terms.items()}, diffs)
 
-    def homology(self):
-        """H^d for each degree, as representations (only nonzero ones returned)."""
-        out = {}
-        for d in self.degrees():
-            z, inc = reps.kernel(self.diff(d))
-            if z.is_zero():
-                continue
-            prev = self.diff(d - 1) if self.term(d - 1) else reps.zero_map(
-                reps.zero_rep(self.quiver), self.term_rep(d))
-            gmats = []
-            ok = True
-            for v in range(self.quiver.n):
-                if z.dims[v] and prev.source.dims[v]:
-                    sol = linalg.solve_matrix(inc._mat(v), prev._mat(v))
-                    if sol is None:
-                        raise qv.InternalInconsistencyError("image not inside kernel")
-                    gmats.append(sol)
-                else:
-                    gmats.append(linalg.zeros(z.dims[v], prev.source.dims[v]))
-            g = RepMap(prev.source, z, gmats)
-            h, _ = reps.cokernel(g)
-            if not h.is_zero():
-                out[d] = h
-        return out
-
     def __repr__(self):
         return "ProjComplex(%r)" % ({d: self.term(d) for d in self.degrees()},)
 
@@ -278,10 +217,6 @@ def ringel_length(x):
     if m.is_zero():
         raise ZeroObjectError("the zero object has no length")
     return RingelLength(m.lo, m.hi)
-
-
-def zero_complex(q):
-    return ProjComplex(q, {}, {})
 
 
 def stalk_complex(q, root, shift=0):
@@ -327,43 +262,6 @@ class ChainMap:
             if other.source.term(d):
                 comps[d] = self.comp(d).compose(other.comp(d))
         return ChainMap(other.source, self.target, comps)
-
-
-def identity_chain_map(x):
-    return ChainMap(x, x, {d: reps.identity_map(x.term_rep(d)) for d in x.degrees()})
-
-
-def cone(f):
-    """Mapping cone; degree d term is X^{d+1} + Y^d."""
-    x, y = f.source, f.target
-    q = x.quiver
-    terms = {}
-    for d in set(xd - 1 for xd in x.terms) | set(y.terms):
-        terms[d] = x.term(d + 1) + y.term(d)
-    diffs = {}
-    for d in list(terms):
-        if not terms.get(d) or not terms.get(d + 1):
-            continue
-        nx, ny = len(x.term(d + 1)), len(y.term(d))
-        nxt_x, nxt_y = len(x.term(d + 2)), len(y.term(d + 1))
-        xblocks = x.blocks_or_zero(d + 1) if x.term(d + 1) and x.term(d + 2) else None
-        yblocks = y.blocks_or_zero(d) if y.term(d) and y.term(d + 1) else None
-        fblocks = (_slice_blocks(q, x.term(d + 1), y.term(d + 1), f.comp(d + 1))
-                   if x.term(d + 1) and y.term(d + 1) else None)
-        rows = []
-        for b in range(nxt_x):
-            row = [None if xblocks is None or xblocks[b][a] is None else xblocks[b][a].neg()
-                   for a in range(nx)]
-            rows.append(row + [None] * ny)
-        for b in range(nxt_y):
-            row = [None if fblocks is None else fblocks[b][a] for a in range(nx)]
-            row += [None if yblocks is None else yblocks[b][a] for a in range(ny)]
-            rows.append(row)
-        if rows:
-            diffs[d] = rows
-    out = ProjComplex(q, terms, diffs)
-    out.validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +374,6 @@ class HomKSpace:
 @lru_cache(maxsize=None)
 def stalk_complex_cached(q, root, shift):
     return stalk_complex(q, root, shift)
-
-
-@lru_cache(maxsize=None)
-def homk_space_cached(q, src, tgt):
-    """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
-    return HomKSpace(stalk_complex_cached(q, *src), stalk_complex_cached(q, *tgt))
 
 
 @lru_cache(maxsize=None)

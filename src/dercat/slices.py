@@ -2,12 +2,15 @@
 
 For a Dynkin quiver the whole derived category is a single transjective
 component of shape ZQ, so slices are sections of ZQ: one vertex per tau-orbit,
-adjacent choices differing by the mesh relations.  A tilting object determines
-a canonical slice through its Hom-minimal summands, whose window reproduces
-the strong global dimension exactly (minus two).
+adjacent choices differing by the mesh relations.  The arrows of ZQ are read
+off one table, ZQ.step: each edge i - j of Q gives the arrows
+(m, i) -> (m + step[i, j], j), with step 1 along the Q-arrow i -> j and 0
+against it.  A tilting object determines a canonical slice, the pointwise
+least of the single-source sections of its Hom-minimal summands, whose window
+reproduces the strong global dimension exactly (minus two).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import derived as dv, quiver as qv, sgd
@@ -22,7 +25,8 @@ class ZQ:
     """The translation quiver ZQ with its dictionary to stalk objects.
 
     Vertices are (m, i): the m-th inverse-tau translate of the projective at
-    vertex i, with (0, i) the projective slice at suspension 0.
+    vertex i, with (0, i) the projective slice at suspension 0.  The arrows
+    are (m, i) -> (m + step[i, j], j) for each neighbour j of i in Q.
     """
 
     def __init__(self, q):
@@ -35,6 +39,10 @@ class ZQ:
         for i in range(q.n):
             self._set(0, i, (qv.proj_dims(q, i), 0))
         self._mrange = {i: (0, 0) for i in range(q.n)}
+        self.step = {}
+        for i, j in q.arrows:
+            self.step[i, j] = 1
+            self.step[j, i] = 0
 
     def _set(self, m, i, obj):
         self._obj[(m, i)] = obj
@@ -73,21 +81,6 @@ class ZQ:
                     return (m, i)
         raise InternalInconsistencyError("object %r not found in ZQ" % (obj,))
 
-    def tau_inv(self, v):
-        return (v[0] + 1, v[1])
-
-    def arrows_out(self, v):
-        m, i = v
-        out = [(m, u) for u, w in self.q.arrows if w == i]
-        out += [(m + 1, w) for u, w in self.q.arrows if u == i]
-        return out
-
-    def arrows_in(self, v):
-        m, i = v
-        inn = [(m, w) for u, w in self.q.arrows if u == i]
-        inn += [(m - 1, u) for u, w in self.q.arrows if w == i]
-        return inn
-
 
 @lru_cache(maxsize=None)
 def zq_of(q):
@@ -102,7 +95,7 @@ class Slice:
     quiver: object
     vertices: tuple                  # (m, i), one per orbit i
     objects: tuple                   # matching (root, shift) pairs
-    sources: tuple = field(default=())  # subset of vertices with no in-arrow inside the slice
+    sources: tuple                   # subset of vertices with no in-arrow inside the slice
 
     def positions(self):
         return {i: m for m, i in self.vertices}
@@ -112,8 +105,8 @@ def _slice_from_positions(q, pos):
     z = zq_of(q)
     verts = tuple(sorted((pos[i], i) for i in range(q.n)))
     objs = tuple(z.object_of(m, i) for m, i in verts)
-    vset = set(verts)
-    srcs = tuple(v for v in verts if not any(w in vset for w in z.arrows_in(v)))
+    srcs = tuple((m, i) for m, i in verts
+                 if not any(pos[j] == m - z.step[j, i] for j in q.neighbors(i)))
     return Slice(q, verts, objs, srcs)
 
 
@@ -122,13 +115,29 @@ def is_section(q, pos):
     return all(pos[j] - pos[i] in (0, 1) for i, j in q.arrows)
 
 
+def _single_source_section(z, m, i):
+    """Positions of the section of ZQ whose only source is (m, i): one walk
+    over the tree Q from i, following the arrow out of each placed vertex."""
+    pos = {i: m}
+    stack = [i]
+    while stack:
+        u = stack.pop()
+        for j in z.q.neighbors(u):
+            if j not in pos:
+                pos[j] = pos[u] + z.step[u, j]
+                stack.append(j)
+    return pos
+
+
 def find_slice(t):
     """The canonical slice through the Hom-minimal summands of a tilting object.
 
-    Sources are the summands receiving no nonzero morphism from the others; the
-    slice is their sectional-successor closure.  The construction is asserted,
-    not searched: the sources of the result must be summands of T and every
-    summand must be a path-successor of the slice.
+    Those summands receive no nonzero morphism from the others.  The minimum of
+    two sections of ZQ is again a section, and the slice is the pointwise least
+    of the single-source sections at these summands.  The construction is
+    asserted, not searched: the result must be a section, its sources must be
+    summands of T, and every summand (m, i) must be a successor of the slice,
+    that is m >= pos[i].
     """
     q = t.quiver
     if not dv.is_tilting(t):
@@ -142,72 +151,17 @@ def find_slice(t):
             sources.append(z.vertex_of(x))
     if not sources:
         raise InternalInconsistencyError("tilting object with no Hom-minimal summand")
-
-    # hook-free (= sectional) path end states; sectional paths stay within n steps
-    hf = set((None, s) for s in sources)
-    frontier = list(hf)
-    for _ in range(q.n + 1):
-        new = []
-        for prev, cur in frontier:
-            for w in z.arrows_out(cur):
-                if prev is not None and w == z.tau_inv(prev):
-                    continue
-                state = (cur, w)
-                if state not in hf:
-                    hf.add(state)
-                    new.append(state)
-        frontier = new
-        if not new:
-            break
-    if frontier:
-        raise InternalInconsistencyError("sectional path longer than the rank")
-    candidates = set(c for _, c in hf)
-
-    bad_seeds = set()
-    for prev, cur in hf:
-        if prev is None:
-            continue
-        hook = z.tau_inv(prev)
-        if hook in [w for w in z.arrows_out(cur)]:
-            bad_seeds.add(hook)
-    m_cap = max(m for m, _ in candidates) + 1
-    bad = set()
-    frontier = [v for v in bad_seeds]
-    bad |= bad_seeds
-    while frontier:
-        v = frontier.pop()
-        for w in zq_arrows_bounded(z, v, m_cap):
-            if w not in bad:
-                bad.add(w)
-                frontier.append(w)
-    chosen = sorted(candidates - bad)
-    if len(chosen) != q.n or len(set(i for _, i in chosen)) != q.n:
-        raise InternalInconsistencyError(
-            "sectional closure is not a slice: %r" % (chosen,))
-    sl = _slice_from_positions(q, {i: m for m, i in chosen})
+    sections = [_single_source_section(z, m, i) for m, i in sources]
+    pos = {i: min(p[i] for p in sections) for i in range(q.n)}
+    if not is_section(q, pos):
+        raise InternalInconsistencyError("pointwise minimum is not a section: %r" % (pos,))
+    sl = _slice_from_positions(q, pos)
     summand_verts = set(z.vertex_of(x) for x in indecs)
     if not set(sl.sources) <= summand_verts:
         raise InternalInconsistencyError("slice sources are not all summands of T")
-    if not _all_successors(z, set(sl.vertices), summand_verts):
+    if any(m < pos[i] for m, i in summand_verts):
         raise InternalInconsistencyError("a summand of T is not a successor of the slice")
     return sl
-
-
-def zq_arrows_bounded(z, v, m_cap):
-    return [w for w in z.arrows_out(v) if w[0] <= m_cap]
-
-
-def _all_successors(z, starts, targets):
-    m_cap = max(m for m, _ in targets | starts) + 1
-    seen = set(starts)
-    frontier = list(starts)
-    while frontier:
-        v = frontier.pop()
-        for w in zq_arrows_bounded(z, v, m_cap):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return targets <= seen
 
 
 def hered_membership(sl, x):
@@ -264,7 +218,9 @@ def enumerate_slices(q, m_lo, m_hi, cap=100000):
     """All sections with every chosen position in [m_lo, m_hi]; (slices, truncated).
 
     Vertices go in a depth-first order of the tree Q: each after the first has
-    one placed neighbour, and that arrow's bounds are all a section asks of it."""
+    one placed neighbour j, and a section asks only that it take the arrow
+    (pos[j], j) -> (pos[j] + step[j, i], i) or the one into (pos[j], j)."""
+    z = zq_of(q)
     out = []
     truncated = False
 
@@ -280,13 +236,8 @@ def enumerate_slices(q, m_lo, m_hi, cap=100000):
         anchored = [j for j in q.neighbors(i) if j in pos]
         lo, hi = m_lo, m_hi
         for j in anchored:
-            for (a, b) in q.arrows:
-                if (a, b) == (i, j):
-                    lo = max(lo, pos[j] - 1)
-                    hi = min(hi, pos[j])
-                elif (a, b) == (j, i):
-                    lo = max(lo, pos[j])
-                    hi = min(hi, pos[j] + 1)
+            lo = max(lo, pos[j] + z.step[j, i] - 1)
+            hi = min(hi, pos[j] + z.step[j, i])
         for m in range(lo, hi + 1):
             pos[i] = m
             rec(pos, remaining[1:])
@@ -304,6 +255,14 @@ def enumerate_slices(q, m_lo, m_hi, cap=100000):
         stack.extend(u for u in q.neighbors(v) if u not in seen)
     rec({}, order)
     return out, truncated
+
+
+def window_slices(t, pad, cap=100000):
+    """enumerate_slices from the least ZQ position of T's summands to the
+    greatest, each widened by pad."""
+    verts = [zq_of(t.quiver).vertex_of(o) for o in t.basic().indecs()]
+    return enumerate_slices(t.quiver, min(m for m, _ in verts) - pad,
+                            max(m for m, _ in verts) + pad, cap)
 
 
 @dataclass(frozen=True)
@@ -328,11 +287,7 @@ def theoremA_verify(t, window_pad=2, cap=100000):
     if min(l for _, l in hw.levels) != 0:
         raise InternalInconsistencyError("canonical slice window does not start at 0")
     equality_ok = (value == hw.ell + 2)
-    z = zq_of(t.quiver)
-    verts = [z.vertex_of(o) for o in t.basic().indecs()]
-    m_lo = min(m for m, _ in verts) - window_pad
-    m_hi = max(m for m, _ in verts) + window_pad
-    slices, truncated = enumerate_slices(t.quiver, m_lo, m_hi, cap)
+    slices, truncated = window_slices(t, window_pad, cap)
     upper_ok = True
     for s2 in slices:
         hw2 = shift_window(t, s2)

@@ -34,5 +34,10 @@ def d5():
 
 
 @pytest.fixture(scope="session")
+def d5_alt():
+    return qv.Quiver(5, ((0, 1), (2, 1), (2, 3), (2, 4)))
+
+
+@pytest.fixture(scope="session")
 def e6_alt():
     return qv.parse_quiver("vertices 6\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\narrow 3 6\n")

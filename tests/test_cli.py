@@ -1,3 +1,4 @@
+import csv
 import os
 import pathlib
 import subprocess
@@ -61,6 +62,20 @@ def test_verify_a_reports_truncation(tmp_path, monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     passed = [r for r in rows if "status=pass" in r]
     assert passed and all(r.endswith("slices=1 truncated") for r in passed)
+
+
+@pytest.mark.parametrize("text, kind", [("vertices 3\narrow 1 2\narrow 2 3\n", "A3"),
+                                        ("vertices 3\narrow 1 2\n", "A1+A2")],
+                         ids=["A3", "A1+A2"])
+def test_sgd_csv_parses_as_four_fields(tmp_path, capsys, text, kind):
+    quiver, obj = tmp_path / "q.q", tmp_path / "p.obj"
+    quiver.write_text(text)
+    obj.write_text(dv.format_object(dv.projective_generator(qv.parse_quiver(text))))
+    assert cli.main(["sgd", "--csv", "--quiver", str(quiver), "--object", str(obj)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["quiver", "object-hash", "value", "witness"]
+    assert len(rows) == 2 and len(rows[1]) == 4 and rows[1][0] == kind
+    assert rows[1][3].startswith("summand dim=[")
 
 
 def test_comutate_rejects_a_split_that_inverts_no_mutation(tmp_path, capsys):

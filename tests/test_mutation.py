@@ -1,6 +1,7 @@
 import ast
 import pathlib
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -222,6 +223,12 @@ def test_admissible_splits_match_brute_force(text):
         assert mu.admissible_splits(t) == brute_force_splits(t), seed
 
 
+@lru_cache(maxsize=None)
+def homk_space_cached(q, src, tgt):
+    """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
+    return cx.HomKSpace(cx.stalk_complex_cached(q, *src), cx.stalk_complex_cached(q, *tgt))
+
+
 def approx_multiplicities(q, t1, x, left):
     """Chain-map reference for the minimal approximation of x by add(t1): for
     each t1 summand s, dim Hom_K(s, x) (Hom_K(x, s) when `left`) less the
@@ -230,15 +237,15 @@ def approx_multiplicities(q, t1, x, left):
     out = Counter()
     for s in t1:
         src, tgt = (x, s) if left else (s, x)
-        sp = cx.homk_space_cached(q, src, tgt)
+        sp = homk_space_cached(q, src, tgt)
         if sp.dim == 0:
             continue
         span = Subspace(sp.dim)
         for mid in t1:
             if mid == s:
                 continue
-            for f in cx.homk_space_cached(q, src, mid).basis:
-                for g in cx.homk_space_cached(q, mid, tgt).basis:
+            for f in homk_space_cached(q, src, mid).basis:
+                for g in homk_space_cached(q, mid, tgt).basis:
                     span.add(list(sp.coords(g.compose(f))))
         if sp.dim > span.dim:
             out[s] = sp.dim - span.dim

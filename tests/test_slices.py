@@ -26,11 +26,12 @@ def test_zq_arrows_carry_morphisms(a3, d4):
         z = sls.zq_of(q)
         for m, i in itertools.product(range(-2, 3), range(q.n)):
             src = dv.stalk(q, *z.object_of(m, i))
-            for w in z.arrows_out((m, i)):
-                tgt = dv.stalk(q, *z.object_of(*w))
-                assert dv.hom_dim(src, tgt) >= 1
-            assert set(z.arrows_in(z.tau_inv((m, i)))) >= set(
-                w for w in z.arrows_out((m, i)))  # mesh: out(v) = in(tau^{-1} v)
+            for j in q.neighbors(i):
+                mid = dv.stalk(q, *z.object_of(m + z.step[i, j], j))
+                assert dv.hom_dim(src, mid) >= 1
+                # mesh: each arrow (m, i) -> mid is followed by one mid -> (m + 1, i)
+                assert z.step[i, j] + z.step[j, i] == 1
+                assert dv.hom_dim(mid, dv.stalk(q, *z.object_of(m + 1, i))) >= 1
 
 
 def test_find_slice_projective_generator(a2):
@@ -65,6 +66,27 @@ def test_find_slice_sources_are_summands(a4, d4):
             s = sls.find_slice(t)
             summands = set(t.basic().indecs())
             assert set(z.object_of(*v) for v in s.sources) <= summands
+
+
+def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
+    # against enumerate_slices: for each Hom-minimal summand s the one section
+    # whose only source is s, then their pointwise minimum
+    for q in (a4, d4, d5_alt):
+        z = sls.zq_of(q)
+        for seed in range(4):
+            t, _ = mu.random_tilting_walk(q, seed, 2 + seed)
+            objs = [dv.stalk(q, r, sh) for r, sh in t.basic().indecs()]
+            minimal = [z.vertex_of(x.indecs()[0]) for x in objs
+                       if not any(dv.hom_dim(y, x) for y in objs if y is not x)]
+            found, truncated = sls.enumerate_slices(
+                q, min(m for m, _ in minimal), max(m for m, _ in minimal) + q.n)
+            assert not truncated
+            singles = []
+            for s in minimal:
+                (single,) = [sl.positions() for sl in found if sl.sources == (s,)]
+                singles.append(single)
+            least = {i: min(p[i] for p in singles) for i in range(q.n)}
+            assert sls.find_slice(t).positions() == least, (q, seed)
 
 
 def test_slice_is_section_and_rigid(a4):
