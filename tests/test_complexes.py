@@ -72,8 +72,18 @@ def test_minimize_strips_contractible_summand(a2):
     m = fat.minimize()
     assert sorted(m.degrees()) == [-1, 0]
     assert m.term(-1) == (1,) and m.term(0) == (0,)
+
+
+def test_minimize_idempotent(a3):
+    # the resolution of (1,1,1) (a projective stalk), plus P1 --1--> P1 one degree down
+    c = res(a3, (1, 1, 1))
+    (p,) = c.term(0)
+    one = reps.identity_map(reps.proj_rep(a3, 1))
+    fat = cx.ProjComplex(a3, {-1: (1,), 0: (p, 1)}, {-1: [[None], [one]]})
+    m = fat.minimize()
     m2 = m.minimize()
     assert {d: m.term(d) for d in m.degrees()} == {d: m2.term(d) for d in m2.degrees()}
+    assert {d: m.term(d) for d in m.degrees()} == {0: (p,)}
 
 
 def test_minimize_preserves_homology(a3):
