@@ -11,8 +11,8 @@ never the reverse.
 
 Terms are multisets of indecomposable projectives (stored as vertex index
 lists); differentials are morphisms of representations, kept as block grids of
-maps between single projectives.  Shift convention: shift(X, 1) moves the term
-of degree d to degree d-1 and negates the differentials; stalks of modules sit
+maps between single projectives.  Shift convention: X[1] moves the term of
+degree d to degree d-1 and negates the differentials; stalks of modules sit
 in degrees (-1-k, -k) for an object placed at suspension k.
 """
 
@@ -124,15 +124,6 @@ class ProjComplex:
         if d in self.diffs:
             return _assemble_blocks(self.quiver, self.term(d), self.term(d + 1), self.diffs[d])
         return reps.zero_map(self.term_rep(d), self.term_rep(d + 1))
-
-    def shift(self, k):
-        sign = Fraction(-1) ** (k % 2)
-        terms = {d - k: t for d, t in self.terms.items()}
-        diffs = {}
-        for d, blocks in self.diffs.items():
-            diffs[d - k] = [[None if blk is None else blk.scale(sign) for blk in row]
-                            for row in blocks]
-        return ProjComplex(self.quiver, terms, diffs)
 
     def minimize(self):
         """Homotopy-equivalent complex with radical differentials.

@@ -20,42 +20,45 @@ matrix) has one independent oracle for its generation half, the thick-closure
 search reps.generates_thick; only the test suite calls it.  This module is on
 the product path, so it imports neither reps nor complexes: the AR translate
 it needs is quiver.tau_root / quiver.tau_inv_root.
+
+Summands are validated in one place, DerivedObject.__init__, the only code
+that builds StalkSummand records: each root must be a positive root (which
+rules out zero and negative vectors), and each multiplicity, after equal
+summands are merged, must be at least 1.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import linalg, quiver as qv
 
-
-@dataclass(frozen=True)
-class StalkSummand:
-    root: tuple
-    shift: int
-    mult: int
-
-    def __post_init__(self):
-        if self.mult < 1 or any(x < 0 for x in self.root) or not any(self.root):
-            raise ValueError("bad summand %r" % (self,))
+StalkSummand = namedtuple("StalkSummand", "root shift mult")
 
 
 class DerivedObject:
-    """Formal direct sum of shifted indecomposable stalks; immutable."""
+    """Formal direct sum of shifted indecomposable stalks; immutable.
+
+    Takes (root, shift, mult) triples, StalkSummand records among them, and
+    merges equal (root, shift) pairs.
+    """
 
     def __init__(self, q, summands):
         self.quiver = q
+        roots = qv.root_set(q)
         merged = {}
-        for item in summands:
-            if isinstance(item, StalkSummand):
-                root, shift, mult = item.root, item.shift, item.mult
-            else:
-                root, shift, mult = item
+        for root, shift, mult in summands:
             root = tuple(root)
-            if root not in qv.positive_roots(q):
+            if root not in roots:
                 raise qv.QuiverError("not a positive root: %r" % (root,))
-            merged[(int(shift), root)] = merged.get((int(shift), root), 0) + int(mult)
-        self.summands = tuple(StalkSummand(root, shift, mult)
-                              for (shift, root), mult in sorted(merged.items()))
+            key = (int(shift), root)
+            merged[key] = merged.get(key, 0) + int(mult)
+        out = []
+        for (shift, root), mult in sorted(merged.items()):
+            s = StalkSummand(root, shift, mult)
+            if mult < 1:
+                raise ValueError("bad summand %r" % (s,))
+            out.append(s)
+        self.summands = tuple(out)
 
     def is_zero(self):
         return not self.summands

@@ -81,10 +81,6 @@ def mat_mul_dims(a, b, rows, inner, cols):
     return mat_mul(a, b)
 
 
-def is_zero_mat(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def mat_eq(a, b):
     return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
 

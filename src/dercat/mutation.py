@@ -22,26 +22,18 @@ Every output is re-checked for tilting-ness.
 """
 
 import random as _random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import derived as dv, quiver as qv, sgd, slices as sls
 from .quiver import InternalInconsistencyError
 
+Split = namedtuple("Split", "t1 t2")
 
-@dataclass(frozen=True)
-class Split:
-    t1: object
-    t2: object
-
-
-@dataclass
-class ApproxTriangle:
-    """One exchange triangle: replacement -> approx -> summand -> replacement[1]
-    (co-mutation: summand -> approx -> replacement -> summand[1])."""
-
-    x: tuple                 # the (root, shift) summand being exchanged
-    approx_copies: tuple     # (root, shift) summands of the approximation
-    replacement: tuple       # resulting (root, shift)
+# One exchange triangle: replacement -> approx -> summand -> replacement[1]
+# (co-mutation: summand -> approx -> replacement -> summand[1]).  x is the
+# (root, shift) summand being exchanged, approx_copies the (root, shift)
+# summands of the approximation, replacement the resulting (root, shift).
+ApproxTriangle = namedtuple("ApproxTriangle", "x approx_copies replacement")
 
 
 def partition(t, t2_picks):
@@ -186,11 +178,9 @@ def co_mutate(t, split):
     return co_mutate_with_data(t, split)[0]
 
 
-@dataclass(frozen=True)
-class TableCheck:
-    cell: tuple       # (Hom(X,T1[l]) != 0, Hom(T2,X[1]) != 0)
-    predicted: tuple  # (ell_minus, ell_plus, ell) against T
-    actual: tuple
+# cell: (Hom(X,T1[l]) != 0, Hom(T2,X[1]) != 0); predicted and actual:
+# (ell_minus, ell_plus, ell) against T
+TableCheck = namedtuple("TableCheck", "cell predicted actual")
 
 
 def verify_length_table(t, t_prime, split, x):

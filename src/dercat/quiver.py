@@ -7,9 +7,15 @@ This is the bottom layer every other module imports, so it also holds the
 package's error class InternalInconsistencyError and the root-level AR
 translate (tau_root / tau_inv_root, with the projective and injective roots
 it wraps at): integer functions of the Coxeter matrix, which lives here too.
+
+Every root-level map is memoized per quiver (lru_cache keyed on the quiver,
+whose hash is computed once): the positive roots and their frozenset, the
+projective and injective roots, the Euler form on each pair it is asked
+for, and tau / inverse tau on each root.  The records are plain classes and
+namedtuples, so importing the product layers stays cheap.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,24 +38,50 @@ class InternalInconsistencyError(RuntimeError):
     """An invariant the theory guarantees failed to hold; never expected."""
 
 
-@dataclass(frozen=True)
 class Quiver:
-    """Finite acyclic quiver: n vertices 0..n-1 and a tuple of (source, target) arrows."""
+    """Finite acyclic quiver: n vertices 0..n-1 and a tuple of (source, target) arrows.
 
-    n: int
-    arrows: tuple
+    Immutable, compared by (n, arrows), with its hash computed once: every
+    memo below is keyed on it.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "arrows", "_hash")
+
+    def __init__(self, n, arrows):
+        if n < 1:
             raise QuiverError("quiver needs at least one vertex")
-        object.__setattr__(self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows))
-        for s, t in self.arrows:
-            if not (0 <= s < self.n and 0 <= t < self.n):
+        arrows = tuple((int(s), int(t)) for s, t in arrows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arrows", arrows)
+        for s, t in arrows:
+            if not (0 <= s < n and 0 <= t < n):
                 raise QuiverError("arrow endpoint out of range: %d -> %d" % (s + 1, t + 1))
             if s == t:
                 raise QuiverError("loop at vertex %d" % (s + 1))
         if self._has_cycle():
             raise QuiverError("cycle detected")
+        object.__setattr__(self, "_hash", hash((n, arrows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quiver is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Quiver is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Quiver):
+            return NotImplemented
+        return self.n == other.n and self.arrows == other.arrows
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "Quiver(n=%r, arrows=%r)" % (self.n, self.arrows)
+
+    def __reduce__(self):
+        # copy and pickle go through __init__: __setattr__ refuses a slot-by-slot restore
+        return (Quiver, (self.n, self.arrows))
 
     def _has_cycle(self):
         indeg = [0] * self.n
@@ -138,12 +170,10 @@ def format_quiver(q):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(namedtuple("DynkinType", "family rank")):
     """ADE family and rank; family is None for non-Dynkin graphs."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
     @property
     def is_dynkin(self):
@@ -227,7 +257,16 @@ def euler_matrix(q):
 
 
 def euler_form(q, d, e):
-    """<d,e> = sum d_i e_i - sum over arrows i->j of d_i e_j."""
+    """<d,e> = sum d_i e_i - sum over arrows i->j of d_i e_j.
+
+    Memoized per (quiver, d, e) as the pairs are asked for; d and e may be
+    lists or tuples.
+    """
+    return _euler_form(q, tuple(d), tuple(e))
+
+
+@lru_cache(maxsize=None)
+def _euler_form(q, d, e):
     if len(d) != q.n or len(e) != q.n:
         raise QuiverError("dimension vector length mismatch")
     total = sum(x * y for x, y in zip(d, e))
@@ -263,6 +302,12 @@ def positive_roots(q):
         roots |= new
         frontier = new
     return tuple(sorted(roots))
+
+
+@lru_cache(maxsize=None)
+def root_set(q):
+    """The positive roots as a frozenset, for membership tests."""
+    return frozenset(positive_roots(q))
 
 
 def simple_root(q, i):
@@ -337,30 +382,37 @@ def inj_dims(q, i):
 # AR translate on roots
 
 
+@lru_cache(maxsize=None)
 def proj_roots(q):
     return tuple(proj_dims(q, i) for i in range(q.n))
 
 
+@lru_cache(maxsize=None)
 def inj_roots(q):
     return tuple(inj_dims(q, i) for i in range(q.n))
 
 
+# memoized per (quiver, root), so the root is a tuple: the slice and mutation
+# layers translate the same few roots over and over, and the root-system check
+# then runs once per root
+@lru_cache(maxsize=None)
 def tau_root(q, root):
     """Root of tau(M) for the indecomposable M of the given root; None if projective."""
     if root in proj_roots(q):
         return None
     phi = coxeter_matrix(q)
     out = tuple(sum(phi[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in positive_roots(q):
+    if out not in root_set(q):
         raise InternalInconsistencyError("tau left the root system: %r" % (out,))
     return out
 
 
+@lru_cache(maxsize=None)
 def tau_inv_root(q, root):
     if root in inj_roots(q):
         return None
     phi_inv = coxeter_inverse(q)
     out = tuple(sum(phi_inv[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in positive_roots(q):
+    if out not in root_set(q):
         raise InternalInconsistencyError("inverse tau left the root system: %r" % (out,))
     return out

@@ -155,15 +155,8 @@ class RepMap:
     def neg(self):
         return self.scale(-1)
 
-    def is_zero(self):
-        return all(linalg.is_zero_mat(self._mat(v)) for v in range(self.source.quiver.n))
-
     def __repr__(self):
         return "RepMap(%r -> %r)" % (self.source.dims, self.target.dims)
-
-
-def identity_map(m):
-    return RepMap(m, m, [linalg.identity(d) for d in m.dims])
 
 
 def zero_map(source, target):

@@ -12,28 +12,24 @@ mutation, and like them imports neither reps nor complexes; the test suite
 checks that.  The oracle imports this module, never the reverse.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import derived as dv, quiver as qv
 from .quiver import InternalInconsistencyError
 
 
-@dataclass(frozen=True)
-class LengthProfile:
-    ell_minus: int
-    ell_plus: int
+class LengthProfile(namedtuple("LengthProfile", "ell_minus ell_plus")):
+    __slots__ = ()
 
     @property
     def ell(self):
         return self.ell_plus - self.ell_minus
 
 
-@dataclass(frozen=True)
-class SgdReport:
-    value: int
-    witness: object          # DerivedObject, normalized so ell_minus = 0
-    window: tuple            # (min_shift - 1, max_shift + 1) of T
+# witness: a DerivedObject, normalized so ell_minus = 0;
+# window: (min_shift - 1, max_shift + 1) of T
+SgdReport = namedtuple("SgdReport", "value witness window")
 
 
 def _profile(q, t_indecs, x_root, x_shift, pair):

@@ -8,9 +8,13 @@ off one table, ZQ.step: each edge i - j of Q gives the arrows
 against it.  A tilting object determines a canonical slice, the pointwise
 least of the single-source sections of its Hom-minimal summands, whose window
 reproduces the strong global dimension exactly (minus two).
+
+The hereditary window of a slice is scanned on (root, shift) pairs: level_of
+and shift_window build no objects, and hered_membership, which takes an
+object, wraps the same private test, _in_hereditary.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import derived as dv, quiver as qv, sgd
@@ -27,6 +31,11 @@ class ZQ:
     Vertices are (m, i): the m-th inverse-tau translate of the projective at
     vertex i, with (0, i) the projective slice at suspension 0.  The arrows
     are (m, i) -> (m + step[i, j], j) for each neighbour j of i in Q.
+
+    The dictionary starts at the projective slice and grows only through
+    object_of.  An object at shift >= 0 sits at some m >= 0, one at shift < 0
+    at some m < 0, so vertex_of grows every orbit one step a round in that
+    direction and stops at the first match.
     """
 
     def __init__(self, q):
@@ -69,14 +78,13 @@ class ZQ:
         obj = (tuple(obj[0]), int(obj[1]))
         if obj in self._vert:
             return self._vert[obj]
-        cap = len(qv.positive_roots(self.q)) * (abs(obj[1]) + 3)
-        for i in range(self.q.n):
-            lo, hi = self._mrange[i]
-            for m in range(hi + 1, hi + cap + 1):
-                if self.object_of(m, i) == obj:
-                    return (m, i)
-            lo, _ = self._mrange[i]
-            for m in range(lo - 1, lo - cap - 1, -1):
+        up = obj[1] >= 0
+        # an orbit spends at most #roots steps at one shift, so an object of ZQ
+        # is found well inside this bound
+        for _ in range(len(qv.positive_roots(self.q)) * (abs(obj[1]) + 3)):
+            for i in range(self.q.n):
+                lo, hi = self._mrange[i]
+                m = hi + 1 if up else lo - 1
                 if self.object_of(m, i) == obj:
                     return (m, i)
         raise InternalInconsistencyError("object %r not found in ZQ" % (obj,))
@@ -88,14 +96,14 @@ def zq_of(q):
     return ZQ(q)
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A section of ZQ: one vertex per tau-orbit, mesh-adjacent choices."""
+class Slice(namedtuple("Slice", "quiver vertices objects sources")):
+    """A section of ZQ: one vertex per tau-orbit, mesh-adjacent choices.
 
-    quiver: object
-    vertices: tuple                  # (m, i), one per orbit i
-    objects: tuple                   # matching (root, shift) pairs
-    sources: tuple                   # subset of vertices with no in-arrow inside the slice
+    vertices are (m, i), one per orbit i; objects the matching (root, shift)
+    pairs; sources the vertices with no in-arrow inside the slice.
+    """
+
+    __slots__ = ()
 
     def positions(self):
         return {i: m for m, i in self.vertices}
@@ -164,16 +172,12 @@ def find_slice(t):
     return sl
 
 
-def hered_membership(sl, x):
-    """Whether X lies in the hereditary subcategory cut out by the slice.
+def _in_hereditary(sl, xr, xs):
+    """Whether M(xr)[xs] lies in the hereditary subcategory cut out by the slice.
 
     The defining condition quantifies over all nonzero shifts, but only two
     shifts per slice element can carry a morphism, so the check is finite.
     """
-    xb = x.basic()
-    if xb.num_distinct() != 1:
-        raise ValueError("membership applies to indecomposables")
-    (xr, xs), = xb.indecs()
     q = sl.quiver
     for (sr, ss) in sl.objects:
         for i in (ss - xs, ss - xs + 1):
@@ -182,32 +186,34 @@ def hered_membership(sl, x):
     return True
 
 
-def level_of(sl, x):
-    """The unique i with X in H[i]; hard failure if none or several."""
+def hered_membership(sl, x):
+    """Whether the indecomposable X lies in the hereditary subcategory cut out
+    by the slice."""
     xb = x.basic()
+    if xb.num_distinct() != 1:
+        raise ValueError("membership applies to indecomposables")
     (xr, xs), = xb.indecs()
+    return _in_hereditary(sl, xr, xs)
+
+
+def level_of(sl, xr, xs):
+    """The unique i with M(xr)[xs] in H[i]; hard failure if none or several."""
     lo = xs - max(s for _, s in sl.objects) - 1
     hi = xs - min(s for _, s in sl.objects) + 1
-    found = [i for i in range(lo, hi + 1) if hered_membership(sl, x.shift(-i))]
+    found = [i for i in range(lo, hi + 1) if _in_hereditary(sl, xr, xs - i)]
     if len(found) != 1:
         raise InternalInconsistencyError(
-            "summand %r sits in %d hereditary shifts" % (xb.indecs(), len(found)))
+            "summand %r sits in %d hereditary shifts" % (((xr, xs),), len(found)))
     return found[0]
 
 
-@dataclass(frozen=True)
-class HeredWindow:
-    slice: Slice
-    ell: int
-    levels: tuple   # ((root, shift), level) pairs, normalized to start at 0
+# levels: ((root, shift), level) pairs, normalized to start at 0
+HeredWindow = namedtuple("HeredWindow", "slice ell levels")
 
 
 def shift_window(t, sl):
     """Minimal window of slice-shift levels containing every summand of T."""
-    tb = t.basic()
-    levels = []
-    for r, s in tb.indecs():
-        levels.append(((r, s), level_of(sl, dv.stalk(t.quiver, r, s))))
+    levels = [((r, s), level_of(sl, r, s)) for r, s in t.basic().indecs()]
     base = min(l for _, l in levels)
     levels = tuple((o, l - base) for o, l in levels)
     ell = max(l for _, l in levels)
@@ -265,14 +271,8 @@ def window_slices(t, pad, cap=100000):
                             max(m for m, _ in verts) + pad, cap)
 
 
-@dataclass(frozen=True)
-class TheoremAReport:
-    sgd: int
-    ell: int
-    equality_ok: bool
-    upper_ok: bool
-    slices_checked: int
-    truncated: bool
+TheoremAReport = namedtuple(
+    "TheoremAReport", "sgd ell equality_ok upper_ok slices_checked truncated")
 
 
 def theoremA_verify(t, window_pad=2, cap=100000):

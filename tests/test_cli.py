@@ -240,8 +240,10 @@ def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: its last stdout line is the exit code, then the
-# dercat modules whose code has run.  A LazyLoader module that has not run yet is an
-# instance of a ModuleType subclass, so `type(m) is ModuleType` tells them apart.
+# dercat modules whose code has run, then "|" and which of dataclasses and inspect
+# (with the modules they pull in, the costliest standard imports a layer could add)
+# are loaded.  A LazyLoader module that has not run yet is an instance of a
+# ModuleType subclass, so `type(m) is ModuleType` tells them apart.
 LAYER_PROBE = """
 import sys, types
 from dercat import cli
@@ -250,10 +252,12 @@ missing = [n for n in layers if "dercat." + n not in sys.modules]
 assert not missing, missing
 code = cli.main(sys.argv[1:])
 print(code, *sorted(k.split(".")[1] for k, m in list(sys.modules.items())
-                    if k.startswith("dercat.") and type(m) is types.ModuleType))
+                    if k.startswith("dercat.") and type(m) is types.ModuleType),
+      "|", *[m for m in ("dataclasses", "inspect") if m in sys.modules])
 """
 
 D4_ALT = "vertices 4\narrow 1 2\narrow 3 2\narrow 4 2\n"
+INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
 
 def _run_fresh(code, *argv):
@@ -270,11 +274,24 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     obj.write_text(dv.format_object(dv.projective_generator(qv.parse_quiver(D4_ALT))))
     q, o = ["--quiver", str(quiver)], ["--object", str(obj)]
     product = ["cli", "derived", "linalg", "quiver", "sgd"]
-    for argv in (["quiver", "validate"] + q, ["sgd"] + q + o, ["tilting", "check"] + q + o,
-                 ["hom"] + q + o + o):
-        assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + product, argv
+    walk, cut = sorted(product + ["mutation"]), sorted(product + ["slices"])
+    both = sorted(product + ["mutation", "slices"])
+    # an s.gl.dim-3 object, so theoremb takes a mutation step through a slice
+    d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
+    # no product verb imports dataclasses or inspect: the part after "|" is empty
+    for argv, layers in (
+            (["quiver", "validate"] + q, product), (["sgd"] + q + o, product),
+            (["tilting", "check"] + q + o, product), (["hom"] + q + o + o, product),
+            (["mutate", "--t2", "3"] + q + o, walk),
+            (["random-tilting", "--seed", "0", "--steps", "3"] + q, walk),
+            (["verify", "table", "--samples", "1"] + q, walk),
+            (["verify", "delta", "--samples", "1"] + q, walk),
+            (["slice"] + q + o, cut), (["theoremb"] + d5, both),
+            (["verify", "a", "--samples", "3"] + q, both)):
+        assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + layers + ["|"], argv
+    # the oracle route may load them
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
-    assert ran == ["0"] + sorted(product + ["complexes", "reps"])
+    assert ran[:ran.index("|")] == ["0"] + sorted(product + ["complexes", "reps"])
 
 
 def test_lazy_layer_reuses_an_imported_module():

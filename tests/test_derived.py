@@ -30,8 +30,15 @@ def test_hom_dim_additive_in_multiplicity(a2):
 def test_summand_validation(a2):
     with pytest.raises(qv.QuiverError):
         dv.stalk(a2, (2, 0))
+    for bad in ((0, 0), (-1, 0)):
+        with pytest.raises(qv.QuiverError, match="not a positive root"):
+            dv.stalk(a2, bad)
     with pytest.raises(ValueError):
         dv.DerivedObject(a2, [((1, 0), 0, 0)])
+    # multiplicities are checked after equal summands merge
+    with pytest.raises(ValueError, match=r"bad summand StalkSummand\(root=\(1, 0\), shift=2, mult=-1\)"):
+        dv.DerivedObject(a2, [((1, 0), 2, 1), ((0, 1), 0, 1), ([1, 0], 2, -2)])
+    assert dv.DerivedObject(a2, [((1, 0), 0, 2), ((1, 0), 0, -1)]) == dv.stalk(a2, (1, 0))
 
 
 def test_tau_examples(a2):

@@ -1,10 +1,14 @@
 import itertools
+import pathlib
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercat import quiver as qv
+
+BENCH_QUIVERS = sorted((pathlib.Path(__file__).parents[1] / "bench" / "inputs").glob("*.q"))
 
 
 def test_parse_basic():
@@ -163,3 +167,41 @@ def test_coxeter_swaps_projectives_for_injectives(a3, d4):
             p = qv.proj_dims(q, i)
             img = tuple(sum(phi[a][b] * p[b] for b in range(q.n)) for a in range(q.n))
             assert img == tuple(-x for x in qv.inj_dims(q, i))
+
+
+def _apply(m, r):
+    return tuple(sum(a * b for a, b in zip(row, r)) for row in m)
+
+
+@pytest.mark.parametrize("path", BENCH_QUIVERS, ids=lambda p: p.stem)
+def test_root_memos_agree_with_direct_formulas(path):
+    q = qv.parse_quiver(path.read_text())
+    roots = qv.positive_roots(q)
+    assert qv.root_set(q) == frozenset(roots)
+    assert qv.proj_roots(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
+    assert qv.inj_roots(q) == tuple(qv.inj_dims(q, i) for i in range(q.n))
+    # an equal quiver parsed again reads the same memo entries
+    same = qv.parse_quiver(path.read_text())
+    assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is qv.proj_roots(q)
+    phi, phi_inv = qv.coxeter_matrix(q), qv.coxeter_inverse(q)
+    for r in roots:
+        assert qv.tau_root(q, r) == (None if r in qv.proj_roots(q) else _apply(phi, r))
+        assert qv.tau_inv_root(q, r) == (None if r in qv.inj_roots(q) else _apply(phi_inv, r))
+        assert qv.tau_root(same, r) == qv.tau_root(q, r)
+    e = qv.euler_matrix(q)
+    e_times = {r: _apply(e, r) for r in roots}
+    for d, f in itertools.product(roots, repeat=2):
+        want = sum(a * b for a, b in zip(d, e_times[f]))
+        assert qv.euler_form(q, d, f) == want
+        assert qv.euler_form(q, list(d), list(f)) == want
+        assert qv.euler_form(same, list(d), f) == want
+
+
+def test_quiver_is_immutable(a3):
+    with pytest.raises(AttributeError):
+        a3.n = 4
+    with pytest.raises(AttributeError):
+        del a3.arrows
+    assert a3 == qv.Quiver(3, [(0, 1), (1, 2)]) and a3 != qv.Quiver(3, ((1, 0), (1, 2)))
+    back = pickle.loads(pickle.dumps(a3))
+    assert back == a3 and hash(back) == hash(a3)

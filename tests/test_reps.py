@@ -7,6 +7,15 @@ import pytest
 from dercat import linalg, quiver as qv, reps
 
 
+def identity_map(m):
+    return reps.RepMap(m, m, [linalg.identity(d) for d in m.dims])
+
+
+def map_is_zero(f):
+    """Whether every vertex matrix of the RepMap f is zero."""
+    return all(x == 0 for v in range(f.source.quiver.n) for row in f._mat(v) for x in row)
+
+
 def test_hom_socle_inclusion(a2):
     p1, p2 = reps.proj_rep(a2, 0), reps.proj_rep(a2, 1)
     assert reps.hom_dim_mod(p2, p1) == 1
@@ -177,8 +186,8 @@ def test_kernel_cokernel_socle_inclusion(a2):
 def test_kernel_cokernel_identity_and_zero(a3):
     m = reps.indec_of_root(a3, (1, 1, 1))
     n = reps.indec_of_root(a3, (0, 1, 0))
-    k, _ = reps.kernel(reps.identity_map(m))
-    c, _ = reps.cokernel(reps.identity_map(m))
+    k, _ = reps.kernel(identity_map(m))
+    c, _ = reps.cokernel(identity_map(m))
     assert k.is_zero() and c.is_zero()
     z = reps.zero_map(m, n)
     k2, _ = reps.kernel(z)
@@ -193,8 +202,8 @@ def test_kernel_cokernel_induced_maps_commute(d4):
         k, inc = reps.kernel(f)
         c, pr = reps.cokernel(f)
         assert inc.is_morphism() and pr.is_morphism()
-        assert pr.compose(f).is_zero()
-        assert f.compose(inc).is_zero()
+        assert map_is_zero(pr.compose(f))
+        assert map_is_zero(f.compose(inc))
 
 
 def test_knitting_order_is_upper_triangular(a4):

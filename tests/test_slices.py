@@ -1,8 +1,11 @@
 import itertools
+import pathlib
 
 import pytest
 
 from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls
+
+INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
 
 def test_zq_dictionary_round_trip(a3, d4):
@@ -11,6 +14,33 @@ def test_zq_dictionary_round_trip(a3, d4):
         for m, i in itertools.product(range(-3, 4), range(q.n)):
             obj = z.object_of(m, i)
             assert z.vertex_of(obj) == (m, i)
+
+
+@pytest.mark.parametrize("name", ["E7-alt", "E8-alt"])
+def test_zq_vertex_of_round_trip_on_e_types(name):
+    # a fresh ZQ per lookup, so each one grows the dictionary from the projectives
+    q = qv.parse_quiver((INPUTS / (name + ".q")).read_text())
+    ref = sls.ZQ(q)
+    shifts = set()
+    for m, i in itertools.product(range(-45, 46), range(q.n)):
+        obj = ref.object_of(m, i)
+        shifts.add(obj[1])
+        assert sls.ZQ(q).vertex_of(obj) == (m, i)
+    assert {-3, -1, 0, 3} <= shifts
+
+
+def test_zq_vertex_of_grows_orbits_in_step():
+    q = qv.parse_quiver((INPUTS / "E8-alt.q").read_text())
+    obj = sls.ZQ(q).object_of(3, 7)
+    z = sls.ZQ(q)
+    assert z.vertex_of(obj) == (3, 7)
+    # the projectives plus three rounds of one step on each orbit
+    assert len(z._obj) <= q.n * 4
+
+
+def test_zq_vertex_of_rejects_an_object_off_zq(a3):
+    with pytest.raises(qv.InternalInconsistencyError, match="not found in ZQ"):
+        sls.ZQ(a3).vertex_of(((2, 0, 0), 1))
 
 
 def test_zq_tau_matches_derived(a3):
@@ -117,7 +147,7 @@ def test_membership_partitions_window(a3):
             x = dv.stalk(a3, r, k)
             levels = [i for i in range(-4, 5) if sls.hered_membership(s, x.shift(-i))]
             assert len(levels) == 1
-            assert levels[0] == sls.level_of(s, x)
+            assert levels[0] == sls.level_of(s, r, k)
 
 
 def test_member_and_its_shift_never_both(a3):
