@@ -235,17 +235,6 @@ class ChainMap:
             return self.comps[d]
         return reps.zero_map(self.source.term_rep(d), self.target.term_rep(d))
 
-    def is_chain_map(self):
-        for d in set(self.source.terms) | set(self.target.terms):
-            if not self.source.term(d):
-                continue
-            lhs = self.comp(d + 1).compose(self.source.diff(d))
-            rhs = self.target.diff(d).compose(self.comp(d))
-            for v in range(self.source.quiver.n):
-                if not linalg.mat_eq(lhs._mat(v), rhs._mat(v)):
-                    return False
-        return True
-
     def compose(self, other):
         assert other.target is self.source or other.target.terms == self.source.terms
         comps = {}

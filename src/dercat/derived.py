@@ -10,16 +10,21 @@ root and with at most one of Hom and Ext^1 nonzero between two of them (Happel,
 *Triangulated categories in the representation theory of finite dimensional
 algebras*, 1988; Ringel, *Tame algebras and integral quadratic forms*, LNM
 1099).  Both dimensions therefore come out of the Euler form in integer
-arithmetic; see pair_hom_dim.  Independent oracles for that closed form are
-reps.hom_dim_roots / reps.ext_dim_roots (intertwiner systems on modules built
-by reflection functors) and complexes.homk_pair_dim (chain maps modulo
-homotopy); the test suite and `verify homagree` compare against them.
+arithmetic; see pair_hom_dim.  The one independent oracle for that closed
+form is complexes.homk_pair_dim (chain maps modulo homotopy between minimal
+projective resolutions); the test suite and `verify homagree` compare
+against it.
 
-The tilting test (rigid, n distinct summands, integral inverse of the class
-matrix) has one independent oracle for its generation half, the thick-closure
-search reps.generates_thick; only the test suite calls it.  This module is on
-the product path, so it imports neither reps nor complexes: the AR translate
-it needs is quiver.tau_root / quiver.tau_inv_root.
+The tilting test is: rigid, n distinct summands, integral inverse of the
+class matrix.  Its generation half is not searched for.  Mutation takes
+tilting objects to tilting objects (Aihara-Iyama, *Silting mutation in
+triangulated categories*, 2012), so everything reached from the projective
+generator generates.  The test suite checks, in integers, on A3, A4 (two
+orientations) and D4, that the objects so reached are exactly the rigid
+n-summand objects in a shift window one wider than the widest of them, and
+that each passes is_tilting.  This module is on the product path, so it
+imports neither reps nor complexes: the AR translate it needs is
+quiver.tau_root / quiver.tau_inv_root.
 
 Summands are validated in one place, DerivedObject.__init__, the only code
 that builds StalkSummand records: each root must be a positive root (which
@@ -125,8 +130,7 @@ def pair_hom_dim(q, r1, s1, r2, s2):
     because kQ is hereditary.  The Euler form gives <r1,r2> = dim Hom - dim
     Ext^1, and for directing indecomposables (all of them, when Q is Dynkin)
     one of the two is zero, so dim Hom = max(<r1,r2>, 0) and dim Ext^1 =
-    max(-<r1,r2>, 0).  Oracles: reps.hom_dim_roots / reps.ext_dim_roots and
-    complexes.homk_pair_dim.
+    max(-<r1,r2>, 0).  Oracle: complexes.homk_pair_dim.
     """
     gap = s2 - s1
     if gap == 0:
@@ -202,10 +206,10 @@ def k0_unimodular(t):
 
     Kept as a documented cheap guard inside is_tilting.  In D^b(kQ) a rigid
     object with n distinct summands already generates (cf. Aihara-Iyama,
-    Silting mutation in triangulated categories, 2012), and on every rigid
-    n-summand object with shifts in {0, 1} over A3, D4 and alternating A4
-    this test never changed the verdict.  `dercat tilting check` prints its
-    verdict as the `unimodular classes:` line.
+    Silting mutation in triangulated categories, 2012), and the test suite
+    pins that this guard holds on every object of the mutation census of A3,
+    both A4 orientations and D4.  `dercat tilting check` prints its verdict as
+    the `unimodular classes:` line.
     """
     return k0_inverse(t.basic()) is not None
 
@@ -233,10 +237,9 @@ def k0_inverse(t):
 def is_tilting(t):
     """Rigid, n distinct indecomposable summands, unimodular class lattice.
 
-    The generation half of the definition is not searched for here: the
-    thick-closure oracle reps.generates_thick certifies it in the test suite, and
-    the production criterion keeps the exact K-group test in place of that
-    exponential cone search.
+    The generation half of the definition is not searched for: the exact
+    K-group test stands in for a cone search, and the mutation census in the
+    test suite certifies the criterion (see the module docstring).
     """
     return _is_tilting(t.basic())
 

@@ -114,12 +114,6 @@ def rref(a):
     return m, pivots
 
 
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
 def nullspace(a):
     """Basis of the right kernel {v : a v = 0}, as a list of vectors."""
     rows, cols = shape(a)

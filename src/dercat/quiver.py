@@ -164,12 +164,6 @@ def parse_quiver(text):
     return Quiver(n, tuple(arrows))
 
 
-def format_quiver(q):
-    lines = ["vertices %d" % q.n]
-    lines += ["arrow %d %d" % (s + 1, t + 1) for s, t in q.arrows]
-    return "\n".join(lines) + "\n"
-
-
 class DynkinType(namedtuple("DynkinType", "family rank")):
     """ADE family and rank; family is None for non-Dynkin graphs."""
 

@@ -1,31 +1,23 @@
-"""Quiver representations over exact rationals.
+"""Quiver representations over exact rationals, the module layer of the chain oracle.
 
-Hom spaces by solving the intertwiner equations, Ext^1 through the Euler form,
-indecomposables from positive roots via reflection functors, and Krull-Schmidt
-decomposition.  The AR translate on roots is integer arithmetic and lives in
-quiver (tau_root / tau_inv_root).
+Indecomposables come from positive roots via reflection functors
+(indec_of_root).  Minimal projective resolutions (projective_cover, kernel,
+proj_resolution) and the intertwiner systems (intertwiner_rows,
+intertwiner_system, vector_to_map) are what complexes builds its stalk
+complexes and HomKSpace from: complexes.homk_pair_dim is the one oracle for
+the closed Euler-form rule derived.pair_hom_dim, and the test suite compares
+the two on every root pair.  The AR translate on roots is integer arithmetic
+and lives in quiver (tau_root / tau_inv_root).
 
-decompose first runs the brick test: a module with dim End = 1 is
-indecomposable (a decomposable one has two orthogonal idempotents), and a
-Dynkin indecomposable is the brick fixed by its root, so one End system settles
-the common case of an exchange-triangle cone.  Only a decomposable module goes
-on to the Hom-count back-substitution.
+Beyond the chain oracle this module serves only `dercat ind list`
+(knitting_order, format_rep): no module of the integer route (quiver, linalg,
+derived, sgd, slices, mutation) imports it.
 
-hom_dim_roots / ext_dim_roots build both indecomposables and solve for their
-intertwiners.  They are the independent oracle for the closed Euler-form rule
-of derived.pair_hom_dim, which is what the rest of the package uses.
-
-generates_thick, the thick-closure search, is the oracle for the generation
-half of derived.is_tilting; only the test suite calls it.  Beyond the oracles
-this module serves only `dercat ind list`: no module of the integer route
-(quiver, linalg, derived, sgd, slices, mutation) imports it.
-
-All functions are pure; the memoized tables (indecomposables, knitting order,
-root Hom dimensions) are functools.lru_cache entries keyed by (quiver, roots),
-so results are identical under any evaluation order.
+All functions are pure; the memoized tables (indecomposables, knitting order)
+are functools.lru_cache entries keyed by (quiver, roots), so results are
+identical under any evaluation order.
 """
 
-import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,19 +106,6 @@ class RepMap:
         for v in range(source.quiver.n):
             if target.dims[v] > 0 and linalg.shape(self.mats[v]) != (target.dims[v], source.dims[v]):
                 raise ValueError("vertex matrix shape mismatch at %d" % v)
-
-    def is_morphism(self):
-        q = self.source.quiver
-        for a, (s, t) in enumerate(q.arrows):
-            ms, mt = self.source.dims[s], self.source.dims[t]
-            ns, nt = self.target.dims[s], self.target.dims[t]
-            if ms == 0 or nt == 0:
-                continue
-            lhs = linalg.mat_mul_dims(self._mat(t), self.source.mats[a], nt, mt, ms)
-            rhs = linalg.mat_mul_dims(self.target.mats[a], self._mat(s), nt, ns, ms)
-            if not linalg.mat_eq(lhs, rhs):
-                return False
-        return True
 
     def _mat(self, v):
         m = self.mats[v]
@@ -219,18 +198,6 @@ def vector_to_map(m, n, offs, vec):
     return RepMap(m, n, mats)
 
 
-def hom_space(m, n):
-    """Basis of Hom(M, N) as a list of RepMaps."""
-    if m.quiver != n.quiver:
-        raise ValueError("representations live over different quivers")
-    offs, total, rows = intertwiner_system({0: (m, n)})
-    return [vector_to_map(m, n, offs[0], v) for v in linalg.solutions(rows, total)]
-
-
-def hom_dim_mod(m, n):
-    return len(hom_space(m, n))
-
-
 def kernel(f):
     """Kernel of a morphism, with its inclusion map."""
     q = f.source.quiver
@@ -279,37 +246,6 @@ def _complement_projection(cols, dim):
     chosen = span.extend_basis(std)
     u = linalg.transpose(im_basis + [std[i] for i in chosen])
     return linalg.inverse(u)[len(im_basis):]
-
-
-def cokernel(f):
-    """Cokernel of a morphism, with its projection map."""
-    q = f.source.quiver
-    projs = []
-    cdims = []
-    sections = []
-    for v in range(q.n):
-        nv = f.target.dims[v]
-        if nv == 0:
-            projs.append([])
-            sections.append([])
-            cdims.append(0)
-            continue
-        fm = f._mat(v)
-        pr = _complement_projection([[fm[r][c] for r in range(nv)]
-                                     for c in range(f.source.dims[v])], nv)
-        cdims.append(len(pr))
-        projs.append(pr)
-        sections.append(linalg.solve_matrix(pr, linalg.identity(len(pr))) if pr else [])
-    cmats = []
-    for a, (s, t) in enumerate(q.arrows):
-        if cdims[s] == 0 or cdims[t] == 0:
-            cmats.append(linalg.zeros(cdims[t], cdims[s]))
-            continue
-        cmats.append(linalg.mat_mul(projs[t], linalg.mat_mul(f.target.mats[a], sections[s])))
-    c = Representation(q, cdims, cmats)
-    pr = RepMap(f.target, c, [projs[v] if cdims[v] and f.target.dims[v] else
-                              linalg.zeros(cdims[v], f.target.dims[v]) for v in range(q.n)])
-    return c, pr
 
 
 def _proj_generator_map(q, i, m, gen):
@@ -436,7 +372,7 @@ def reflect_at_source(q, m, v):
         if s != v:
             mats.append(m.mats[a])
             continue
-        # reversed arrow t -> v: include M_t into the sum, then project to the cokernel
+        # reversed arrow t -> v: include M_t into the sum, then project off the image
         off = 0
         for b, h in zip(out_arrows, heights):
             if b == a:
@@ -493,15 +429,16 @@ def indec_of_root(q, root):
 
 
 # ---------------------------------------------------------------------------
-# Krull-Schmidt decomposition
+# listing order of the indecomposables
 
 
 @lru_cache(maxsize=None)
 def knitting_order(q):
     """All positive roots ordered by (tau-orbit depth, slice position).
 
-    In this order the matrix of Hom dimensions between indecomposables is
-    upper uni-triangular, so decompose() is a single back-substitution.
+    In this order Hom between distinct indecomposables only goes forward: the
+    matrix of Hom dimensions is upper uni-triangular.  `dercat ind list` prints
+    the indecomposables in this order.
     """
     qv.ensure_dynkin(q)
     phi_inv = qv.coxeter_inverse(q)
@@ -524,136 +461,6 @@ def knitting_order(q):
     if len(order) != len(roots) or set(order) != roots:
         raise qv.InternalInconsistencyError("knitting enumeration missed roots")
     return order
-
-
-@lru_cache(maxsize=None)
-def hom_dim_roots(q, r1, r2):
-    """dim Hom between the canonical indecomposables of two roots (memoized).
-
-    Oracle route: solves the intertwiner system; the closed form is
-    derived.pair_hom_dim.
-    """
-    return hom_dim_mod(indec_of_root(q, r1), indec_of_root(q, r2))
-
-
-def ext_dim_roots(q, r1, r2):
-    d = hom_dim_roots(q, r1, r2) - qv.euler_form(q, r1, r2)
-    if d < 0:
-        raise qv.InternalInconsistencyError("negative Ext dimension")
-    return d
-
-
-def decompose(x):
-    """Multiset of (root, multiplicity) with X isomorphic to the matching direct sum.
-
-    Brick test: dim End(X) = 1 means X is indecomposable, hence the
-    indecomposable of the root dims(X) (Dynkin indecomposables are bricks and
-    are determined by their dimension vector).  Otherwise the multiplicities
-    come from dim Hom(M(r), X) by back-substitution in knitting order.
-    """
-    q = x.quiver
-    if x.is_zero():
-        return {}
-    if hom_dim_mod(x, x) == 1:
-        if x.dims not in qv.positive_roots(q):
-            raise qv.InternalInconsistencyError(
-                "brick with dimension vector %r, which is not a positive root" % (x.dims,))
-        return {x.dims: 1}
-    order = knitting_order(q)
-    h = [hom_dim_mod(indec_of_root(q, r), x) for r in order]
-    mult = {}
-    for idx in range(len(order) - 1, -1, -1):
-        r = order[idx]
-        val = h[idx]
-        for jdx in range(idx + 1, len(order)):
-            s = order[jdx]
-            if mult.get(s):
-                # Hom between Dynkin indecomposables, closed form as in
-                # derived.pair_hom_dim
-                val -= mult[s] * max(qv.euler_form(q, r, s), 0)
-        if val < 0:
-            raise qv.InternalInconsistencyError("negative multiplicity in decomposition")
-        if val:
-            mult[r] = val
-    total = [0] * q.n
-    for r, m in mult.items():
-        for v in range(q.n):
-            total[v] += m * r[v]
-    if tuple(total) != x.dims:
-        raise qv.InternalInconsistencyError("decomposition does not add up to %r" % (x.dims,))
-    return mult
-
-
-# ---------------------------------------------------------------------------
-# thick-closure generation oracle (slow; used by the test suite)
-
-
-def _sampled_maps(m, n, rng):
-    basis = hom_space(m, n)
-    out = list(basis)
-    if len(basis) > 1:
-        for _ in range(3):
-            f = basis[0].scale(rng.randint(-2, 2))
-            for g in basis[1:]:
-                f = f.add(g.scale(rng.randint(-2, 2)))
-            out.append(f)
-    return out
-
-
-def _extension_middles(q, r_top, r_sub, rng):
-    """Middle terms of sampled extensions of M(r_top) by M(r_sub), as root multisets."""
-    m = indec_of_root(q, r_top)
-    n = indec_of_root(q, r_sub)
-    res = proj_resolution(m)
-    if res.p1.is_zero():
-        return []
-    out = []
-    for h in _sampled_maps(res.p1, n, rng):
-        # pushout of (P1 -> P0, P1 -> N): cokernel of x -> (d x, -h x)
-        p0n = direct_sum([res.p0, n])
-        mats = []
-        for v in range(q.n):
-            top = res.d._mat(v)
-            bot = linalg.mat_scale(-1, h._mat(v))
-            mats.append([list(r) for r in top] + [list(r) for r in bot]
-                        if res.p1.dims[v] else linalg.zeros(p0n.dims[v], 0))
-        f = RepMap(res.p1, p0n, mats)
-        e, _ = cokernel(f)
-        out.append(decompose(e))
-    return out
-
-
-def generates_thick(t):
-    """Whether the thick closure of T reaches every indecomposable stalk.
-
-    Saturates a set of roots under cones of morphisms between stalks: a module
-    map contributes its kernel and cokernel, an extension class contributes the
-    middle term.  Morphisms are sampled from Hom bases plus seeded combinations,
-    so membership claims are sound; saturation is re-run until stable.  A
-    test-only oracle: no CLI verb calls it.
-    """
-    q = t.quiver
-    rng = _random.Random(20240 + q.n)
-    have = set(r for r, _ in t.basic().indecs())
-    all_roots = set(qv.positive_roots(q))
-    while have != all_roots:
-        new = set()
-        pairs = [(a, b) for a in sorted(have) for b in sorted(have)]
-        for r1, r2 in pairs:
-            m = indec_of_root(q, r1)
-            n = indec_of_root(q, r2)
-            for f in _sampled_maps(m, n, rng):
-                k, _ = kernel(f)
-                c, _ = cokernel(f)
-                for part in (decompose(k), decompose(c)):
-                    new |= set(part) - have
-            if ext_dim_roots(q, r1, r2) > 0:
-                for mid in _extension_middles(q, r1, r2, rng):
-                    new |= set(mid) - have
-        if not new:
-            return False
-        have |= new
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ least of the single-source sections of its Hom-minimal summands, whose window
 reproduces the strong global dimension exactly (minus two).
 
 The hereditary window of a slice is scanned on (root, shift) pairs: level_of
-and shift_window build no objects, and hered_membership, which takes an
-object, wraps the same private test, _in_hereditary.
+and shift_window build no objects, and test membership through one private
+test, _in_hereditary.
 """
 
 from collections import namedtuple
@@ -96,17 +96,10 @@ def zq_of(q):
     return ZQ(q)
 
 
-class Slice(namedtuple("Slice", "quiver vertices objects sources")):
-    """A section of ZQ: one vertex per tau-orbit, mesh-adjacent choices.
-
-    vertices are (m, i), one per orbit i; objects the matching (root, shift)
-    pairs; sources the vertices with no in-arrow inside the slice.
-    """
-
-    __slots__ = ()
-
-    def positions(self):
-        return {i: m for m, i in self.vertices}
+# A section of ZQ: one vertex per tau-orbit, mesh-adjacent choices.  vertices
+# are (m, i), one per orbit i; objects the matching (root, shift) pairs;
+# sources the vertices with no in-arrow inside the slice.
+Slice = namedtuple("Slice", "quiver vertices objects sources")
 
 
 def _slice_from_positions(q, pos):
@@ -184,16 +177,6 @@ def _in_hereditary(sl, xr, xs):
             if i != 0 and dv.pair_hom_dim(q, sr, ss, xr, xs + i):
                 return False
     return True
-
-
-def hered_membership(sl, x):
-    """Whether the indecomposable X lies in the hereditary subcategory cut out
-    by the slice."""
-    xb = x.basic()
-    if xb.num_distinct() != 1:
-        raise ValueError("membership applies to indecomposables")
-    (xr, xs), = xb.indecs()
-    return _in_hereditary(sl, xr, xs)
 
 
 def level_of(sl, xr, xs):
@@ -299,31 +282,3 @@ def theoremA_verify(t, window_pad=2, cap=100000):
             "slice window bound failed: sgd=%d ell=%d upper_ok=%s" % (value, hw.ell, upper_ok))
     return TheoremAReport(value, hw.ell, equality_ok, upper_ok, len(slices), truncated)
 
-
-def lower_bound_witness(t, sl, ell):
-    """An object M one shift past the window with ell_T(M) >= ell + 2.
-
-    Searches the inverse-tau translate of the slice at suspension ell + 1 for
-    nonzero morphisms from a top-window summand of T and into the shifted
-    sources; both conditions are asserted, per the transjective lower bound.
-    """
-    if ell < 1:
-        raise ValueError("the lower-bound witness needs ell >= 1")
-    q = t.quiver
-    hw = shift_window(t, sl)
-    tops = [o for o, l in hw.levels if l == ell]
-    if not tops:
-        raise InternalInconsistencyError("no summand at the top of the window")
-    src_sum = dv.DerivedObject(
-        q, [(zq_of(q).object_of(*v)[0], zq_of(q).object_of(*v)[1] + ell + 2, 1)
-            for v in sl.sources])
-    big_l = dv.stalk(q, *tops[0])
-    for (sr, ss) in sl.objects:
-        m_obj = dv.tau_inv_derived(dv.stalk(q, sr, ss)).shift(ell + 1)
-        if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
-            prof = sgd.ell_profile(t, m_obj)
-            if prof.ell < ell + 2:
-                raise InternalInconsistencyError(
-                    "witness fails the length bound: %r" % (m_obj,))
-            return m_obj
-    raise InternalInconsistencyError("no lower-bound witness in the slice translate")

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from dercat import quiver as qv
+from dercat import derived as dv, mutation as mu, quiver as qv
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +26,11 @@ def a4():
 
 
 @pytest.fixture(scope="session")
+def a4_alt():
+    return qv.Quiver(4, ((0, 1), (2, 1), (2, 3)))
+
+
+@pytest.fixture(scope="session")
 def d4():
     return qv.Quiver(4, ((0, 3), (1, 3), (2, 3)))
 
@@ -41,3 +48,25 @@ def d5_alt():
 @pytest.fixture(scope="session")
 def e6_alt():
     return qv.parse_quiver("vertices 6\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\narrow 3 6\n")
+
+
+@lru_cache(maxsize=None)
+def _mutation_closure(q):
+    # breadth first: the loop reaches the objects appended while it runs
+    order = [dv.projective_generator(q)]
+    seen = set(order)
+    for t in order:
+        for split in mu.admissible_splits(t):
+            u = mu.mutate(t, split)
+            u = u.shift(-u.min_shift)
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return frozenset(seen)
+
+
+@pytest.fixture(scope="session")
+def census():
+    """census(q): the tilting objects reached from the projective generator by
+    mutation at every admissible split, each shifted to min shift 0."""
+    return _mutation_closure

@@ -300,3 +300,26 @@ def test_product_modules_do_not_import_oracles():
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
         assert not imported & {"reps", "complexes"}, name
+
+
+# the s.gl.dim chain-map oracle that tests compare sgd.sgldim against; no verb
+# runs it yet
+UNREFERENCED_ALLOWED = {"sgldim_ringel"}
+
+
+def test_every_definition_is_referenced_in_src():
+    # a def or class that no code under src/dercat names is test-only or dead;
+    # names inside strings and docstrings do not count, dunders are implicit
+    src = pathlib.Path(mu.__file__).parent
+    defined = set()
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreferenced = {n for n in defined - used if not (n.startswith("__") and n.endswith("__"))}
+    assert unreferenced == UNREFERENCED_ALLOWED

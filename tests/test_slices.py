@@ -8,6 +8,43 @@ from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as s
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
 
+def positions(sl):
+    """The slice as {orbit i: m}, one position per tau-orbit."""
+    return {i: m for m, i in sl.vertices}
+
+
+def hered_membership(sl, x):
+    """Whether the indecomposable X lies in the hereditary subcategory cut out
+    by the slice."""
+    (xr, xs), = x.basic().indecs()
+    return sls._in_hereditary(sl, xr, xs)
+
+
+def lower_bound_witness(t, sl, ell):
+    """An object M one shift past the window with ell_T(M) >= ell + 2.
+
+    Searches the inverse-tau translate of the slice at suspension ell + 1 for
+    nonzero morphisms from a top-window summand of T and into the shifted
+    sources; both conditions are asserted, per the transjective lower bound.
+    """
+    if ell < 1:
+        raise ValueError("the lower-bound witness needs ell >= 1")
+    q = t.quiver
+    hw = sls.shift_window(t, sl)
+    tops = [o for o, l in hw.levels if l == ell]
+    assert tops, "no summand at the top of the window"
+    z = sls.zq_of(q)
+    src_sum = dv.DerivedObject(
+        q, [(z.object_of(*v)[0], z.object_of(*v)[1] + ell + 2, 1) for v in sl.sources])
+    big_l = dv.stalk(q, *tops[0])
+    for (sr, ss) in sl.objects:
+        m_obj = dv.tau_inv_derived(dv.stalk(q, sr, ss)).shift(ell + 1)
+        if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
+            assert sgd.ell_profile(t, m_obj).ell >= ell + 2, m_obj
+            return m_obj
+    raise AssertionError("no lower-bound witness in the slice translate")
+
+
 def test_zq_dictionary_round_trip(a3, d4):
     for q in (a3, d4):
         z = sls.zq_of(q)
@@ -113,17 +150,17 @@ def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
             assert not truncated
             singles = []
             for s in minimal:
-                (single,) = [sl.positions() for sl in found if sl.sources == (s,)]
+                (single,) = [positions(sl) for sl in found if sl.sources == (s,)]
                 singles.append(single)
             least = {i: min(p[i] for p in singles) for i in range(q.n)}
-            assert sls.find_slice(t).positions() == least, (q, seed)
+            assert positions(sls.find_slice(t)) == least, (q, seed)
 
 
 def test_slice_is_section_and_rigid(a4):
     for seed in range(6):
         t, _ = mu.random_tilting_walk(a4, seed, 4)
         s = sls.find_slice(t)
-        assert sls.is_section(a4, s.positions())
+        assert sls.is_section(a4, positions(s))
         # slice objects are pairwise rigid in nonzero shifts
         for (r1, s1), (r2, s2) in itertools.product(s.objects, repeat=2):
             for i in (-2, -1, 1, 2):
@@ -133,10 +170,10 @@ def test_slice_is_section_and_rigid(a4):
 def test_hered_membership_examples(a2):
     t = dv.projective_generator(a2)
     s = sls.find_slice(t)
-    assert sls.hered_membership(s, dv.stalk(a2, (1, 0), 0))
-    assert not sls.hered_membership(s, dv.stalk(a2, (1, 0), 1))
+    assert hered_membership(s, dv.stalk(a2, (1, 0), 0))
+    assert not hered_membership(s, dv.stalk(a2, (1, 0), 1))
     for r, sh in s.objects:
-        assert sls.hered_membership(s, dv.stalk(a2, r, sh))
+        assert hered_membership(s, dv.stalk(a2, r, sh))
 
 
 def test_membership_partitions_window(a3):
@@ -145,7 +182,7 @@ def test_membership_partitions_window(a3):
     for r in qv.positive_roots(a3):
         for k in range(-2, 3):
             x = dv.stalk(a3, r, k)
-            levels = [i for i in range(-4, 5) if sls.hered_membership(s, x.shift(-i))]
+            levels = [i for i in range(-4, 5) if hered_membership(s, x.shift(-i))]
             assert len(levels) == 1
             assert levels[0] == sls.level_of(s, r, k)
 
@@ -155,8 +192,8 @@ def test_member_and_its_shift_never_both(a3):
     s = sls.find_slice(t)
     for r in qv.positive_roots(a3):
         for k in range(-2, 3):
-            both = (sls.hered_membership(s, dv.stalk(a3, r, k))
-                    and sls.hered_membership(s, dv.stalk(a3, r, k + 1)))
+            both = (hered_membership(s, dv.stalk(a3, r, k))
+                    and hered_membership(s, dv.stalk(a3, r, k + 1)))
             assert not both
 
 
@@ -172,7 +209,7 @@ def test_enumerate_slices_a2(a2):
     assert not truncated
     assert len(found) == 5
     for s in found:
-        assert sls.is_section(a2, s.positions())
+        assert sls.is_section(a2, positions(s))
 
 
 @pytest.mark.parametrize("window", [(-1, 1), (0, 2), (-2, 1)])
@@ -181,7 +218,7 @@ def test_enumerate_slices_matches_brute_force(d4, e6_alt, window):
     for q in (d4, e6_alt):
         found, truncated = sls.enumerate_slices(q, m_lo, m_hi)
         assert not truncated
-        got = sorted(tuple(s.positions()[i] for i in range(q.n)) for s in found)
+        got = sorted(tuple(positions(s)[i] for i in range(q.n)) for s in found)
         # every position vector in the window, in ascending order, that is a section
         want = [p for p in itertools.product(range(m_lo, m_hi + 1), repeat=q.n)
                 if sls.is_section(q, dict(enumerate(p)))]
@@ -206,26 +243,30 @@ def test_theoremA_rejects_hereditary(a2):
         sls.theoremA_verify(dv.projective_generator(a2))
 
 
-def test_lower_bound_witness(a4):
-    t = dv.DerivedObject(a4, [((0, 0, 0, 1), 0, 1), ((1, 0, 0, 0), 0, 1),
-                              ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
-    s = sls.find_slice(t)
-    hw = sls.shift_window(t, s)
-    m = sls.lower_bound_witness(t, s, hw.ell)
-    assert sgd.ell_profile(t, m).ell >= hw.ell + 2
-    # the witness lies in the stated translate of the slice
-    z = sls.zq_of(a4)
-    translate = set()
-    for r, sh in s.objects:
-        tr = dv.tau_inv_derived(dv.stalk(a4, r, sh)).shift(hw.ell + 1)
-        translate.add(tr.indecs()[0])
-    assert m.indecs()[0] in translate
+def test_lower_bound_witness(a4, a4_alt, census):
+    # every census object of A4, in both orientations, with a window of width >= 1
+    checked = 0
+    for q in (a4, a4_alt):
+        for t in sorted(census(q), key=dv.format_object):
+            s = sls.find_slice(t)
+            hw = sls.shift_window(t, s)
+            if hw.ell < 1:
+                continue
+            m = lower_bound_witness(t, s, hw.ell)
+            # the witness lies in the stated translate of the slice
+            translate = set()
+            for r, sh in s.objects:
+                tr = dv.tau_inv_derived(dv.stalk(q, r, sh)).shift(hw.ell + 1)
+                translate.add(tr.indecs()[0])
+            assert m.indecs()[0] in translate
+            checked += 1
+    assert checked == 10
 
 
 def test_lower_bound_witness_needs_positive_window(a2):
     t = dv.projective_generator(a2)
     with pytest.raises(ValueError):
-        sls.lower_bound_witness(t, sls.find_slice(t), 0)
+        lower_bound_witness(t, sls.find_slice(t), 0)
 
 
 def test_slice_machinery_requires_connected():
