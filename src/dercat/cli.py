@@ -6,15 +6,16 @@ Every command is deterministic given its input files and --seed.  Every
 `verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
 run that checked nothing shows as such.
 
-A process runs only the layers its verb uses.  quiver, linalg, derived and sgd
-are imported here, and they are all that `quiver validate`, `sgd`, `tilting
-check`, `hom` and `verify serre` run.  reps, complexes, slices and mutation are
-bound through _lazy: each is in sys.modules from start-up, but its code runs
-on its first attribute access.  So `mutate`, `comutate`, `theoremb`,
-`random-tilting` and `verify b|table|delta` add mutation, `slice` adds slices,
-`verify a` adds both, `ind list` adds reps, and `verify homagree` adds reps and
-complexes.  The layers load through LazyLoader rather than through imports
-inside each command because a tool that wraps functions in place (the
+A process runs only the layers its verb uses.  quiver, derived and sgd are
+imported here, and they are all that `quiver validate`, `sgd`, `tilting
+check`, `hom` and `verify serre` run: integer arithmetic, with neither linalg
+nor fractions loaded.  linalg, reps, complexes, slices and mutation are bound
+through _lazy: each is in sys.modules from start-up, but its code runs on its
+first attribute access.  So `mutate`, `comutate`, `theoremb`, `random-tilting`
+and `verify b|table|delta` add mutation, `slice` adds slices, `verify a` adds
+both, `ind list` adds reps and linalg, and `verify homagree` adds reps,
+complexes and linalg.  The layers load through LazyLoader rather than through
+imports inside each command because a tool that wraps functions in place (the
 benchmark's tracer, bench/traced.py) looks every layer up in sys.modules right
 after importing this module: all eight are there, and each runs when the tool
 reads it.
@@ -49,6 +50,9 @@ def _lazy(name):
     return module
 
 
+# no verb calls linalg directly: it is bound here so that it is in sys.modules
+# with the other layers from start-up (see the module docstring)
+_lazy("linalg")
 reps = _lazy("reps")
 cx = _lazy("complexes")
 sls = _lazy("slices")

@@ -221,29 +221,6 @@ def stalk_complex(q, root, shift=0):
                        {-1 - shift: blocks})
 
 
-class ChainMap:
-    """Degreewise morphisms commuting with the differentials."""
-
-    def __init__(self, source, target, comps):
-        self.source = source
-        self.target = target
-        self.comps = {d: f for d, f in comps.items()
-                      if source.term(d) and target.term(d)}
-
-    def comp(self, d):
-        if d in self.comps:
-            return self.comps[d]
-        return reps.zero_map(self.source.term_rep(d), self.target.term_rep(d))
-
-    def compose(self, other):
-        assert other.target is self.source or other.target.terms == self.source.terms
-        comps = {}
-        for d in self.comps:
-            if other.source.term(d):
-                comps[d] = self.comp(d).compose(other.comp(d))
-        return ChainMap(other.source, self.target, comps)
-
-
 # ---------------------------------------------------------------------------
 # Hom in the homotopy category
 
@@ -263,11 +240,14 @@ def _vec_of_maps(offs, total, maps):
 
 
 class HomKSpace:
-    """Hom(X, Y) in the homotopy category: dimension, basis, and coordinates."""
+    """Hom(X, Y) in the homotopy category.
+
+    dim is its dimension.  _rep_vecs are chain maps (as unknown vectors laid
+    out by _offs) whose classes form a basis modulo _bbasis, a basis of the
+    null-homotopic ones.
+    """
 
     def __init__(self, x, y):
-        self.x = x
-        self.y = y
         q = x.quiver
         degrees = sorted(set(x.terms) & set(y.terms))
         self._pairs = {d: (x.term_rep(d), y.term_rep(d)) for d in degrees}
@@ -326,26 +306,6 @@ class HomKSpace:
                 self._bbasis.append(bv)
         self._rep_vecs = [z_basis[i] for i in bspan.extend_basis(z_basis)]
         self.dim = len(self._rep_vecs)
-
-    @property
-    def basis(self):
-        return [ChainMap(self.x, self.y,
-                         {d: reps.vector_to_map(m, n, self._offs[d], vec)
-                          for d, (m, n) in self._pairs.items()})
-                for vec in self._rep_vecs]
-
-    def coords(self, f):
-        """Coordinates of a chain map in the quotient basis (modulo homotopy)."""
-        vec = _vec_of_maps(self._offs, self._total, {d: f.comp(d) for d in self._pairs})
-        cols = [list(v) for v in self._rep_vecs] + [list(b) for b in self._bbasis]
-        if not cols:
-            if any(x != 0 for x in vec):
-                raise qv.InternalInconsistencyError("nonzero map in a zero Hom space")
-            return ()
-        sol = linalg.solve(linalg.transpose(cols), vec)
-        if sol is None:
-            raise qv.InternalInconsistencyError("chain map outside the computed Hom space")
-        return tuple(sol[: self.dim])
 
 
 # memoized per-quiver tables (functools.lru_cache; cache_info() reports use)

@@ -24,7 +24,9 @@ orientations) and D4, that the objects so reached are exactly the rigid
 n-summand objects in a shift window one wider than the widest of them, and
 that each passes is_tilting.  This module is on the product path, so it
 imports neither reps nor complexes: the AR translate it needs is
-quiver.tau_root / quiver.tau_inv_root.
+quiver.tau_root / quiver.tau_inv_root.  Nor does it import linalg or
+fractions: the class-matrix inverse (k0_inverse) is fraction-free integer
+elimination.
 
 Summands are validated in one place, DerivedObject.__init__, the only code
 that builds StalkSummand records: each root must be a positive root (which
@@ -35,7 +37,7 @@ summands are merged, must be at least 1.
 from collections import namedtuple
 from functools import lru_cache
 
-from . import linalg, quiver as qv
+from . import quiver as qv
 
 StalkSummand = namedtuple("StalkSummand", "root shift mult")
 
@@ -225,13 +227,29 @@ def k0_inverse(t):
     n x n inverse serves the tilting test and every exchange from T.
     """
     q = t.quiver
-    if t.num_distinct() != q.n:
+    n = q.n
+    if t.num_distinct() != n:
         return None
     cols = [k0_class(stalk(q, r, s)) for r, s in t.indecs()]
-    inv = linalg.inverse(linalg.mat_from_rows(zip(*cols)))
-    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+    # fraction-free Gauss-Jordan on [A | I] (Bareiss, Math. Comp. 1968): each
+    # step divides exactly by the previous pivot, and the end is [d I | d A^-1]
+    # with d = +-det A
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*cols))]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pk = m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk[k] * a - f * b) // prev for a, b in zip(m[i], pk)]
+        prev = pk[k]
+    if abs(prev) != 1:
         return None
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return tuple(tuple(prev * x for x in row[n:]) for row in m)
 
 
 def is_tilting(t):

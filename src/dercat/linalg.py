@@ -1,7 +1,10 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, for the oracles.
 
 Matrices are lists of rows of Fractions.  Everything here is small and
-desk-scale; no attempt at asymptotic cleverness.
+desk-scale; no attempt at asymptotic cleverness.  Only the oracle modules
+(reps, complexes) import this: the product route (quiver, derived, sgd,
+slices, mutation) is integer arithmetic and imports neither this module nor
+fractions.
 """
 
 from fractions import Fraction
@@ -44,10 +47,6 @@ def transpose(a):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def mat_scale(c, a):
@@ -143,20 +142,6 @@ def solutions(rows, cols):
     if cols == 0:
         return []
     return nullspace(rows) if rows else identity(cols)
-
-
-def solve(a, b):
-    """One solution of a x = b, or None if inconsistent."""
-    rows, cols = shape(a)
-    assert len(b) == rows
-    aug = [a[i][:] + [frac(b[i])] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
 
 
 def solve_matrix(a, b):

@@ -94,8 +94,9 @@ def _survivors(q, coords, t1, t2, x, left):
     out = []
     for r, base in coords.items():
         for s in ((sx, sx + 1) if left else (sx - 1, sx)):
-            c = {o: -v if s % 2 else v for o, v in base.items()}
-            if c[x] != -1 or any(c[o] for o in t2 if o != x) or any(c[o] < 0 for o in t1):
+            sign = -1 if s % 2 else 1
+            if (sign * base[x] != -1 or any(base[o] for o in t2 if o != x)
+                    or any(sign * base[o] < 0 for o in t1)):
                 continue
             # the connecting map: Y -> x[1] shifted down for co-mutation, x -> Y[1]
             linked = (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
@@ -103,7 +104,7 @@ def _survivors(q, coords, t1, t2, x, left):
             # t1 and Y are rigid on their own, so this tests Y against t1
             if linked and dv.rigidity_failure(dv.DerivedObject(
                     q, [(a, b, 1) for a, b in t1 + ((r, s),)])) is None:
-                out.append(((r, s), c))
+                out.append(((r, s), {o: sign * v for o, v in base.items()}))
     return out
 
 

@@ -7,6 +7,11 @@ This is the bottom layer every other module imports, so it also holds the
 package's error class InternalInconsistencyError and the root-level AR
 translate (tau_root / tau_inv_root, with the projective and injective roots
 it wraps at): integer functions of the Coxeter matrix, which lives here too.
+All of it is integer arithmetic with no matrix inversion: the inverse of the
+Euler matrix is the path-count matrix (path_counts), which gives the
+projective and injective dimension vectors and both Coxeter matrices.  One
+topological sort (_sinks_first) serves as the cycle check and as the
+sink-first vertex order.
 
 Every root-level map is memoized per quiver (lru_cache keyed on the quiver,
 whose hash is computed once): the positive roots and their frozenset, the
@@ -16,10 +21,7 @@ namedtuples, so importing the product layers stays cheap.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-
-from . import linalg
 
 
 class QuiverError(ValueError):
@@ -36,6 +38,28 @@ class NotDynkinError(QuiverError):
 
 class InternalInconsistencyError(RuntimeError):
     """An invariant the theory guarantees failed to hold; never expected."""
+
+
+def _sinks_first(n, arrows):
+    """Kahn's topological sort, least-numbered sink first: every arrow points
+    from a later to an earlier vertex.  Raises QuiverError on a cycle."""
+    outdeg = [0] * n
+    for s, _ in arrows:
+        outdeg[s] += 1
+    ready = [v for v in range(n) if not outdeg[v]]
+    order = []
+    while ready:
+        v = min(ready)
+        ready.remove(v)
+        order.append(v)
+        for s, t in arrows:
+            if t == v:
+                outdeg[s] -= 1
+                if not outdeg[s]:
+                    ready.append(s)
+    if len(order) != n:
+        raise QuiverError("cycle detected")
+    return tuple(order)
 
 
 class Quiver:
@@ -58,8 +82,7 @@ class Quiver:
                 raise QuiverError("arrow endpoint out of range: %d -> %d" % (s + 1, t + 1))
             if s == t:
                 raise QuiverError("loop at vertex %d" % (s + 1))
-        if self._has_cycle():
-            raise QuiverError("cycle detected")
+        _sinks_first(n, arrows)  # the cycle check
         object.__setattr__(self, "_hash", hash((n, arrows)))
 
     def __setattr__(self, name, value):
@@ -82,22 +105,6 @@ class Quiver:
     def __reduce__(self):
         # copy and pickle go through __init__: __setattr__ refuses a slot-by-slot restore
         return (Quiver, (self.n, self.arrows))
-
-    def _has_cycle(self):
-        indeg = [0] * self.n
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        return seen != self.n
 
     def neighbors(self, v):
         out = set()
@@ -244,7 +251,7 @@ def ensure_dynkin(q):
 
 def euler_matrix(q):
     """Matrix E with <d,e> = d^T E e, i.e. E = I - (arrow count matrix)."""
-    e = linalg.identity(q.n)
+    e = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
     for s, t in q.arrows:
         e[s][t] -= 1
     return e
@@ -309,67 +316,60 @@ def simple_root(q, i):
 
 
 @lru_cache(maxsize=None)
-def coxeter_matrix(q):
-    """Integer matrix C with dim(tau M) = C . dim(M) for non-projective indecomposables."""
-    e = euler_matrix(q)
-    einv = linalg.inverse(e)
-    m = linalg.mat_neg(linalg.mat_mul(einv, linalg.transpose(e)))
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-@lru_cache(maxsize=None)
-def coxeter_inverse(q):
-    m = linalg.inverse([[Fraction(x) for x in row] for row in coxeter_matrix(q)])
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-@lru_cache(maxsize=None)
-def path_exists(q):
-    """Boolean matrix p[i][j]: directed path from i to j (including i == j)."""
-    n = q.n
-    p = [[i == j for j in range(n)] for i in range(n)]
-    for _ in range(n):
-        for s, t in q.arrows:
-            for i in range(n):
-                if p[i][s] and not p[i][t]:
-                    p[i][t] = True
-    return tuple(tuple(row) for row in p)
-
-
-@lru_cache(maxsize=None)
 def sink_first_order(q):
     """Vertex order in which every arrow points from a later to an earlier vertex.
 
     Processing vertices in this order keeps each one a sink of the partially
     reflected quiver, which is what the reflection-functor constructions need.
     """
-    remaining = set(range(q.n))
-    outdeg = {v: 0 for v in remaining}
-    for s, _ in q.arrows:
-        outdeg[s] += 1
-    order = []
-    while remaining:
-        sinks = sorted(v for v in remaining if outdeg[v] == 0)
-        if not sinks:
-            raise QuiverError("cycle detected")  # unreachable after validation
-        v = sinks[0]
-        order.append(v)
-        remaining.remove(v)
+    return _sinks_first(q.n, q.arrows)
+
+
+@lru_cache(maxsize=None)
+def path_counts(q):
+    """P[i][j] = number of directed paths from i to j (1 on the diagonal).
+
+    P is the inverse of the Euler matrix: E = I - A for the arrow count matrix
+    A, which is nilpotent, so E^-1 = I + A + A^2 + ...  Filled sinks first:
+    row v is e_v plus the rows of the targets of v's arrows.
+    """
+    rows = {}
+    for v in sink_first_order(q):
+        row = [int(v == j) for j in range(q.n)]
         for s, t in q.arrows:
-            if t == v and s in remaining:
-                outdeg[s] -= 1
-    return tuple(order)
+            if s == v:
+                row = [a + b for a, b in zip(row, rows[t])]
+        rows[v] = row
+    return tuple(tuple(rows[v]) for v in range(q.n))
+
+
+@lru_cache(maxsize=None)
+def coxeter_matrix(q):
+    """Integer matrix C with dim(tau M) = C . dim(M) for non-projective indecomposables.
+
+    C = -E^-1 E^T, and E^-1 is the path-count matrix P: C = -P E^T.
+    """
+    p, e = path_counts(q), euler_matrix(q)
+    return tuple(tuple(-sum(p[i][k] * e[j][k] for k in range(q.n)) for j in range(q.n))
+                 for i in range(q.n))
+
+
+@lru_cache(maxsize=None)
+def coxeter_inverse(q):
+    """C^-1 = -E^-T E = -P^T E, in integers like C."""
+    p, e = path_counts(q), euler_matrix(q)
+    return tuple(tuple(-sum(p[k][i] * e[k][j] for k in range(q.n)) for j in range(q.n))
+                 for i in range(q.n))
 
 
 def proj_dims(q, i):
-    """Dimension vector of the indecomposable projective at vertex i."""
-    p = path_exists(q)
-    return tuple(1 if p[i][j] else 0 for j in range(q.n))
+    """Dimension vector of the indecomposable projective at vertex i: row i of P."""
+    return path_counts(q)[i]
 
 
 def inj_dims(q, i):
-    p = path_exists(q)
-    return tuple(1 if p[j][i] else 0 for j in range(q.n))
+    """Dimension vector of the indecomposable injective at vertex i: column i of P."""
+    return tuple(row[i] for row in path_counts(q))
 
 
 # ---------------------------------------------------------------------------

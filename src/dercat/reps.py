@@ -10,8 +10,8 @@ the two on every root pair.  The AR translate on roots is integer arithmetic
 and lives in quiver (tau_root / tau_inv_root).
 
 Beyond the chain oracle this module serves only `dercat ind list`
-(knitting_order, format_rep): no module of the integer route (quiver, linalg,
-derived, sgd, slices, mutation) imports it.
+(knitting_order, format_rep): no module of the integer route (quiver,
+derived, sgd, slices, mutation) imports it, nor linalg, on which it runs.
 
 All functions are pure; the memoized tables (indecomposables, knitting order)
 are functools.lru_cache entries keyed by (quiver, roots), so results are

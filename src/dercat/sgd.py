@@ -7,8 +7,9 @@ computations on minimal complexes (plus, for a projective-slice tilting
 object, the literal sup of minimal-complex lengths).  Disagreement is a hard
 failure.
 
-This module is on the product path with quiver, linalg, derived, slices and
-mutation, and like them imports neither reps nor complexes; the test suite
+This module is on the product path with quiver, derived, slices and
+mutation, and like them imports neither the oracle engines (reps, complexes)
+nor the rational arithmetic they run on (linalg, fractions); the test suite
 checks that.  The oracle imports this module, never the reverse.
 """
 

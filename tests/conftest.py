@@ -2,7 +2,15 @@ from functools import lru_cache
 
 import pytest
 
-from dercat import derived as dv, mutation as mu, quiver as qv
+from dercat import derived as dv, mutation as mu, quiver as qv, reps
+
+
+def homk_basis(sp):
+    """Chain maps whose classes form a basis of the complexes.HomKSpace sp,
+    each a {degree: RepMap} over the degrees where source and target both
+    have terms."""
+    return [{d: reps.vector_to_map(m, n, sp._offs[d], vec) for d, (m, n) in sp._pairs.items()}
+            for vec in sp._rep_vecs]
 
 
 @pytest.fixture(scope="session")

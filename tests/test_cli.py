@@ -130,6 +130,17 @@ def test_object_file_rejects_unknown_and_repeated_keys(tmp_path, capsys):
         assert out == "" and "line 3" in err and why in err
 
 
+def test_tilting_check_on_a_determinant_two_object(tmp_path, capsys):
+    # four distinct summands whose classes span an index-2 sublattice
+    quiver, obj = tmp_path / "d4.q", tmp_path / "t.obj"
+    quiver.write_text(D4_ALT)
+    obj.write_text("".join("summand dim=[%s] shift=0\n" % r
+                           for r in ("0,0,0,1", "0,0,1,0", "1,0,0,0", "1,2,1,1")))
+    assert cli.main(["tilting", "check", "--quiver", str(quiver), "--object", str(obj)]) == 1
+    out = capsys.readouterr().out
+    assert "summands: 4 of 4\nunimodular classes: no\ntilting: no\n" in out
+
+
 @pytest.mark.parametrize("dim", ["1,1,1", "[[1,1,1]]"])
 def test_object_file_needs_one_bracket_pair(tmp_path, capsys, dim):
     quiver, obj = tmp_path / "a3.q", tmp_path / "t.obj"
@@ -240,10 +251,10 @@ def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: its last stdout line is the exit code, then the
-# dercat modules whose code has run, then "|" and which of dataclasses and inspect
-# (with the modules they pull in, the costliest standard imports a layer could add)
-# are loaded.  A LazyLoader module that has not run yet is an instance of a
-# ModuleType subclass, so `type(m) is ModuleType` tells them apart.
+# dercat modules whose code has run, then "|" and which of dataclasses, inspect
+# and fractions (with the modules they pull in, the costliest standard imports a
+# layer could add) are loaded.  A LazyLoader module that has not run yet is an
+# instance of a ModuleType subclass, so `type(m) is ModuleType` tells them apart.
 LAYER_PROBE = """
 import sys, types
 from dercat import cli
@@ -253,7 +264,7 @@ assert not missing, missing
 code = cli.main(sys.argv[1:])
 print(code, *sorted(k.split(".")[1] for k, m in list(sys.modules.items())
                     if k.startswith("dercat.") and type(m) is types.ModuleType),
-      "|", *[m for m in ("dataclasses", "inspect") if m in sys.modules])
+      "|", *[m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules])
 """
 
 D4_ALT = "vertices 4\narrow 1 2\narrow 3 2\narrow 4 2\n"
@@ -273,12 +284,13 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     quiver.write_text(D4_ALT)
     obj.write_text(dv.format_object(dv.projective_generator(qv.parse_quiver(D4_ALT))))
     q, o = ["--quiver", str(quiver)], ["--object", str(obj)]
-    product = ["cli", "derived", "linalg", "quiver", "sgd"]
+    product = ["cli", "derived", "quiver", "sgd"]
     walk, cut = sorted(product + ["mutation"]), sorted(product + ["slices"])
     both = sorted(product + ["mutation", "slices"])
     # an s.gl.dim-3 object, so theoremb takes a mutation step through a slice
     d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
-    # no product verb imports dataclasses or inspect: the part after "|" is empty
+    # no product verb imports dataclasses, inspect or fractions: the part after
+    # "|" is empty
     for argv, layers in (
             (["quiver", "validate"] + q, product), (["sgd"] + q + o, product),
             (["tilting", "check"] + q + o, product), (["hom"] + q + o + o, product),
@@ -291,7 +303,7 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
         assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + layers + ["|"], argv
     # the oracle route may load them
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
-    assert ran[:ran.index("|")] == ["0"] + sorted(product + ["complexes", "reps"])
+    assert ran[:ran.index("|")] == ["0"] + sorted(product + ["complexes", "linalg", "reps"])
 
 
 def test_lazy_layer_reuses_an_imported_module():

@@ -1,6 +1,8 @@
 import itertools
 import math
+import pathlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -208,3 +210,50 @@ def test_object_file_errors(a2):
 def test_zero_object_parse(a2):
     assert dv.parse_object(a2, "# empty\n").is_zero()
     assert dv.format_object(dv.DerivedObject(a2, [])) == ""
+
+
+D4_ALT = pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "D4-alt.q"
+
+
+def det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def fraction_inverse(a):
+    """adj(A) / det A in Fractions; None when A is singular."""
+    d = det(a)
+    if d == 0:
+        return None
+    n = len(a)
+    return [[Fraction((-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j]), d)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("which, want", [
+    ("A3", {"ok": 128, "singular": 92}),
+    ("D4-alt", {"ok": 4992, "singular": 5586, "|det|>=2": 48}),
+])
+def test_k0_inverse_matches_a_fraction_reference(a3, which, want):
+    # every basic n-summand stalk object with shifts in {0, 1}, rigid or not
+    q = a3 if which == "A3" else qv.parse_quiver(D4_ALT.read_text())
+    pairs = [(r, s) for s in (0, 1) for r in qv.positive_roots(q)]
+    seen = Counter()
+    for picks in itertools.combinations(pairs, q.n):
+        t = dv.DerivedObject(q, [(r, s, 1) for r, s in picks])
+        # column j: the class of summand j
+        ref = fraction_inverse([[(-1) ** s * r[i] for r, s in t.indecs()] for i in range(q.n)])
+        got = dv.k0_inverse(t)
+        if ref is None:
+            seen["singular"] += 1
+            assert got is None, picks
+        elif any(x.denominator != 1 for row in ref for x in row):
+            seen["|det|>=2"] += 1
+            assert got is None, picks
+        else:
+            seen["ok"] += 1
+            assert got == tuple(tuple(int(x) for x in row) for row in ref), picks
+    assert seen == want

@@ -4,8 +4,9 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from conftest import homk_basis
 
-from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
+from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
 from dercat.linalg import Subspace
 from dercat.quiver import InternalInconsistencyError
 
@@ -223,6 +224,31 @@ def test_admissible_splits_match_brute_force(text):
         assert mu.admissible_splits(t) == brute_force_splits(t), seed
 
 
+def solve(a, b):
+    """One solution of a x = b, or None if inconsistent."""
+    cols = len(a[0])
+    r, pivots = linalg.rref([row + [linalg.frac(v)] for row, v in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [linalg.ZERO] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][cols]
+    return x
+
+
+def homk_coords(sp, f):
+    """Coordinates of the chain map f, a {degree: RepMap}, in homk_basis(sp),
+    modulo the null-homotopic maps."""
+    vec = cx._vec_of_maps(sp._offs, sp._total, f)
+    cols = sp._rep_vecs + sp._bbasis
+    if not cols:
+        assert not any(vec), "nonzero map in a zero Hom space"
+        return ()
+    sol = solve(linalg.transpose(cols), vec)
+    assert sol is not None, "chain map outside the computed Hom space"
+    return tuple(sol[: sp.dim])
+
+
 @lru_cache(maxsize=None)
 def homk_space_cached(q, src, tgt):
     """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
@@ -244,9 +270,10 @@ def approx_multiplicities(q, t1, x, left):
         for mid in t1:
             if mid == s:
                 continue
-            for f in homk_space_cached(q, src, mid).basis:
-                for g in homk_space_cached(q, mid, tgt).basis:
-                    span.add(list(sp.coords(g.compose(f))))
+            for f in homk_basis(homk_space_cached(q, src, mid)):
+                for g in homk_basis(homk_space_cached(q, mid, tgt)):
+                    gf = {d: g[d].compose(f[d]) for d in g if d in f}
+                    span.add(list(homk_coords(sp, gf)))
         if sp.dim > span.dim:
             out[s] = sp.dim - span.dim
     return out
@@ -288,10 +315,11 @@ def test_two_exchange_survivors_are_a_breach(a2, monkeypatch):
 
 
 def test_product_modules_do_not_import_oracles():
-    # the module engine (reps) and the chain-complex engine (complexes) serve
-    # the oracles alone; the oracles import the product modules, never the reverse
+    # the module engine (reps), the chain-complex engine (complexes) and the
+    # rational arithmetic they run on (linalg, fractions) serve the oracles
+    # alone; the oracles import the product modules, never the reverse
     src = pathlib.Path(mu.__file__).parent
-    for name in ("quiver", "linalg", "derived", "sgd", "slices", "mutation"):
+    for name in ("quiver", "derived", "sgd", "slices", "mutation"):
         imported = set()
         for node in ast.walk(ast.parse((src / (name + ".py")).read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -299,7 +327,7 @@ def test_product_modules_do_not_import_oracles():
                 imported.update(a.name for a in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
-        assert not imported & {"reps", "complexes"}, name
+        assert not imported & {"reps", "complexes", "linalg", "fractions"}, name
 
 
 # the s.gl.dim chain-map oracle that tests compare sgd.sgldim against; no verb

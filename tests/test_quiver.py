@@ -204,6 +204,30 @@ def test_root_memos_agree_with_direct_formulas(path):
         assert qv.euler_form(same, list(d), f) == want
 
 
+NOT_A_TREE = "vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n"
+
+
+@pytest.mark.parametrize("text", [p.read_text() for p in BENCH_QUIVERS] + [NOT_A_TREE],
+                         ids=[p.stem for p in BENCH_QUIVERS] + ["not-a-tree"])
+def test_integer_inverses(text):
+    # E^-1 is the path-count matrix, and C^-1 = -P^T E inverts C = -P E^T
+    q = qv.parse_quiver(text)
+    n = q.n
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    p = qv.path_counts(q)
+    assert mul(p, qv.euler_matrix(q)) == ident
+    assert mul(qv.coxeter_matrix(q), qv.coxeter_inverse(q)) == ident
+    assert all(isinstance(x, int) for m in (p, qv.coxeter_matrix(q), qv.coxeter_inverse(q))
+               for row in m for x in row)
+    if text == NOT_A_TREE:
+        # two paths 1 -> 3: P_1 has dimension 2 at vertex 3
+        assert p[0][2] == 2 and qv.proj_dims(q, 0) == (1, 1, 2) and qv.inj_dims(q, 2) == (2, 1, 1)
+
+
 def test_quiver_is_immutable(a3):
     with pytest.raises(AttributeError):
         a3.n = 4
