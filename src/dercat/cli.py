@@ -194,7 +194,7 @@ def cmd_slice(args):
             print("# truncated at cap", file=sys.stderr)
         return 0
     s = sls.find_slice(t)
-    src_objs = set(sls.zq_of(q).object_of(*v) for v in s.sources)
+    src_objs = set(dv.zq_object(q, *v) for v in s.sources)
     for r, sh in s.objects:
         mark = "  # source" if (r, sh) in src_objs else ""
         print("summand dim=[%s] shift=%d mult=1%s" % (",".join(map(str, r)), sh, mark))

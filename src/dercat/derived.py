@@ -22,11 +22,14 @@ triangulated categories*, 2012), so everything reached from the projective
 generator generates.  The test suite checks, in integers, on A3, A4 (two
 orientations) and D4, that the objects so reached are exactly the rigid
 n-summand objects in a shift window one wider than the widest of them, and
-that each passes is_tilting.  This module is on the product path, so it
-imports neither reps nor complexes: the AR translate it needs is
-quiver.tau_root / quiver.tau_inv_root.  Nor does it import linalg or
-fractions: the class-matrix inverse (k0_inverse) is fraction-free integer
-elimination.
+that each passes is_tilting.
+
+The AR translate on (root, shift) pairs is tau_pair, and the coordinates of
+D^b(kQ) as one translation quiver ZQ are read off it (zq_object, zq_vertex).
+
+This module is on the product path, so it imports neither reps nor
+complexes, nor linalg or fractions: the class-matrix inverse (k0_inverse) is
+fraction-free integer elimination.
 
 Summands are validated in one place, DerivedObject.__init__, the only code
 that builds StalkSummand records: each root must be a positive root (which
@@ -155,35 +158,53 @@ def hom_dim(x, y):
     return total
 
 
+def tau_pair(q, root, shift, k=1):
+    """tau^k of M(root)[shift] as a (root, shift) pair; k < 0 walks with tau^-1.
+
+    Modules translate by the Coxeter matrix.  The one wrap leaves the module
+    category: tau P_i = I_i[-1], and tau^-1 I_i = P_i[1].
+    """
+    if k >= 0:
+        step, ends, wraps, ds = qv.tau_root, qv.proj_roots(q), qv.inj_roots(q), -1
+    else:
+        step, ends, wraps, ds = qv.tau_inv_root, qv.inj_roots(q), qv.proj_roots(q), 1
+    for _ in range(abs(k)):
+        nxt = step(q, root)
+        if nxt is None:
+            root, shift = wraps[ends.index(root)], shift + ds
+        else:
+            root = nxt
+    return root, shift
+
+
 def tau_derived(x):
-    """AR translate, summand-wise: modules translate, projectives wrap to injectives."""
+    """AR translate, summand-wise (tau_pair)."""
     if x.is_zero():
         raise ValueError("tau of the zero object")
     q = x.quiver
-    out = []
-    for s in x.summands:
-        t = qv.tau_root(q, s.root)
-        if t is None:
-            i = qv.proj_roots(q).index(s.root)
-            out.append((qv.inj_dims(q, i), s.shift - 1, s.mult))
-        else:
-            out.append((t, s.shift, s.mult))
-    return DerivedObject(q, out)
+    return DerivedObject(q, [tau_pair(q, s.root, s.shift) + (s.mult,) for s in x.summands])
 
 
-def tau_inv_derived(x):
-    if x.is_zero():
-        raise ValueError("inverse tau of the zero object")
-    q = x.quiver
-    out = []
-    for s in x.summands:
-        t = qv.tau_inv_root(q, s.root)
-        if t is None:
-            i = qv.inj_roots(q).index(s.root)
-            out.append((qv.proj_dims(q, i), s.shift + 1, s.mult))
-        else:
-            out.append((t, s.shift, s.mult))
-    return DerivedObject(q, out)
+@lru_cache(maxsize=None)
+def zq_object(q, m, i):
+    """(root, shift) at the ZQ vertex (m, i), that is tau^-m P_i[0]: m = 0 is
+    the projective slice at suspension 0, and shift >= 0 exactly when m >= 0."""
+    return tau_pair(q, qv.proj_dims(q, i), 0, -m)
+
+
+@lru_cache(maxsize=None)
+def zq_vertex(q, root, shift):
+    """ZQ vertex (m, i) of M(root)[shift]: tau walks it to the projective
+    slice, tau^-1 from below shift 0, and m counts the steps."""
+    if root not in qv.root_set(q):
+        raise qv.InternalInconsistencyError("object %r not found in ZQ" % ((root, shift),))
+    k = 1 if shift >= 0 else -1
+    projs = qv.proj_roots(q)
+    m = 0
+    while shift != 0 or root not in projs:
+        root, shift = tau_pair(q, root, shift, k)
+        m += k
+    return m, projs.index(root)
 
 
 def serre_dual_check(x, y):

@@ -10,8 +10,11 @@ the two on every root pair.  The AR translate on roots is integer arithmetic
 and lives in quiver (tau_root / tau_inv_root).
 
 Beyond the chain oracle this module serves only `dercat ind list`
-(knitting_order, format_rep): no module of the integer route (quiver,
-derived, sgd, slices, mutation) imports it, nor linalg, on which it runs.
+(knitting_order, format_rep).  knitting_order sorts the roots by their ZQ
+coordinates (derived.zq_vertex), so this module imports derived: the oracle
+imports the product, never the reverse.  No module of the integer route
+(quiver, derived, sgd, slices, mutation) imports reps, nor linalg, on which
+it runs.
 
 All functions are pure; the memoized tables (indecomposables, knitting order)
 are functools.lru_cache entries keyed by (quiver, roots), so results are
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, quiver as qv
+from . import derived as dv, linalg, quiver as qv
 from .linalg import Subspace
 
 
@@ -436,31 +439,20 @@ def indec_of_root(q, root):
 def knitting_order(q):
     """All positive roots ordered by (tau-orbit depth, slice position).
 
-    In this order Hom between distinct indecomposables only goes forward: the
-    matrix of Hom dimensions is upper uni-triangular.  `dercat ind list` prints
-    the indecomposables in this order.
+    The depth m and orbit i are the ZQ vertex (m, i) of the module at shift 0
+    (derived.zq_vertex), and the slice position is i's place in the sink-first
+    order.  In this order Hom between distinct indecomposables only goes
+    forward: the matrix of Hom dimensions is upper uni-triangular.  `dercat
+    ind list` prints the indecomposables in this order.
     """
     qv.ensure_dynkin(q)
-    phi_inv = qv.coxeter_inverse(q)
-    roots = set(qv.positive_roots(q))
-    slicepos = {v: i for i, v in enumerate(qv.sink_first_order(q))}
-    per_orbit = []
-    for i in range(q.n):
-        r = qv.proj_dims(q, i)
-        depth = 0
-        orbit = []
-        while tuple(r) in roots:
-            orbit.append((depth, slicepos[i], tuple(r)))
-            r = tuple(sum(phi_inv[a][b] * r[b] for b in range(q.n)) for a in range(q.n))
-            depth += 1
-            if any(x < 0 for x in r):
-                break
-        per_orbit.extend(orbit)
-    per_orbit.sort()
-    order = tuple(r for _, _, r in per_orbit)
-    if len(order) != len(roots) or set(order) != roots:
-        raise qv.InternalInconsistencyError("knitting enumeration missed roots")
-    return order
+    slicepos = {v: k for k, v in enumerate(qv.sink_first_order(q))}
+
+    def key(root):
+        m, i = dv.zq_vertex(q, root, 0)
+        return m, slicepos[i]
+
+    return tuple(sorted(qv.positive_roots(q), key=key))
 
 
 # ---------------------------------------------------------------------------

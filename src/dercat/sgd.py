@@ -28,9 +28,8 @@ class LengthProfile(namedtuple("LengthProfile", "ell_minus ell_plus")):
         return self.ell_plus - self.ell_minus
 
 
-# witness: a DerivedObject, normalized so ell_minus = 0;
-# window: (min_shift - 1, max_shift + 1) of T
-SgdReport = namedtuple("SgdReport", "value witness window")
+# witness: a DerivedObject, normalized so ell_minus = 0
+SgdReport = namedtuple("SgdReport", "value witness")
 
 
 def _profile(q, t_indecs, x_root, x_shift, pair):
@@ -75,8 +74,7 @@ def sgldim_scan(t, pair):
     Hom dimensions.
     """
     q = t.quiver
-    tb = t.basic()
-    indecs = tb.indecs()
+    indecs = t.basic().indecs()
     best_val = -1
     best_witness = None
     # ell is invariant under suspension of X, so each root is solved once, at shift 0
@@ -87,7 +85,7 @@ def sgldim_scan(t, pair):
             best_val = prof.ell
             best_witness = key
     w = dv.stalk(q, best_witness[1], best_witness[0])
-    return SgdReport(best_val, w, (tb.min_shift - 1, tb.max_shift + 1))
+    return SgdReport(best_val, w)
 
 
 def sgldim(t):

@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 from functools import lru_cache
 
 import pytest
@@ -11,6 +13,23 @@ def homk_basis(sp):
     have terms."""
     return [{d: reps.vector_to_map(m, n, sp._offs[d], vec) for d, (m, n) in sp._pairs.items()}
             for vec in sp._rep_vecs]
+
+
+INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
+
+
+def _orientations(n, edges):
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield qv.Quiver(n, [(j, i) if f else (i, j) for (i, j), f in zip(edges, flips)])
+
+
+def reference_quivers():
+    """Every bench/inputs quiver, A2+A1, and every orientation of A5 and D5."""
+    out = [qv.parse_quiver(p.read_text()) for p in sorted(INPUTS.glob("*.q"))]
+    out.append(qv.Quiver(3, ((0, 1),)))
+    out.extend(_orientations(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
+    out.extend(_orientations(5, ((0, 4), (1, 4), (4, 2), (2, 3))))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -55,9 +55,7 @@ def test_verify_a_reports_truncation(tmp_path, monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert any("status=pass" in r for r in rows)
     assert not any("truncated" in r for r in rows)
-    capped = sls.enumerate_slices
-    monkeypatch.setattr(sls, "enumerate_slices",
-                        lambda q, m_lo, m_hi, cap=None: capped(q, m_lo, m_hi, 1))
+    monkeypatch.setattr(sls, "SLICE_CAP", 1)
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.splitlines()
     passed = [r for r in rows if "status=pass" in r]

@@ -55,8 +55,12 @@ def test_tau_examples(a2):
 def test_tau_round_trip(a3, d4):
     for q in (a3, d4):
         for x in window_objects(q):
-            assert dv.tau_inv_derived(dv.tau_derived(x)) == x
-            assert dv.tau_derived(dv.tau_inv_derived(x)) == x
+            (pair,) = x.indecs()
+            assert dv.tau_pair(q, *dv.tau_pair(q, *pair), -1) == pair
+            assert dv.tau_pair(q, *dv.tau_pair(q, *pair, -1)) == pair
+            assert dv.tau_derived(x).indecs() == (dv.tau_pair(q, *pair),)
+            thrice = dv.tau_pair(q, *dv.tau_pair(q, *dv.tau_pair(q, *pair)))
+            assert dv.tau_pair(q, *pair, 3) == thrice
 
 
 def test_serre_examples(a2):

@@ -1,8 +1,10 @@
 import itertools
 import pathlib
+from collections import Counter
 
 import pytest
 
+from conftest import reference_quivers
 from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls
 
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
@@ -13,11 +15,33 @@ def positions(sl):
     return {i: m for m, i in sl.vertices}
 
 
+def in_hereditary(sl, xr, xs):
+    """Whether M(xr)[xs] lies in the hereditary subcategory cut out by the slice.
+
+    The defining condition quantifies over all nonzero shifts, but only two
+    shifts per slice element can carry a morphism, so the check is finite.
+    The reference for slices.level_of.
+    """
+    q = sl.quiver
+    for (sr, ss) in sl.objects:
+        for i in (ss - xs, ss - xs + 1):
+            if i != 0 and dv.pair_hom_dim(q, sr, ss, xr, xs + i):
+                return False
+    return True
+
+
 def hered_membership(sl, x):
     """Whether the indecomposable X lies in the hereditary subcategory cut out
     by the slice."""
     (xr, xs), = x.basic().indecs()
-    return sls._in_hereditary(sl, xr, xs)
+    return in_hereditary(sl, xr, xs)
+
+
+def scanned_level(sl, xr, xs):
+    """Every shift i with M(xr)[xs] in H[i], over the window where one can lie."""
+    lo = xs - max(s for _, s in sl.objects) - 1
+    hi = xs - min(s for _, s in sl.objects) + 1
+    return [i for i in range(lo, hi + 1) if in_hereditary(sl, xr, xs - i)]
 
 
 def lower_bound_witness(t, sl, ell):
@@ -33,12 +57,11 @@ def lower_bound_witness(t, sl, ell):
     hw = sls.shift_window(t, sl)
     tops = [o for o, l in hw.levels if l == ell]
     assert tops, "no summand at the top of the window"
-    z = sls.zq_of(q)
     src_sum = dv.DerivedObject(
-        q, [(z.object_of(*v)[0], z.object_of(*v)[1] + ell + 2, 1) for v in sl.sources])
+        q, [(r, s + ell + 2, 1) for r, s in (dv.zq_object(q, *v) for v in sl.sources)])
     big_l = dv.stalk(q, *tops[0])
     for (sr, ss) in sl.objects:
-        m_obj = dv.tau_inv_derived(dv.stalk(q, sr, ss)).shift(ell + 1)
+        m_obj = dv.stalk(q, *dv.tau_pair(q, sr, ss, -1)).shift(ell + 1)
         if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
             assert sgd.ell_profile(t, m_obj).ell >= ell + 2, m_obj
             return m_obj
@@ -46,75 +69,64 @@ def lower_bound_witness(t, sl, ell):
 
 
 def test_zq_dictionary_round_trip(a3, d4):
-    for q in (a3, d4):
-        z = sls.zq_of(q)
-        for m, i in itertools.product(range(-3, 4), range(q.n)):
-            obj = z.object_of(m, i)
-            assert z.vertex_of(obj) == (m, i)
+    for q in [a3, d4] + reference_quivers():
+        for m, i in itertools.product(range(-12, 13), range(q.n)):
+            obj = dv.zq_object(q, m, i)
+            assert dv.zq_vertex(q, *obj) == (m, i), (q, m, i)
+            # m = 0 is the projective slice at suspension 0
+            assert (obj[1] >= 0) == (m >= 0)
+        assert [dv.zq_object(q, 0, i) for i in range(q.n)] == [(r, 0) for r in qv.proj_roots(q)]
 
 
 @pytest.mark.parametrize("name", ["E7-alt", "E8-alt"])
 def test_zq_vertex_of_round_trip_on_e_types(name):
-    # a fresh ZQ per lookup, so each one grows the dictionary from the projectives
     q = qv.parse_quiver((INPUTS / (name + ".q")).read_text())
-    ref = sls.ZQ(q)
     shifts = set()
     for m, i in itertools.product(range(-45, 46), range(q.n)):
-        obj = ref.object_of(m, i)
+        obj = dv.zq_object(q, m, i)
         shifts.add(obj[1])
-        assert sls.ZQ(q).vertex_of(obj) == (m, i)
+        assert dv.zq_vertex(q, *obj) == (m, i)
     assert {-3, -1, 0, 3} <= shifts
-
-
-def test_zq_vertex_of_grows_orbits_in_step():
-    q = qv.parse_quiver((INPUTS / "E8-alt.q").read_text())
-    obj = sls.ZQ(q).object_of(3, 7)
-    z = sls.ZQ(q)
-    assert z.vertex_of(obj) == (3, 7)
-    # the projectives plus three rounds of one step on each orbit
-    assert len(z._obj) <= q.n * 4
 
 
 def test_zq_vertex_of_rejects_an_object_off_zq(a3):
     with pytest.raises(qv.InternalInconsistencyError, match="not found in ZQ"):
-        sls.ZQ(a3).vertex_of(((2, 0, 0), 1))
+        dv.zq_vertex(a3, (2, 0, 0), 1)
 
 
 def test_zq_tau_matches_derived(a3):
-    z = sls.zq_of(a3)
-    for m, i in itertools.product(range(-2, 3), range(3)):
-        obj = dv.stalk(a3, *z.object_of(m, i))
-        prev = dv.tau_derived(obj).indecs()[0]
-        assert z.object_of(m - 1, i) == prev
+    for q in [a3] + reference_quivers():
+        for m, i in itertools.product(range(-12, 13), range(q.n)):
+            obj = dv.stalk(q, *dv.zq_object(q, m, i))
+            prev = dv.tau_derived(obj).indecs()[0]
+            assert dv.zq_object(q, m - 1, i) == prev
 
 
 def test_zq_arrows_carry_morphisms(a3, d4):
     for q in (a3, d4):
-        z = sls.zq_of(q)
+        st = sls.step(q)
         for m, i in itertools.product(range(-2, 3), range(q.n)):
-            src = dv.stalk(q, *z.object_of(m, i))
+            src = dv.stalk(q, *dv.zq_object(q, m, i))
             for j in q.neighbors(i):
-                mid = dv.stalk(q, *z.object_of(m + z.step[i, j], j))
+                mid = dv.stalk(q, *dv.zq_object(q, m + st[i, j], j))
                 assert dv.hom_dim(src, mid) >= 1
                 # mesh: each arrow (m, i) -> mid is followed by one mid -> (m + 1, i)
-                assert z.step[i, j] + z.step[j, i] == 1
-                assert dv.hom_dim(mid, dv.stalk(q, *z.object_of(m + 1, i))) >= 1
+                assert st[i, j] + st[j, i] == 1
+                assert dv.hom_dim(mid, dv.stalk(q, *dv.zq_object(q, m + 1, i))) >= 1
 
 
 def test_find_slice_projective_generator(a2):
     t = dv.projective_generator(a2)
     s = sls.find_slice(t)
     assert set(s.objects) == {((1, 1), 0), ((0, 1), 0)}
-    z = sls.zq_of(a2)
-    assert [z.object_of(*v) for v in s.sources] == [((0, 1), 0)]
+    assert [dv.zq_object(a2, *v) for v in s.sources] == [((0, 1), 0)]
 
 
 def test_find_slice_apr_tilt(a2):
     t = dv.DerivedObject(a2, [((1, 1), 0, 1), ((1, 0), 0, 1)])
     s = sls.find_slice(t)
     assert set(s.objects) == {((1, 1), 0), ((1, 0), 0)}
-    z = sls.zq_of(a2)
-    assert [z.object_of(*v) for v in s.sources] == [((1, 1), 0)]
+    assert [dv.zq_object(a2, *v) for v in s.sources] == [((1, 1), 0)]
 
 
 def test_find_slice_shift_equivariance(a3):
@@ -127,23 +139,21 @@ def test_find_slice_shift_equivariance(a3):
 
 def test_find_slice_sources_are_summands(a4, d4):
     for q in (a4, d4):
-        z = sls.zq_of(q)
         for seed in range(8):
             t, _ = mu.random_tilting_walk(q, seed, 5)
             s = sls.find_slice(t)
             summands = set(t.basic().indecs())
-            assert set(z.object_of(*v) for v in s.sources) <= summands
+            assert set(dv.zq_object(q, *v) for v in s.sources) <= summands
 
 
 def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
     # against enumerate_slices: for each Hom-minimal summand s the one section
     # whose only source is s, then their pointwise minimum
     for q in (a4, d4, d5_alt):
-        z = sls.zq_of(q)
         for seed in range(4):
             t, _ = mu.random_tilting_walk(q, seed, 2 + seed)
             objs = [dv.stalk(q, r, sh) for r, sh in t.basic().indecs()]
-            minimal = [z.vertex_of(x.indecs()[0]) for x in objs
+            minimal = [dv.zq_vertex(q, *x.indecs()[0]) for x in objs
                        if not any(dv.hom_dim(y, x) for y in objs if y is not x)]
             found, truncated = sls.enumerate_slices(
                 q, min(m for m, _ in minimal), max(m for m, _ in minimal) + q.n)
@@ -176,7 +186,7 @@ def test_hered_membership_examples(a2):
         assert hered_membership(s, dv.stalk(a2, r, sh))
 
 
-def test_membership_partitions_window(a3):
+def test_membership_partitions_window(a3, d4, census):
     t = dv.projective_generator(a3)
     s = sls.find_slice(t)
     for r in qv.positive_roots(a3):
@@ -185,6 +195,24 @@ def test_membership_partitions_window(a3):
             levels = [i for i in range(-4, 5) if hered_membership(s, x.shift(-i))]
             assert len(levels) == 1
             assert levels[0] == sls.level_of(s, r, k)
+    # the canonical slice of every D4 census object, against the membership scan
+    for t in sorted(census(d4), key=dv.format_object):
+        s = sls.find_slice(t)
+        for r in qv.positive_roots(d4):
+            for k in range(-2, 5):
+                assert scanned_level(s, r, k) == [sls.level_of(s, r, k)], (t, r, k)
+
+
+def test_level_of_refuses_a_set_that_is_not_a_slice(a3):
+    s = sls.find_slice(dv.projective_generator(a3))
+    (r0, s0), (r1, s1), (r2, s2) = s.objects
+    # P2 lifted two shifts: P1 and P2[2] fix different levels of M(1,1,1)
+    lifted = s._replace(objects=((r0, s0), (r1, s1 + 2), (r2, s2)))
+    with pytest.raises(qv.InternalInconsistencyError, match="fixes 2 hereditary shifts"):
+        sls.level_of(lifted, (1, 1, 1), 0)
+    # S3 alone maps to no shift of S1
+    with pytest.raises(qv.InternalInconsistencyError, match="fixes 0 hereditary shifts"):
+        sls.level_of(s._replace(objects=(((0, 0, 1), 0),)), (1, 0, 0), 0)
 
 
 def test_member_and_its_shift_never_both(a3):
@@ -228,14 +256,14 @@ def test_enumerate_slices_matches_brute_force(d4, e6_alt, window):
 def test_theoremA_on_quasi_tilted(a3):
     t = dv.DerivedObject(a3, [((0, 0, 1), 0, 1), ((1, 0, 0), 0, 1), ((1, 1, 1), 0, 1)])
     rep = sls.theoremA_verify(t)
-    assert rep.sgd == 2 and rep.ell == 0 and rep.equality_ok and rep.upper_ok
+    assert rep.sgd == 2 and rep.ell == 0
 
 
 def test_theoremA_on_sgldim3(a4):
     t = dv.DerivedObject(a4, [((0, 0, 0, 1), 0, 1), ((1, 0, 0, 0), 0, 1),
                               ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
     rep = sls.theoremA_verify(t)
-    assert rep.sgd == 3 and rep.ell == 1 and rep.equality_ok and rep.upper_ok
+    assert rep.sgd == 3 and rep.ell == 1
 
 
 def test_theoremA_rejects_hereditary(a2):
@@ -256,8 +284,8 @@ def test_lower_bound_witness(a4, a4_alt, census):
             # the witness lies in the stated translate of the slice
             translate = set()
             for r, sh in s.objects:
-                tr = dv.tau_inv_derived(dv.stalk(q, r, sh)).shift(hw.ell + 1)
-                translate.add(tr.indecs()[0])
+                tr, trs = dv.tau_pair(q, r, sh, -1)
+                translate.add((tr, trs + hw.ell + 1))
             assert m.indecs()[0] in translate
             checked += 1
     assert checked == 10
@@ -272,4 +300,27 @@ def test_lower_bound_witness_needs_positive_window(a2):
 def test_slice_machinery_requires_connected():
     q = qv.Quiver(2, ())
     with pytest.raises(sls.SliceError):
-        sls.zq_of(q)
+        sls.step(q)
+
+
+def test_theorems_a_and_b_on_every_census_object(a3, a4, a4_alt, d4, census):
+    # A_n has binom(3n, n) / (2n + 1) tilting objects up to suspension
+    expected = [(a3, 12, {1: 8, 2: 4}), (a4, 55, {1: 20, 2: 30, 3: 5}),
+                (a4_alt, 55, {1: 20, 2: 30, 3: 5}), (d4, 69, {1: 24, 2: 45})]
+    checked = 0
+    for q, count, hist in expected:
+        objs = sorted(census(q), key=dv.format_object)
+        assert len(objs) == count
+        assert Counter(sgd.sgldim(t).value for t in objs) == hist
+        for t in objs:
+            d = sgd.sgldim(t).value
+            if d < 2:
+                continue
+            rep = sls.theoremA_verify(t)
+            assert (rep.sgd, rep.ell, rep.truncated) == (d, d - 2, False)
+            # T^(0), ..., T^(d-2) = T: d - 2 mutation steps, step i at s.gl.dim 2 + i
+            seq = mu.theoremB_sequence(t)
+            assert len(seq) - 1 == d - 2 and seq[-1][0] == t.basic()
+            assert [sgd.sgldim(x).value for x, _ in seq] == list(range(2, d + 1))
+            checked += 1
+    assert checked == 119
