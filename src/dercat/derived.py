@@ -26,6 +26,8 @@ that each passes is_tilting.
 
 The AR translate on (root, shift) pairs is tau_pair, and the coordinates of
 D^b(kQ) as one translation quiver ZQ are read off it (zq_object, zq_vertex).
+tau^-h = [2] on each tau-orbit, h the Coxeter number (tau_period), so a
+coordinate costs at most about 2h tau-steps however far out it lies.
 
 This module is on the product path, so it imports neither reps nor
 complexes, nor linalg or fractions: the class-matrix inverse (k0_inverse) is
@@ -119,13 +121,13 @@ class DerivedObject:
             "%r[%d]^%d" % (s.root, s.shift, s.mult) for s in self.summands)
 
 
-def stalk(q, root, shift=0, mult=1):
-    return DerivedObject(q, [(root, shift, mult)])
+def stalk(q, root, shift=0):
+    return DerivedObject(q, [(root, shift, 1)])
 
 
-def projective_generator(q, shift=0):
-    """The sum of all indecomposable projectives, placed at one shift."""
-    return DerivedObject(q, [(qv.proj_dims(q, i), shift, 1) for i in range(q.n)])
+def projective_generator(q):
+    """The sum of all indecomposable projectives, at shift 0."""
+    return DerivedObject(q, [(qv.proj_dims(q, i), 0, 1) for i in range(q.n)])
 
 
 def pair_hom_dim(q, r1, s1, r2, s2):
@@ -186,25 +188,43 @@ def tau_derived(x):
 
 
 @lru_cache(maxsize=None)
+def tau_period(q, i):
+    """The h with tau^-h P_i = P_i[2], the Coxeter number of i's component
+    (Happel 1988); tau commutes with the shift, so tau^-h = [2] on the whole
+    tau-orbit of P_i."""
+    p = qv.proj_dims(q, i)
+    root, shift, h = p, 0, 0
+    while (root, shift) != (p, 2):
+        root, shift = tau_pair(q, root, shift, -1)
+        h += 1
+    return h
+
+
+@lru_cache(maxsize=None)
 def zq_object(q, m, i):
     """(root, shift) at the ZQ vertex (m, i), that is tau^-m P_i[0]: m = 0 is
-    the projective slice at suspension 0, and shift >= 0 exactly when m >= 0."""
-    return tau_pair(q, qv.proj_dims(q, i), 0, -m)
+    the projective slice at suspension 0, and shift >= 0 exactly when m >= 0.
+    Each h = tau_period(q, i) steps add 2 to the shift; under h are walked."""
+    k, r = divmod(m, tau_period(q, i))
+    root, shift = tau_pair(q, qv.proj_dims(q, i), 0, -r)
+    return root, shift + 2 * k
 
 
 @lru_cache(maxsize=None)
 def zq_vertex(q, root, shift):
-    """ZQ vertex (m, i) of M(root)[shift]: tau walks it to the projective
-    slice, tau^-1 from below shift 0, and m counts the steps."""
+    """ZQ vertex (m, i) of M(root)[shift]: tau walks M(root)[shift mod 2]
+    down to the projective slice and m counts the steps; each 2 taken off the
+    shift adds tau_period(q, i) to m."""
     if root not in qv.root_set(q):
         raise qv.InternalInconsistencyError("object %r not found in ZQ" % ((root, shift),))
-    k = 1 if shift >= 0 else -1
+    k, shift = divmod(shift, 2)
     projs = qv.proj_roots(q)
     m = 0
     while shift != 0 or root not in projs:
-        root, shift = tau_pair(q, root, shift, k)
-        m += k
-    return m, projs.index(root)
+        root, shift = tau_pair(q, root, shift, 1)
+        m += 1
+    i = projs.index(root)
+    return m + k * tau_period(q, i), i
 
 
 def serre_dual_check(x, y):

@@ -49,11 +49,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a):
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)

@@ -21,7 +21,7 @@ are functools.lru_cache entries keyed by (quiver, roots), so results are
 identical under any evaluation order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -129,13 +129,6 @@ class RepMap:
         return RepMap(self.source, self.target,
                       [linalg.mat_add(self._mat(v), other._mat(v)) if self.target.dims[v] and self.source.dims[v] else self._mat(v)
                        for v in range(self.source.quiver.n)])
-
-    def scale(self, c):
-        return RepMap(self.source, self.target,
-                      [linalg.mat_scale(c, self._mat(v)) for v in range(self.source.quiver.n)])
-
-    def neg(self):
-        return self.scale(-1)
 
     def __repr__(self):
         return "RepMap(%r -> %r)" % (self.source.dims, self.target.dims)
@@ -320,16 +313,8 @@ def proj_sum_rep(q, indices):
     return direct_sum([proj_rep(q, i) for i in indices])
 
 
-@dataclass
-class ProjResolution:
-    """Minimal projective resolution 0 -> P1 -> P0 -> M -> 0."""
-
-    p1_indices: list
-    p0_indices: list
-    p1: Representation
-    p0: Representation
-    d: RepMap      # P1 -> P0
-    eps: RepMap    # P0 -> M
+# the minimal projective resolution 0 -> P1 --d--> P0 --eps--> M -> 0
+ProjResolution = namedtuple("ProjResolution", "p1_indices p0_indices p1 p0 d eps")
 
 
 def proj_resolution(m):

@@ -4,8 +4,9 @@ sgldim evaluates length profiles with derived.pair_hom_dim, the closed
 Euler-form Hom rule (integer arithmetic only).  Its oracle is
 complexes.sgldim_ringel: the same profiles evaluated with genuine chain-map
 computations on minimal complexes (plus, for a projective-slice tilting
-object, the literal sup of minimal-complex lengths).  Disagreement is a hard
-failure.
+object, the literal sup of the degree spans hi - lo of the stalk complexes,
+which are minimal, so the spans are Ringel's lengths).  Disagreement is a
+hard failure.
 
 This module is on the product path with quiver, derived, slices and
 mutation, and like them imports neither the oracle engines (reps, complexes)

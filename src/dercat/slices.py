@@ -3,12 +3,13 @@
 For a Dynkin quiver the whole derived category is a single transjective
 component of shape ZQ, so slices are sections of ZQ: one vertex per tau-orbit,
 adjacent choices differing by the mesh relations.  ZQ coordinates are root
-arithmetic in derived (zq_object, zq_vertex: one tau-walk each), and the
-arrows of ZQ are read off one memoized table, step(q): each edge i - j of Q
-gives the arrows (m, i) -> (m + step[i, j], j), with step 1 along the Q-arrow
-i -> j and 0 against it.  A tilting object determines a canonical slice, the
-pointwise least of the single-source sections of its Hom-minimal summands,
-whose window reproduces the strong global dimension exactly (minus two).
+arithmetic in derived (zq_object, zq_vertex: one tau-walk of under two
+Coxeter numbers each), and the arrows of ZQ are read off one memoized table,
+step(q): each edge i - j of Q gives the arrows (m, i) -> (m + step[i, j], j),
+with step 1 along the Q-arrow i -> j and 0 against it.  A tilting object
+determines a canonical slice, the pointwise least of the single-source
+sections of its Hom-minimal summands, whose window reproduces the strong
+global dimension exactly (minus two).
 
 The hereditary window of a slice is read on (root, shift) pairs: level_of
 takes each summand's level from the Hom pattern of the slice objects into it

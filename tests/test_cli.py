@@ -299,9 +299,12 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
             (["slice"] + q + o, cut), (["theoremb"] + d5, both),
             (["verify", "a", "--samples", "3"] + q, both)):
         assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + layers + ["|"], argv
-    # the oracle route may load them
+    # the oracle routes load their rational arithmetic, and no more
+    oracle = sorted(product + ["complexes", "linalg", "reps"])
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
-    assert ran[:ran.index("|")] == ["0"] + sorted(product + ["complexes", "linalg", "reps"])
+    assert ran == ["0"] + oracle + ["|", "fractions"], ran
+    ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
+    assert ran == ["0"] + sorted(product + ["linalg", "reps"]) + ["|", "fractions"], ran
 
 
 def test_lazy_layer_reuses_an_imported_module():

@@ -1,8 +1,7 @@
 import itertools
 from fractions import Fraction
 
-import pytest
-from conftest import homk_basis
+from conftest import homk_basis, reference_quivers
 
 from dercat import complexes as cx, derived as dv, linalg, quiver as qv, reps
 
@@ -14,14 +13,15 @@ def res(q, root, shift=0):
 def shift(c, k):
     """The complex c[k]: terms move down k degrees, differentials take the sign (-1)^k."""
     sign = Fraction(-1) ** (k % 2)
-    diffs = {d - k: [[None if blk is None else blk.scale(sign) for blk in row]
-                     for row in blocks]
+
+    def scaled(blk):
+        return reps.RepMap(blk.source, blk.target,
+                           [[[sign * x for x in row] for row in blk._mat(v)]
+                            for v in range(c.quiver.n)])
+
+    diffs = {d - k: [[scaled(blk) for blk in row] for row in blocks]
              for d, blocks in c.diffs.items()}
     return cx.ProjComplex(c.quiver, {d - k: t for d, t in c.terms.items()}, diffs)
-
-
-def identity_map(m):
-    return reps.RepMap(m, m, [linalg.identity(d) for d in m.dims])
 
 
 def is_chain_map(x, y, maps):
@@ -93,41 +93,6 @@ def homology_dims(c, k):
     return [cx.HomKSpace(res(q, qv.proj_dims(q, v)), shift(c, k)).dim for v in range(q.n)]
 
 
-def test_minimize_strips_contractible_summand(a2):
-    # the resolution P1 -> P0 of S0, plus P1 --1--> P1 in the same two degrees
-    (f,), = res(a2, (1, 0)).diffs[-1]
-    one = identity_map(reps.proj_rep(a2, 1))
-    fat = cx.ProjComplex(a2, {-1: (1, 1), 0: (0, 1)}, {-1: [[f, None], [None, one]]})
-    m = fat.minimize()
-    assert sorted(m.degrees()) == [-1, 0]
-    assert m.term(-1) == (1,) and m.term(0) == (0,)
-
-
-def test_minimize_idempotent(a3):
-    # the resolution of (1,1,1) (a projective stalk), plus P1 --1--> P1 one degree down
-    c = res(a3, (1, 1, 1))
-    (p,) = c.term(0)
-    one = identity_map(reps.proj_rep(a3, 1))
-    fat = cx.ProjComplex(a3, {-1: (1,), 0: (p, 1)}, {-1: [[None], [one]]})
-    m = fat.minimize()
-    m2 = m.minimize()
-    assert {d: m.term(d) for d in m.degrees()} == {d: m2.term(d) for d in m2.degrees()}
-    assert {d: m.term(d) for d in m.degrees()} == {0: (p,)}
-
-
-def test_minimize_preserves_homology(a3):
-    # the resolution of (1,1,0), plus P0 --1--> P0 in the same two degrees
-    c = res(a3, (1, 1, 0))
-    (f,), = c.diffs[-1]
-    (lo,), (hi,) = c.term(-1), c.term(0)
-    one = identity_map(reps.proj_rep(a3, 0))
-    fat = cx.ProjComplex(a3, {-1: (lo, 0), 0: (hi, 0)}, {-1: [[f, None], [None, one]]})
-    m = fat.minimize()
-    assert len(m.term(-1)) + len(m.term(0)) == 2
-    for k in (-2, -1, 0, 1):
-        assert homology_dims(fat, k) == homology_dims(m, k)
-
-
 def test_homology_of_resolution_is_the_module(d5_alt):
     for r in qv.positive_roots(d5_alt):
         c = res(d5_alt, r)
@@ -135,15 +100,17 @@ def test_homology_of_resolution_is_the_module(d5_alt):
         assert homology_dims(c, -1) == homology_dims(c, 1) == [0] * d5_alt.n
 
 
-def test_ringel_length_values(a2):
-    assert cx.ringel_length(res(a2, (1, 1))).length == 0
-    assert cx.ringel_length(res(a2, (1, 0))).length == 1
-    assert cx.ringel_length(shift(res(a2, (1, 0)), 5)).length == 1
-
-
-def test_ringel_length_zero_object(a2):
-    with pytest.raises(cx.ZeroObjectError):
-        cx.ringel_length(cx.ProjComplex(a2, {}, {}))
+def test_stalk_complexes_are_minimal():
+    # P1 and P0 share no indecomposable summand, so no block of the
+    # differential runs between equal projectives P_i (where a nonzero entry
+    # at vertex i would be an isomorphism): nothing is contractible, and
+    # hi - lo is Ringel's length, 0 exactly on the projective roots, else 1
+    for q in reference_quivers():
+        projs = set(qv.proj_roots(q))
+        for r in qv.positive_roots(q):
+            c = res(q, r)
+            assert not set(c.term(-1)) & set(c.term(0)), (q, r)
+            assert c.hi - c.lo == (0 if r in projs else 1), (q, r)
 
 
 def test_happel_agreement_window(a2, a3):

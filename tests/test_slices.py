@@ -89,6 +89,26 @@ def test_zq_vertex_of_round_trip_on_e_types(name):
     assert {-3, -1, 0, 3} <= shifts
 
 
+def test_zq_coordinates_fold_by_the_coxeter_number():
+    # tau^-h = [2]: against a step-by-step tau walk within three periods, and
+    # as a round trip at m = +-10^6, where a walk would take a million steps
+    for q in reference_quivers():
+        for comp in q.components():
+            # a root's support is connected, so it lies in one component
+            roots = sum(1 for r in qv.positive_roots(q) if any(r[v] for v in comp))
+            for i in comp:
+                h = dv.tau_period(q, i)
+                assert h == 2 * roots // len(comp), (q, i)
+                for m in range(-3 * h, 3 * h + 1):
+                    obj = dv.tau_pair(q, qv.proj_dims(q, i), 0, -m)
+                    assert dv.zq_object(q, m, i) == obj, (q, m, i)
+                    assert dv.zq_vertex(q, *obj) == (m, i), (q, m, i)
+                for m in (-10 ** 6, 10 ** 6):
+                    root, shift = dv.zq_object(q, m, i)
+                    assert dv.zq_vertex(q, root, shift) == (m, i)
+                    assert dv.zq_object(q, m + h, i) == (root, shift + 2)
+
+
 def test_zq_vertex_of_rejects_an_object_off_zq(a3):
     with pytest.raises(qv.InternalInconsistencyError, match="not found in ZQ"):
         dv.zq_vertex(a3, (2, 0, 0), 1)
