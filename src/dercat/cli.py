@@ -160,8 +160,9 @@ def _parse_t2(t, spec_str, dual):
         idx = [int(i) for i in spec_str.split(",")]
     except ValueError:
         idx = None
-    # a negative index would silently pick from the end of the list
-    if idx is None or not all(0 <= i < len(indecs) for i in idx):
+    # a negative index would silently pick from the end of the list, and a
+    # repeated one would be dropped
+    if idx is None or not all(0 <= i < len(indecs) for i in idx) or len(set(idx)) != len(idx):
         raise ValueError("bad --t2 %r; expected comma-separated summand indices 0..%d"
                          % (spec_str, len(indecs) - 1))
     picks = [indecs[i] for i in idx]

@@ -34,13 +34,16 @@ complexes, nor linalg or fractions: the class-matrix inverse (k0_inverse) is
 fraction-free integer elimination.
 
 Summands are validated in one place, DerivedObject.__init__, the only code
-that builds StalkSummand records: each root must be a positive root (which
-rules out zero and negative vectors), and each multiplicity, after equal
-summands are merged, must be at least 1.
+that builds StalkSummand records from outside input: each root must be a
+positive root (which rules out zero and negative vectors), and each
+multiplicity, after equal summands are merged, must be at least 1.  basic,
+shift and restrict derive new records from an object's own, which are
+already validated, merged and sorted, so they build nothing twice.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from . import quiver as qv
 
@@ -72,6 +75,15 @@ class DerivedObject:
             out.append(s)
         self.summands = tuple(out)
 
+    @classmethod
+    def _of_records(cls, q, records):
+        """The object on StalkSummand records already validated, merged and
+        sorted by (shift, root)."""
+        obj = cls.__new__(cls)
+        obj.quiver = q
+        obj.summands = records
+        return obj
+
     def is_zero(self):
         return not self.summands
 
@@ -79,21 +91,31 @@ class DerivedObject:
         """Distinct indecomposable summands as (root, shift) pairs, canonical order."""
         return tuple((s.root, s.shift) for s in self.summands)
 
-    def indecs_with_mult(self):
-        return tuple((s.root, s.shift, s.mult) for s in self.summands)
-
     def num_distinct(self):
         return len(self.summands)
 
     def basic(self):
-        return DerivedObject(self.quiver, [(s.root, s.shift, 1) for s in self.summands])
+        """Every multiplicity set to 1; the object itself when already basic."""
+        if all(s.mult == 1 for s in self.summands):
+            return self
+        return DerivedObject._of_records(
+            self.quiver, tuple(StalkSummand(s.root, s.shift, 1) for s in self.summands))
 
     def shift(self, k):
-        return DerivedObject(self.quiver, [(s.root, s.shift + k, s.mult) for s in self.summands])
+        k = int(k)
+        return DerivedObject._of_records(
+            self.quiver, tuple(StalkSummand(s.root, s.shift + k, s.mult) for s in self.summands))
 
     def restrict(self, picks):
-        """Sub-sum on the given (root, shift) pairs, multiplicity 1 each."""
-        return DerivedObject(self.quiver, [(r, s, 1) for r, s in picks])
+        """Sub-sum on the given (root, shift) pairs, multiplicity 1 each; each
+        pair must be a summand."""
+        picks = set(picks)
+        out = tuple(s if s.mult == 1 else StalkSummand(s.root, s.shift, 1)
+                    for s in self.summands if (s.root, s.shift) in picks)
+        if len(out) != len(picks):
+            raise ValueError("not summands of %r: %r" % (
+                self, sorted(picks - {(s.root, s.shift) for s in out})))
+        return DerivedObject._of_records(self.quiver, out)
 
     @property
     def min_shift(self):
@@ -107,14 +129,13 @@ class DerivedObject:
     def spread(self):
         return self.max_shift - self.min_shift
 
-    def key(self):
-        return (self.quiver, self.indecs_with_mult())
-
+    # StalkSummand records compare and hash as (root, shift, mult) tuples
     def __eq__(self, other):
-        return isinstance(other, DerivedObject) and self.key() == other.key()
+        return (isinstance(other, DerivedObject) and self.summands == other.summands
+                and self.quiver == other.quiver)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.quiver, self.summands))
 
     def __repr__(self):
         return "DerivedObject(%s)" % ", ".join(
@@ -140,10 +161,29 @@ def pair_hom_dim(q, r1, s1, r2, s2):
     max(-<r1,r2>, 0).  Oracle: complexes.homk_pair_dim.
     """
     gap = s2 - s1
-    if gap == 0:
-        return max(qv.euler_form(q, r1, r2), 0)
-    if gap == 1:
-        return max(-qv.euler_form(q, r1, r2), 0)
+    if gap == 0 or gap == 1:
+        e = qv.euler_form(q, r1, r2)
+        if gap:
+            e = -e
+        return e if e > 0 else 0
+    return 0
+
+
+def nonzero_shift(q, x, y):
+    """The i != 0 with Hom(x, y[i]) != 0 for (root, shift) pairs x and y, or 0
+    when there is none.
+
+    Only gaps 0 and 1 are live, so i is s1 - s2 or s1 - s2 + 1, whatever the
+    spread; and by pair_hom_dim the gap-0 Hom is nonzero exactly when
+    <r1,r2> > 0, the gap-1 one exactly when <r1,r2> < 0, so one Euler value
+    picks the one live shift.
+    """
+    (r1, s1), (r2, s2) = x, y
+    e = qv.euler_form(q, r1, r2)
+    if e > 0:
+        return s1 - s2
+    if e < 0:
+        return s1 - s2 + 1
     return 0
 
 
@@ -293,6 +333,17 @@ def k0_inverse(t):
     return tuple(tuple(prev * x for x in row[n:]) for row in m)
 
 
+def k0_coords(t):
+    """T-coordinates of every M(r)[0], as {root: tuple by summand of t.indecs()}:
+    k0_inverse applied to the class r; M(r)[s] has (-1)^s times them.  None
+    when k0_inverse is.
+    """
+    inv = k0_inverse(t)
+    if inv is None:
+        return None
+    return {r: tuple(sum(map(mul, row, r)) for row in inv) for r in qv.positive_roots(t.quiver)}
+
+
 def is_tilting(t):
     """Rigid, n distinct indecomposable summands, unimodular class lattice.
 
@@ -316,21 +367,23 @@ def rigidity_failure(t):
     """A witness (i, (root,shift), (root,shift)) with Hom(T, T[i]) nonzero, i != 0,
     or None when T is rigid.
 
-    Only |i| <= spread+1 can be nonzero, and for each i only the summand pairs
-    whose shift gap is 0 or 1 (the rest vanish by pair_hom_dim).
+    Each ordered summand pair is tested at its one live shift only
+    (nonzero_shift).  The witness is the least (i, index of the first
+    summand, index of the second) in t.basic().indecs() order: the first one
+    a scan over i, then summand pairs, would meet.
     """
-    tb = t.basic()
-    if tb.is_zero():
+    q = t.quiver
+    pairs = t.basic().indecs()
+    found = None
+    for a, x in enumerate(pairs):
+        for b, y in enumerate(pairs):
+            i = nonzero_shift(q, x, y)
+            if i and (found is None or (i, a, b) < found):
+                found = (i, a, b)
+    if found is None:
         return None
-    w = tb.spread
-    for i in range(-(w + 1), w + 2):
-        if i == 0:
-            continue
-        for r1, s1 in tb.indecs():
-            for r2, s2 in tb.indecs():
-                if s2 + i - s1 in (0, 1) and pair_hom_dim(tb.quiver, r1, s1, r2, s2 + i):
-                    return i, (r1, s1), (r2, s2)
-    return None
+    i, a, b = found
+    return i, pairs[a], pairs[b]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,18 @@ Y is read off K0 in integers.  The summand classes of T are a basis (the
 integral inverse derived.k0_inverse), and [Y] = [B] - [x], so Y has
 T-coordinates -1 at x, 0 at the other t2 summands and its multiplicity in B
 at each t1 summand: the index of the exchange (ibid., section 2).
-`_survivors` tries every positive root at the shift of x and the one below
-(above, for co-mutation), and keeps a candidate whose coordinates have that
-sign pattern, which is rigid against t1, and whose connecting map with x is
-nonzero.  The true Y always survives, so a unique survivor is Y, and its t1
-coordinates are the approximation's multiplicities.  Any other count is an
+Once per basic T, `_candidates` reads the T-coordinates of every positive
+root, one integer tuple per root (derived.k0_coords), and files the root
+under the summand j where it has that sign pattern at even shift (its
+negative, at odd shift): -1 at j and >= 0 elsewhere.  For the t2 summand x,
+`_survivors` places each root filed under x at the shift of x or the one
+below (above, for co-mutation), whichever has the right parity, and keeps a
+candidate whose coordinates vanish at the other t2 summands, which is rigid
+against t1, and whose connecting map with x is nonzero.  Rigidity against
+t1 is tested pair by pair at the one live shift of each direction
+(derived.nonzero_shift); no candidate object is built.  The true Y always
+survives, so a unique survivor is Y, and its t1 coordinates are the
+approximation's multiplicities.  Any other count is an
 InternalInconsistencyError, except that no survivor on a co-mutation split
 with Hom(t1, t2) != 0, which need not invert any mutation, is a ValueError.
 Every output is re-checked for tilting-ness.
@@ -23,8 +30,9 @@ Every output is re-checked for tilting-ness.
 
 import random as _random
 from collections import namedtuple
+from functools import lru_cache
 
-from . import derived as dv, quiver as qv, sgd, slices as sls
+from . import derived as dv, sgd, slices as sls
 from .quiver import InternalInconsistencyError
 
 Split = namedtuple("Split", "t1 t2")
@@ -47,9 +55,7 @@ def partition(t, t2_picks):
     all_indecs = set(tb.indecs())
     if not picks or not picks <= all_indecs:
         raise ValueError("t2 must be a nonempty subset of the summands")
-    t2 = tb.restrict(sorted(picks, key=lambda p: (p[1], p[0])))
-    t1 = tb.restrict(sorted(all_indecs - picks, key=lambda p: (p[1], p[0])))
-    return Split(t1, t2)
+    return Split(tb.restrict(all_indecs - picks), tb.restrict(picks))
 
 
 def make_split(t, t2_picks):
@@ -86,25 +92,41 @@ def admissible_splits(t):
     return out
 
 
-def _survivors(q, coords, t1, t2, x, left):
+@lru_cache(maxsize=None)
+def _candidates(tb):
+    """Exchange candidates of the basic tilting T by summand index j: the
+    (root, parity, coordinates) with (-1)^parity times the T-coordinates of
+    the root (derived.k0_coords) equal to -1 at j and >= 0 at every other
+    summand, in positive-root order.  A root qualifies for at most one j per
+    parity.  Memoized, so every split of T reads one table."""
+    out = [[] for _ in range(tb.num_distinct())]
+    for r, base in dv.k0_coords(tb).items():
+        for parity, c in ((0, base), (1, tuple(-v for v in base))):
+            if min(c) == -1 and c.count(-1) == 1:
+                out[c.index(-1)].append((r, parity, c))
+    return tuple(map(tuple, out))
+
+
+def _survivors(q, cands, t1, zero, x, left):
     """The ((root, shift), T-coordinates) candidates passing the exchange
-    filter for the t2 summand x.  `coords[r]` holds the T-coordinates of
-    M(r)[0] by summand; M(r)[s] has (-1)^s times them."""
+    filter for the t2 summand x, given x's entry of _candidates.  t1 lists
+    (index, (root, shift)) of the t1 summands, zero the indices of the other
+    t2 summands, where the coordinates must vanish."""
     rx, sx = x
     out = []
-    for r, base in coords.items():
-        for s in ((sx, sx + 1) if left else (sx - 1, sx)):
-            sign = -1 if s % 2 else 1
-            if (sign * base[x] != -1 or any(base[o] for o in t2 if o != x)
-                    or any(sign * base[o] < 0 for o in t1)):
-                continue
-            # the connecting map: Y -> x[1] shifted down for co-mutation, x -> Y[1]
-            linked = (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
-                      else dv.pair_hom_dim(q, rx, sx, r, s + 1))
-            # t1 and Y are rigid on their own, so this tests Y against t1
-            if linked and dv.rigidity_failure(dv.DerivedObject(
-                    q, [(a, b, 1) for a, b in t1 + ((r, s),)])) is None:
-                out.append(((r, s), {o: sign * v for o, v in base.items()}))
+    for r, parity, c in cands:
+        if zero and any(c[k] for k in zero):
+            continue
+        # of the two shifts tried, the one with the candidate's parity
+        s = sx if sx % 2 == parity else (sx + 1 if left else sx - 1)
+        # the connecting map: Y -> x[1] shifted down for co-mutation, x -> Y[1]
+        if not (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
+                else dv.pair_hom_dim(q, rx, sx, r, s + 1)):
+            continue
+        # t1 and Y are rigid on their own, so this tests Y against t1
+        y = (r, s)
+        if not any(dv.nonzero_shift(q, a, y) or dv.nonzero_shift(q, y, a) for _, a in t1):
+            out.append((y, c))
     return out
 
 
@@ -124,22 +146,22 @@ def _exchange(t, split, left):
         raise ValueError("split does not partition the summands of T")
     if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
-    t1, t2 = split.t1.indecs(), split.t2.indecs()
-    inv = dv.k0_inverse(tb)
-    # T-coordinates of each M(r)[0]: the integral inverse applied to its class r
-    coords = {r: dict(zip(tb.indecs(), (sum(a * b for a, b in zip(row, r)) for row in inv)))
-              for r in qv.positive_roots(q)}
+    index = {o: j for j, o in enumerate(tb.indecs())}
+    t1 = [(index[o], o) for o in split.t1.indecs()]
+    t2 = split.t2.indecs()
+    cands = _candidates(tb)
     triangles = []
-    new_summands = list(t1)
+    new_summands = [o for _, o in t1]
     for x in t2:
-        found = _survivors(q, coords, t1, t2, x, left)
+        zero = [index[o] for o in t2 if o != x]
+        found = _survivors(q, cands[index[x]], t1, zero, x, left)
         if len(found) != 1:
             if left and not found and dv.hom_dim(split.t1, split.t2) != 0:
                 raise _not_an_inverse(t2)
             raise InternalInconsistencyError(
                 "%d exchange candidates for %r, not one" % (len(found), x))
         ((repl, c),) = found
-        triangles.append(ApproxTriangle(x, tuple(o for o in t1 for _ in range(c[o])), repl))
+        triangles.append(ApproxTriangle(x, tuple(o for k, o in t1 for _ in range(c[k])), repl))
         new_summands.append(repl)
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
     if not dv.is_tilting(out):
@@ -253,11 +275,15 @@ def theoremB_sequence(t):
     return list(reversed(downward))
 
 
-def random_tilting_walk(q, seed, steps, spread_cap=4):
+# the widest shift spread random_tilting_walk accepts
+SPREAD_CAP = 4
+
+
+def random_tilting_walk(q, seed, steps):
     """Seeded mutation walk from the projective generator; deterministic.
 
-    Steps whose result would exceed the shift-spread cap are rejected and the
-    next candidate split is tried; a step with no acceptable split keeps T.
+    Steps whose result would exceed SPREAD_CAP are rejected and the next
+    candidate split is tried; a step with no acceptable split keeps T.
     """
     rng = _random.Random(seed)
     t = dv.projective_generator(q)
@@ -269,7 +295,7 @@ def random_tilting_walk(q, seed, steps, spread_cap=4):
         applied = False
         for idx in order:
             cand = mutate(t, splits[idx])
-            if cand.spread <= spread_cap:
+            if cand.spread <= SPREAD_CAP:
                 log.append({"step": step, "t2": splits[idx].t2.indecs(),
                             "result": cand.indecs()})
                 t = cand

@@ -257,17 +257,13 @@ def euler_matrix(q):
     return e
 
 
+@lru_cache(maxsize=None)
 def euler_form(q, d, e):
     """<d,e> = sum d_i e_i - sum over arrows i->j of d_i e_j.
 
-    Memoized per (quiver, d, e) as the pairs are asked for; d and e may be
-    lists or tuples.
+    Memoized per (quiver, d, e) as the pairs are asked for, so d and e are
+    tuples.
     """
-    return _euler_form(q, tuple(d), tuple(e))
-
-
-@lru_cache(maxsize=None)
-def _euler_form(q, d, e):
     if len(d) != q.n or len(e) != q.n:
         raise QuiverError("dimension vector length mismatch")
     total = sum(x * y for x, y in zip(d, e))

@@ -109,11 +109,28 @@ def test_mutate_rejects_an_out_of_range_summand_index(tmp_path, capsys):
     quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
     obj.write_text(dv.format_object(dv.projective_generator(q)))
     for verb in ("mutate", "comutate"):
-        for t2 in ("-1", "3", "0,-3"):
+        # a repeated index is refused too, not merged into one
+        for t2 in ("-1", "3", "0,-3", "1,1"):
             argv = [verb, "--quiver", str(quiver), "--object", str(obj), "--t2", t2]
             assert cli.main(argv) == 2, (verb, t2)
             out, err = capsys.readouterr()
             assert out == "" and "bad --t2" in err
+
+
+def test_tilting_check_prints_the_first_rigidity_witness(tmp_path, capsys):
+    # Hom(T, T[i]) != 0 at i = -1, 1, 2 and 3; the witness is the least i,
+    # then the least summand indices of T.basic(), whatever the file order
+    quiver, obj = tmp_path / "a4.q", tmp_path / "t.obj"
+    quiver.write_text("vertices 4\narrow 1 2\narrow 3 2\narrow 3 4\n")
+    obj.write_text("summand dim=[0,1,1,0] shift=2\nsummand dim=[0,0,1,0] shift=2\n"
+                   "summand dim=[1,1,0,0] shift=0 mult=2\nsummand dim=[0,0,1,0] shift=1\n")
+    assert cli.main(["tilting", "check", "--quiver", str(quiver), "--object", str(obj)]) == 1
+    assert capsys.readouterr().out == (
+        "rigid: no\n"
+        "  Hom((0, 0, 1, 0)[1], (0, 0, 1, 0)[1]) != 0 at i=-1\n"
+        "summands: 4 of 4\n"
+        "unimodular classes: no\n"
+        "tilting: no\n")
 
 
 def test_object_file_rejects_unknown_and_repeated_keys(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -83,6 +84,39 @@ def test_is_rigid_examples(a2):
     assert dv.rigidity_failure(bad) == (2, ((1, 0), 1), ((0, 1), 0))
     for r in qv.positive_roots(a2):
         assert dv.rigidity_failure(dv.stalk(a2, r)) is None
+
+
+def full_scan_rigidity_failure(t):
+    """rigidity_failure as first written: every shift i in [-(w+1), w+1], w
+    the spread, then every ordered summand pair at a gap of 0 or 1; the first
+    failure found is the witness."""
+    tb = t.basic()
+    if tb.is_zero():
+        return None
+    w = tb.spread
+    for i in range(-(w + 1), w + 2):
+        if i == 0:
+            continue
+        for r1, s1 in tb.indecs():
+            for r2, s2 in tb.indecs():
+                if s2 + i - s1 in (0, 1) and dv.pair_hom_dim(tb.quiver, r1, s1, r2, s2 + i):
+                    return i, (r1, s1), (r2, s2)
+    return None
+
+
+def test_rigidity_witness_matches_the_full_scan(a4_alt, d4):
+    # every 2-summand object and a fixed sample of 3-summand ones, shifts 0..2
+    seen = Counter()
+    for q in (a4_alt, d4):
+        pairs = [(r, s) for s in range(3) for r in qv.positive_roots(q)]
+        triples = list(itertools.combinations(pairs, 3))
+        picks = list(itertools.combinations(pairs, 2)) + random.Random(0).sample(triples, 500)
+        for pick in picks:
+            t = dv.DerivedObject(q, [(r, s, 1) for r, s in pick])
+            want = full_scan_rigidity_failure(t)
+            assert dv.rigidity_failure(t) == want, pick
+            seen["rigid" if want is None else "i<0" if want[0] < 0 else "i>0"] += 1
+    assert seen == {"rigid": 434, "i<0": 932, "i>0": 699}
 
 
 def test_is_tilting_examples(a2):

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 from conftest import homk_basis
+from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
 from dercat.linalg import Subspace
@@ -188,9 +189,10 @@ def test_random_walk_zero_steps(a3):
     assert t == dv.projective_generator(a3) and log == []
 
 
-def test_random_walk_respects_spread_cap(a4):
+def test_random_walk_respects_spread_cap(a4, monkeypatch):
+    monkeypatch.setattr(mu, "SPREAD_CAP", 3)
     for seed in range(6):
-        t, _ = mu.random_tilting_walk(a4, seed, 10, spread_cap=3)
+        t, _ = mu.random_tilting_walk(a4, seed, 10)
         assert t.spread <= 3
         assert dv.is_tilting(t)
 
@@ -202,8 +204,10 @@ def brute_force_splits(t):
     n = len(indecs)
     out = []
     for mask in range(1, (1 << n) - 1):
-        t2 = tb.restrict([indecs[i] for i in range(n) if mask >> i & 1])
-        t1 = tb.restrict([indecs[i] for i in range(n) if not mask >> i & 1])
+        t2 = dv.DerivedObject(tb.quiver, [(r, s, 1) for i, (r, s) in enumerate(indecs)
+                                          if mask >> i & 1])
+        t1 = dv.DerivedObject(tb.quiver, [(r, s, 1) for i, (r, s) in enumerate(indecs)
+                                          if not mask >> i & 1])
         if dv.hom_dim(t2, t1) == 0:
             out.append(mu.Split(t1, t2))
     return out
@@ -301,6 +305,83 @@ def test_approx_copies_match_chain_map_reference(text):
                     assert Counter(tri.approx_copies) == want, (kind, seed, tri)
                     checked[kind] += 1
     assert all(checked[k] for k in ("right", "swapped", "inverse"))
+
+
+def reference_exchange(t, split, left):
+    """The exchange as first written: a {summand: coordinate} dict per root
+    for each split, both shifts tried for every root, and rigidity against t1
+    by the full shift scan on a fresh t1 + Y object.  Returns (object,
+    triangles); asserts one survivor per summand and a tilting result."""
+    q = t.quiver
+    tb = t.basic()
+    t1, t2 = split.t1.indecs(), split.t2.indecs()
+    inv = dv.k0_inverse(tb)
+    coords = {r: dict(zip(tb.indecs(), (sum(a * b for a, b in zip(row, r)) for row in inv)))
+              for r in qv.positive_roots(q)}
+    triangles = []
+    new = list(t1)
+    for x in t2:
+        rx, sx = x
+        found = []
+        for r, base in coords.items():
+            for s in ((sx, sx + 1) if left else (sx - 1, sx)):
+                sign = -1 if s % 2 else 1
+                if (sign * base[x] != -1 or any(base[o] for o in t2 if o != x)
+                        or any(sign * base[o] < 0 for o in t1)):
+                    continue
+                linked = (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
+                          else dv.pair_hom_dim(q, rx, sx, r, s + 1))
+                if linked and full_scan_rigidity_failure(dv.DerivedObject(
+                        q, [(a, b, 1) for a, b in t1 + ((r, s),)])) is None:
+                    found.append(((r, s), {o: sign * v for o, v in base.items()}))
+        assert len(found) == 1, (t, split, x, found)
+        ((repl, c),) = found
+        triangles.append(mu.ApproxTriangle(x, tuple(o for o in t1 for _ in range(c[o])), repl))
+        new.append(repl)
+    out = dv.DerivedObject(q, [(r, s, 1) for r, s in new])
+    assert dv.is_tilting(out)
+    return out, triangles
+
+
+E7_ALT = pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "E7-alt.q"
+
+
+def test_exchange_matches_the_reference(a3, a4, a4_alt, d4, e6_alt, census):
+    # right mutations at every admissible split, co-mutations at the swapped
+    # split (Hom(t1, t2) = 0) and at the split that inverts the mutation
+    objects = [(q, t) for q in (a3, a4, a4_alt, d4) for t in census(q)]
+    e7_alt = qv.parse_quiver(E7_ALT.read_text())
+    objects += [(q, mu.random_tilting_walk(q, seed, 8)[0]) for q in (e6_alt, e7_alt)
+                for seed in range(4)]
+    checked = Counter()
+    for q, t in objects:
+        indecs = t.indecs()
+        assert t.basic() is t
+        for split in mu.admissible_splits(t):
+            # each part is T's own records, equal to the object built afresh
+            for part in split:
+                fresh = dv.DerivedObject(q, [(r, s, 1) for r, s in part.indecs()])
+                assert part == fresh and hash(part) == hash(fresh)
+                assert set(part.indecs()) <= set(indecs)
+            got = mu.mutate_with_data(t, split)
+            assert got == reference_exchange(t, split, False)
+            swapped = mu.Split(split.t2, split.t1)
+            assert mu.co_mutate_with_data(t, swapped) == reference_exchange(t, swapped, True)
+            new = sorted(set(got[0].indecs()) - set(split.t1.indecs()))
+            inverse = mu.Split(split.t1, got[0].restrict(new))
+            back = mu.co_mutate_with_data(got[0], inverse)
+            assert back == reference_exchange(got[0], inverse, True) and back[0] == t
+            checked[q.n] += 1
+    assert checked == {3: 28, 4: 736, 6: 35, 7: 48}
+    t = dv.projective_generator(a3)
+    fat = dv.DerivedObject(a3, [((0, 0, 1), 0, 2), ((1, 1, 1), 0, 1), ((0, 0, 1), 0, 1),
+                                ((0, 1, 1), 0, 1)])
+    # equal summands still merge, and basic drops the multiplicity
+    assert fat.summands == (((0, 0, 1), 0, 3), ((0, 1, 1), 0, 1), ((1, 1, 1), 0, 1))
+    assert fat.basic() == t and hash(fat.basic()) == hash(t) and fat.basic() is not fat
+    assert fat.restrict([((0, 0, 1), 0)]) == dv.stalk(a3, (0, 0, 1))
+    with pytest.raises(ValueError, match="not summands"):
+        t.restrict([((0, 0, 1), 1)])
 
 
 def test_two_exchange_survivors_are_a_breach(a2, monkeypatch):
