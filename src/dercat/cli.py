@@ -4,21 +4,21 @@ Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors,
 141 stdout closed by its reader (as a shell reports death by SIGPIPE).
 Every command is deterministic given its input files and --seed.  Every
 `verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
-run that checked nothing shows as such.
+run that checked nothing shows as such, and exits 1 below `--min-checked`.
 
-A process runs only the layers its verb uses.  quiver, derived and sgd are
-imported here, and they are all that `quiver validate`, `sgd`, `tilting
-check`, `hom` and `verify serre` run: integer arithmetic, with neither linalg
-nor fractions loaded.  linalg, reps, complexes, slices and mutation are bound
-through _lazy: each is in sys.modules from start-up, but its code runs on its
-first attribute access.  So `mutate`, `comutate`, `theoremb`, `random-tilting`
-and `verify b|table|delta` add mutation, `slice` adds slices, `verify a` adds
-both, `ind list` adds reps and linalg, and `verify homagree` adds reps,
-complexes and linalg.  The layers load through LazyLoader rather than through
-imports inside each command because a tool that wraps functions in place (the
-benchmark's tracer, bench/traced.py) looks every layer up in sys.modules right
-after importing this module: all eight are there, and each runs when the tool
-reads it.
+A process runs only the layers its verb uses, and builds only its verb's
+subparser (build_parser).  quiver is imported here and is all that `quiver
+validate` runs; the other layers are bound through _lazy, in sys.modules
+from start-up but run on first attribute access.  `tilting check`, `hom`
+and `verify serre` add derived, and `sgd` adds sgd: integer arithmetic,
+with neither linalg nor fractions.  `mutate`, `comutate` and
+`random-tilting` run quiver, derived and mutation, `verify table|delta` add
+sgd, `slice` runs quiver, derived and slices, and `theoremb` and `verify
+a|b` run all five.  `ind list` runs quiver, derived, reps and linalg, and
+`verify homagree` adds complexes.  LazyLoader rather than imports inside
+each command, because a tool that wraps functions in place (the benchmark's
+tracer, bench/traced.py) looks every layer up in sys.modules right after
+importing this module: all eight are there, and each runs when it is read.
 """
 
 import argparse
@@ -26,16 +26,14 @@ import importlib.util
 import os
 import sys
 
-from . import derived as dv, quiver as qv, sgd
+from . import quiver as qv
 
 
 def _lazy(name):
-    """dercat.<name>, whose code runs on its first attribute access.
-
-    The importlib.util.LazyLoader recipe, plus one guard: a module already in
-    sys.modules is returned as it is.  The recipe would make a second module
-    object, and a monkeypatch on one copy would miss the other.
-    """
+    """dercat.<name>, whose code runs on its first attribute access: the
+    importlib.util.LazyLoader recipe, except that a module already in
+    sys.modules is returned as it is (a second module object would hide a
+    monkeypatch on the first)."""
     full = "%s.%s" % (__package__, name)
     if full in sys.modules:
         return sys.modules[full]
@@ -53,6 +51,8 @@ def _lazy(name):
 # no verb calls linalg directly: it is bound here so that it is in sys.modules
 # with the other layers from start-up (see the module docstring)
 _lazy("linalg")
+dv = _lazy("derived")
+sgd = _lazy("sgd")
 reps = _lazy("reps")
 cx = _lazy("complexes")
 sls = _lazy("slices")
@@ -232,11 +232,7 @@ MAX_WALKS_PER_SAMPLE = 10
 
 
 def _corpus(q, seed, samples):
-    out = []
-    for k in range(samples):
-        t, _ = mu.random_tilting_walk(q, seed + k, 4 + (seed + k) % 7)
-        out.append(t)
-    return out
+    return [mu.random_tilting_walk(q, seed + k, 4 + (seed + k) % 7)[0] for k in range(samples)]
 
 
 def cmd_verify(args):
@@ -255,9 +251,7 @@ def cmd_verify(args):
             sys.stderr.write(dv.format_object(obj))
 
     if which in ("homagree", "serre"):
-        roots = qv.positive_roots(q)
-        width = 4
-        pairs = [(r, s) for r in roots for s in range(width)]
+        pairs = [(r, s) for r in qv.positive_roots(q) for s in range(4)]
 
         def tag(r, s):
             return "%s@%d" % (".".join(str(d) for d in r), s)
@@ -302,8 +296,7 @@ def cmd_verify(args):
             tp = mu.mutate(t, split)
             try:
                 if which == "delta":
-                    d = mu.sgd_delta(t, tp)
-                    detail = "delta=%d" % d
+                    detail = "delta=%d" % mu.sgd_delta(t, tp)
                 else:
                     roots = qv.positive_roots(q)
                     cells = 0
@@ -348,6 +341,10 @@ def cmd_verify(args):
     checked = sum(1 for r in rows if r["status"] != "skip")
     print("# checked=%d skipped=%d failed=%d" % (checked, len(rows) - checked, failures),
           file=sys.stderr)
+    if checked < args.min_checked:
+        print("error: %d instances checked, fewer than --min-checked %d"
+              % (checked, args.min_checked), file=sys.stderr)
+        return 1
     return 1 if failures else 0
 
 
@@ -359,10 +356,30 @@ def non_negative_int(text):
     return n
 
 
-def build_parser():
+# the verbs, in the order the full parser lists them
+VERBS = ("quiver", "ind", "hom", "tilting", "sgd", "mutate", "comutate", "slice", "theoremb",
+         "random-tilting", "verify")
+
+
+class _Unbuilt:
+    """A verb's subparser when another verb is on the command line: a no-op."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self
+
+
+def build_parser(argv):
+    """The parser, with only the subparser of the verb argv starts with, if any
+    (no argument, --help, a typo: all of them); the usage line names every
+    verb either way, so usage and error text are the full parser's."""
+    verb = argv[0] if argv and argv[0] in VERBS else None
     p = argparse.ArgumentParser(prog="dercat",
                                 description="Exact derived-category computations for Dynkin quivers")
-    sub = p.add_subparsers(dest="cmd", required=True)
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar="{%s}" % ",".join(VERBS) if verb else None)
+
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, **kwargs) if verb in (None, name) else _Unbuilt()
 
     def add_common(sp, objects):
         sp.add_argument("--quiver", required=True, help="quiver file")
@@ -371,65 +388,67 @@ def build_parser():
         # main checks the count: `append` alone would take extra files and ignore them
         sp.set_defaults(objects_needed=(sp.prog, objects))
 
-    spq = sub.add_parser("quiver", help="quiver utilities")
+    spq = add_parser("quiver", help="quiver utilities")
     sq = spq.add_subparsers(dest="sub", required=True)
     v = sq.add_parser("validate")
     v.add_argument("--quiver", required=True)
     v.set_defaults(fn=cmd_quiver_validate)
 
-    spi = sub.add_parser("ind", help="indecomposables")
+    spi = add_parser("ind", help="indecomposables")
     si = spi.add_subparsers(dest="sub", required=True)
     il = si.add_parser("list")
     il.add_argument("--quiver", required=True)
     il.add_argument("--reps", action="store_true")
     il.set_defaults(fn=cmd_ind_list)
 
-    h = sub.add_parser("hom")
+    h = add_parser("hom")
     add_common(h, objects=2)
     h.set_defaults(fn=cmd_hom)
 
-    spt = sub.add_parser("tilting", help="tilting checks")
+    spt = add_parser("tilting", help="tilting checks")
     st = spt.add_subparsers(dest="sub", required=True)
     tc = st.add_parser("check")
     add_common(tc, objects=1)
     tc.set_defaults(fn=cmd_tilting_check)
 
-    s = sub.add_parser("sgd")
+    s = add_parser("sgd")
     add_common(s, objects=1)
     s.add_argument("--csv", action="store_true")
     s.set_defaults(fn=cmd_sgd)
 
     for name, dual in (("mutate", False), ("comutate", True)):
-        m = sub.add_parser(name)
+        m = add_parser(name)
         add_common(m, objects=1)
         m.add_argument("--t2", required=True, help="comma-separated summand indices")
         m.add_argument("--out", help="output object file")
         m.set_defaults(fn=lambda a, dual=dual: cmd_mutate(a, dual))
 
-    sl = sub.add_parser("slice")
+    sl = add_parser("slice")
     add_common(sl, objects=1)
     sl.add_argument("--all-slices", action="store_true")
     sl.add_argument("--window-pad", type=non_negative_int, default=2)
     sl.set_defaults(fn=cmd_slice)
 
-    tb = sub.add_parser("theoremb")
+    tb = add_parser("theoremb")
     add_common(tb, objects=1)
     tb.add_argument("--out-prefix", help="write numbered object files with this prefix")
     tb.add_argument("--csv", action="store_true")
     tb.set_defaults(fn=cmd_theoremb)
 
-    rt = sub.add_parser("random-tilting")
+    rt = add_parser("random-tilting")
     rt.add_argument("--quiver", required=True)
     rt.add_argument("--seed", type=int, required=True)
     rt.add_argument("--steps", type=non_negative_int, default=0)
     rt.set_defaults(fn=cmd_random_tilting)
 
-    ve = sub.add_parser("verify")
+    ve = add_parser("verify")
     ve.add_argument("which", choices=["a", "b", "table", "delta", "serre", "homagree"])
     ve.add_argument("--quiver", required=True)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--samples", type=non_negative_int, default=20)
     ve.add_argument("--window-pad", type=non_negative_int, default=2)
+    ve.add_argument("--min-checked", type=non_negative_int, default=0,
+                    help="exit 1 when fewer instances were checked")
     fmt = ve.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--jsonl", action="store_true")
@@ -438,9 +457,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     prog, needed = getattr(args, "objects_needed", (None, 0))

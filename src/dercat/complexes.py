@@ -3,9 +3,11 @@
 What remains here: stalk_complex, the minimal projective resolution of an
 indecomposable stalk; HomKSpace, Hom in the homotopy category, solved exactly
 as the chain-map system modulo the image of the homotopy system; and
-sgldim_ringel, the chain-map oracle of sgd.sgldim, which runs sgd's profile
-scan with homk_pair_dim in place of the Euler-form rule.  This module imports
-the product modules (derived, sgd), never the reverse.
+sgldim_ringel, the chain-map oracle of sgd.sgldim.  The oracle evaluates
+length profiles by a scan over shifts (sgldim_scan, _profile), asking a Hom
+function at each shift, where sgd reads them off in closed form; it runs the
+scan on homk_pair_dim, and the test suite also on derived.pair_hom_dim.
+This module imports the product modules (derived, sgd), never the reverse.
 
 Every complex built here is minimal: a stalk complex is a minimal projective
 resolution P1 -> P0, and P1 and P0 even share no indecomposable summand (a
@@ -238,6 +240,49 @@ def homk_pair_dim(q, r1, r2, gap):
 # strong global dimension from chain maps: the oracle of sgd.sgldim
 
 
+def _profile(q, t_indecs, x_root, x_shift, pair):
+    """Exact extreme shifts of Hom(X, T[n]) and Hom(T[n], X), each Hom
+    dimension read off pair(q, r1, s1, r2, s2).
+
+    Only n with a shift gap of 0 or 1 against some summand can contribute, so
+    both scans are finite.
+    """
+    smin = min(s for _, s in t_indecs)
+    smax = max(s for _, s in t_indecs)
+    ell_plus = None
+    for n in range(x_shift + 1 - smin, x_shift - smax - 1, -1):
+        if any(pair(q, x_root, x_shift, r, s + n) for r, s in t_indecs):
+            ell_plus = n
+            break
+    ell_minus = None
+    for n in range(x_shift - 1 - smax, x_shift - smin + 1):
+        if any(pair(q, r, s + n, x_root, x_shift) for r, s in t_indecs):
+            ell_minus = n
+            break
+    if ell_plus is None or ell_minus is None:
+        raise qv.InternalInconsistencyError(
+            "tilting object misses %r[%d] entirely" % (x_root, x_shift))
+    return sgd.LengthProfile(ell_minus, ell_plus)
+
+
+def sgldim_scan(t, pair):
+    """sup of ell_T with its witness, the profiles scanned shift by shift
+    (_profile) with each Hom dimension read off pair(q, r1, s1, r2, s2)."""
+    q = t.quiver
+    indecs = t.basic().indecs()
+    best_val = -1
+    best_witness = None
+    # ell is invariant under suspension of X, so each root is solved once, at shift 0
+    for root in qv.positive_roots(q):
+        prof = _profile(q, indecs, root, 0, pair)
+        key = (-prof.ell_minus, root)
+        if prof.ell > best_val or (prof.ell == best_val and key < best_witness):
+            best_val = prof.ell
+            best_witness = key
+    w = dv.stalk(q, best_witness[1], best_witness[0])
+    return sgd.SgdReport(best_val, w)
+
+
 def _chain_pair(q, r1, s1, r2, s2):
     return homk_pair_dim(q, r1, r2, s2 - s1)
 
@@ -268,7 +313,7 @@ def _sgldim_ringel(t):
     if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
     q = t.quiver
-    rep = sgd.sgldim_scan(t, _chain_pair)
+    rep = sgldim_scan(t, _chain_pair)
     if _is_projective_slice(t):
         sup_len = 0
         for root in qv.positive_roots(q):

@@ -1,49 +1,44 @@
 """Stalk-summand model of the bounded derived category of a Dynkin quiver.
 
-Objects are formal multisets of (positive root, shift) pairs; morphism
-dimensions follow the two-neighbour rule: module Homs at equal shift, Ext^1
-into the next shift, zero otherwise.  Since kQ is hereditary, every
-indecomposable of D^b(kQ) is a shifted module, so the rule is complete.
+Objects are formal multisets of (positive root, shift) pairs.  Since kQ is
+hereditary, every indecomposable of D^b(kQ) is a shifted module, and Hom
+between two of them lives at shift gaps 0 (Hom) and 1 (Ext^1) only.  For Q
+Dynkin every indecomposable is directing, so at most one of the two is
+nonzero (Happel, *Triangulated categories in the representation theory of
+finite dimensional algebras*, 1988; Ringel, *Tame algebras and integral
+quadratic forms*, LNM 1099), and the Euler form gives it in integers:
+Hom(M(r1)[s1], M(r2)[s2 + i]) is nonzero only at i = s1 - s2 when
+<r1,r2> > 0 and at i = s1 - s2 + 1 when it is < 0 (nonzero_shift), with
+dimension |<r1,r2>|.  The one independent oracle is complexes.homk_pair_dim
+(chain maps modulo homotopy between minimal projective resolutions); the
+test suite and `verify homagree` compare it with pair_hom_dim.
 
-For Q Dynkin every indecomposable module is directing, hence determined by its
-root and with at most one of Hom and Ext^1 nonzero between two of them (Happel,
-*Triangulated categories in the representation theory of finite dimensional
-algebras*, 1988; Ringel, *Tame algebras and integral quadratic forms*, LNM
-1099).  Both dimensions therefore come out of the Euler form in integer
-arithmetic; see pair_hom_dim.  The one independent oracle for that closed
-form is complexes.homk_pair_dim (chain maps modulo homotopy between minimal
-projective resolutions); the test suite and `verify homagree` compare
-against it.
+The product route runs on root indices.  An object is its distinct summands
+as sorted (root index, shift) pairs over the per-quiver context
+quiver.roots_of, with their multiplicities, and every Euler value is read
+from the context's rows and columns by index.  (root, shift, mult) records
+(summands, indecs) are built only for the parse and format boundary.
+DerivedObject.__init__ is the one place that validates outside input: each
+root must be a positive root, each merged multiplicity at least 1; basic,
+shift and take derive new pairs from validated ones (of_pairs).
 
 The tilting test is: rigid, n distinct summands, integral inverse of the
-class matrix.  Its generation half is not searched for.  Mutation takes
+class matrix.  Its generation half is not searched for: mutation takes
 tilting objects to tilting objects (Aihara-Iyama, *Silting mutation in
-triangulated categories*, 2012), so everything reached from the projective
-generator generates.  The test suite checks, in integers, on A3, A4 (two
-orientations) and D4, that the objects so reached are exactly the rigid
-n-summand objects in a shift window one wider than the widest of them, and
-that each passes is_tilting.
+triangulated categories*, 2012), and the test suite checks on A3, A4 (two
+orientations) and D4 that the objects reached from the projective generator
+are exactly the rigid n-summand objects of a shift window, each tilting.
 
-The AR translate on (root, shift) pairs is tau_pair, and the coordinates of
-D^b(kQ) as one translation quiver ZQ are read off it (zq_object, zq_vertex).
-tau^-h = [2] on each tau-orbit, h the Coxeter number (tau_period), so a
-coordinate costs at most about 2h tau-steps however far out it lies.
-
-This module is on the product path, so it imports neither reps nor
-complexes, nor linalg or fractions: the class-matrix inverse (k0_inverse) is
-fraction-free integer elimination.
-
-Summands are validated in one place, DerivedObject.__init__, the only code
-that builds StalkSummand records from outside input: each root must be a
-positive root (which rules out zero and negative vectors), and each
-multiplicity, after equal summands are merged, must be at least 1.  basic,
-shift and restrict derive new records from an object's own, which are
-already validated, merged and sorted, so they build nothing twice.
+tau_pair is the AR translate on (root, shift) pairs, and the ZQ coordinates
+(zq_object, zq_vertex) are read off it.  tau^-h = [2] on each tau-orbit, h
+the Coxeter number (tau_period), so a coordinate costs at most about 2h
+tau-steps however far out it lies.  This module imports neither reps nor
+complexes, nor linalg or fractions: k0_inverse is fraction-free integer
+elimination.
 """
 
 from collections import namedtuple
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
 
 from . import quiver as qv
 
@@ -54,88 +49,93 @@ class DerivedObject:
     """Formal direct sum of shifted indecomposable stalks; immutable.
 
     Takes (root, shift, mult) triples, StalkSummand records among them, and
-    merges equal (root, shift) pairs.
+    merges equal (root, shift) pairs.  Inside, an object is its distinct
+    summands as (root index, shift) pairs over quiver.roots_of in (shift,
+    index) order, which is (shift, root) order, and their multiplicities;
+    summands are the records, built on first use.
     """
 
     def __init__(self, q, summands):
-        self.quiver = q
-        roots = qv.root_set(q)
+        index = qv.roots_of(q).index
         merged = {}
         for root, shift, mult in summands:
-            root = tuple(root)
-            if root not in roots:
-                raise qv.QuiverError("not a positive root: %r" % (root,))
-            key = (int(shift), root)
+            a = index.get(tuple(root))
+            if a is None:
+                raise qv.QuiverError("not a positive root: %r" % (tuple(root),))
+            key = (int(shift), a)
             merged[key] = merged.get(key, 0) + int(mult)
-        out = []
-        for (shift, root), mult in sorted(merged.items()):
-            s = StalkSummand(root, shift, mult)
-            if mult < 1:
-                raise ValueError("bad summand %r" % (s,))
-            out.append(s)
-        self.summands = tuple(out)
+        keys = sorted(merged)
+        self.quiver = q
+        self.pairs = tuple((a, s) for s, a in keys)
+        self.mults = tuple(merged[k] for k in keys)
+        if min(self.mults, default=1) < 1:
+            raise ValueError("bad summand %r" % (next(s for s in self.summands if s.mult < 1),))
 
     @classmethod
-    def _of_records(cls, q, records):
-        """The object on StalkSummand records already validated, merged and
-        sorted by (shift, root)."""
+    def of_pairs(cls, q, pairs, mults=None):
+        """The object on distinct (root index, shift) pairs in (shift, index)
+        order, multiplicity 1 each unless mults are given."""
         obj = cls.__new__(cls)
         obj.quiver = q
-        obj.summands = records
+        obj.pairs = pairs
+        obj.mults = mults or (1,) * len(pairs)
         return obj
 
+    @cached_property
+    def summands(self):
+        roots = qv.roots_of(self.quiver).roots
+        return tuple(StalkSummand(roots[a], s, m) for (a, s), m in zip(self.pairs, self.mults))
+
     def is_zero(self):
-        return not self.summands
+        return not self.pairs
 
     def indecs(self):
         """Distinct indecomposable summands as (root, shift) pairs, canonical order."""
-        return tuple((s.root, s.shift) for s in self.summands)
+        return tuple(s[:2] for s in self.summands)
 
     def num_distinct(self):
-        return len(self.summands)
+        return len(self.pairs)
 
     def basic(self):
         """Every multiplicity set to 1; the object itself when already basic."""
-        if all(s.mult == 1 for s in self.summands):
-            return self
-        return DerivedObject._of_records(
-            self.quiver, tuple(StalkSummand(s.root, s.shift, 1) for s in self.summands))
+        return self if self.mults.count(1) == len(self.mults) else self.take(range(len(self.pairs)))
 
     def shift(self, k):
         k = int(k)
-        return DerivedObject._of_records(
-            self.quiver, tuple(StalkSummand(s.root, s.shift + k, s.mult) for s in self.summands))
+        return DerivedObject.of_pairs(self.quiver, tuple((a, s + k) for a, s in self.pairs),
+                                      self.mults)
 
     def restrict(self, picks):
         """Sub-sum on the given (root, shift) pairs, multiplicity 1 each; each
         pair must be a summand."""
         picks = set(picks)
-        out = tuple(s if s.mult == 1 else StalkSummand(s.root, s.shift, 1)
-                    for s in self.summands if (s.root, s.shift) in picks)
-        if len(out) != len(picks):
-            raise ValueError("not summands of %r: %r" % (
-                self, sorted(picks - {(s.root, s.shift) for s in out})))
-        return DerivedObject._of_records(self.quiver, out)
+        if not picks <= set(self.indecs()):
+            raise ValueError("not summands of %r: %r" % (self, sorted(picks - set(self.indecs()))))
+        return self.take([i for i, o in enumerate(self.indecs()) if o in picks])
+
+    def take(self, keep):
+        """Sub-sum on the summands at the given positions, multiplicity 1 each."""
+        return DerivedObject.of_pairs(self.quiver, tuple([self.pairs[i] for i in keep]))
 
     @property
     def min_shift(self):
-        return min(s.shift for s in self.summands)
+        return min(s for _, s in self.pairs)
 
     @property
     def max_shift(self):
-        return max(s.shift for s in self.summands)
+        return max(s for _, s in self.pairs)
 
     @property
     def spread(self):
         return self.max_shift - self.min_shift
 
-    # StalkSummand records compare and hash as (root, shift, mult) tuples
+    # an object hashes as its pairs, which omit the multiplicities
     def __eq__(self, other):
-        return (isinstance(other, DerivedObject) and self.summands == other.summands
-                and self.quiver == other.quiver)
+        return (isinstance(other, DerivedObject) and self.pairs == other.pairs
+                and self.mults == other.mults and self.quiver == other.quiver)
 
     def __hash__(self):
-        return hash((self.quiver, self.summands))
+        return hash(self.pairs)
 
     def __repr__(self):
         return "DerivedObject(%s)" % ", ".join(
@@ -151,53 +151,39 @@ def projective_generator(q):
     return DerivedObject(q, [(qv.proj_dims(q, i), 0, 1) for i in range(q.n)])
 
 
+def nonzero_shift(c, x, y):
+    """The one i with Hom(x, y[i]) != 0, for (root index, shift) pairs x and
+    y over the root context c, or None: <r1,r2> = dim Hom - dim Ext^1 with one
+    of the two zero, so gap 0 is live when <r1,r2> > 0, gap 1 when < 0."""
+    (a, s1), (b, s2) = x, y
+    e = c.rows[a][b]
+    return s1 - s2 + (e < 0) if e else None
+
+
+def rigid_against(c, y, pairs):
+    """Whether Hom(y, p[i]) = Hom(p, y[i]) = 0 for every p in pairs and i != 0:
+    nonzero_shift both ways, read off y's own Euler row and column."""
+    (a, s), row, col = y, c.rows[y[0]], c.cols[y[0]]
+    return not any(row[b] and s - t + (row[b] < 0) or col[b] and t - s + (col[b] < 0)
+                   for b, t in pairs)
+
+
 def pair_hom_dim(q, r1, s1, r2, s2):
-    """dim Hom(M(r1)[s1], M(r2)[s2]) in D^b(kQ), from the Euler form alone.
-
-    Hom(M[s1], N[s2]) = Ext^(s2-s1)(M, N), which vanishes outside gaps 0 and 1
-    because kQ is hereditary.  The Euler form gives <r1,r2> = dim Hom - dim
-    Ext^1, and for directing indecomposables (all of them, when Q is Dynkin)
-    one of the two is zero, so dim Hom = max(<r1,r2>, 0) and dim Ext^1 =
-    max(-<r1,r2>, 0).  Oracle: complexes.homk_pair_dim.
-    """
-    gap = s2 - s1
-    if gap == 0 or gap == 1:
-        e = qv.euler_form(q, r1, r2)
-        if gap:
-            e = -e
-        return e if e > 0 else 0
-    return 0
-
-
-def nonzero_shift(q, x, y):
-    """The i != 0 with Hom(x, y[i]) != 0 for (root, shift) pairs x and y, or 0
-    when there is none.
-
-    Only gaps 0 and 1 are live, so i is s1 - s2 or s1 - s2 + 1, whatever the
-    spread; and by pair_hom_dim the gap-0 Hom is nonzero exactly when
-    <r1,r2> > 0, the gap-1 one exactly when <r1,r2> < 0, so one Euler value
-    picks the one live shift.
-    """
-    (r1, s1), (r2, s2) = x, y
-    e = qv.euler_form(q, r1, r2)
-    if e > 0:
-        return s1 - s2
-    if e < 0:
-        return s1 - s2 + 1
-    return 0
+    """dim Hom(M(r1)[s1], M(r2)[s2]) in D^b(kQ): |<r1,r2>| at the live shift
+    (nonzero_shift), 0 elsewhere.  Oracle: complexes.homk_pair_dim."""
+    c = qv.roots_of(q)
+    x, y = (c.index[r1], s1), (c.index[r2], s2)
+    return abs(c.rows[x[0]][y[0]]) if nonzero_shift(c, x, y) == 0 else 0
 
 
 def hom_dim(x, y):
     """dim Hom(X, Y) by the stalk-summand rule, summed over all summand pairs."""
     if x.quiver != y.quiver:
         raise qv.QuiverError("objects live over different quivers")
-    total = 0
-    for a in x.summands:
-        for b in y.summands:
-            if b.shift - a.shift in (0, 1):
-                total += a.mult * b.mult * pair_hom_dim(
-                    x.quiver, a.root, a.shift, b.root, b.shift)
-    return total
+    c = qv.roots_of(x.quiver)
+    return sum(u * v * abs(c.rows[p[0]][o[0]])
+               for p, u in zip(x.pairs, x.mults) for o, v in zip(y.pairs, y.mults)
+               if nonzero_shift(c, p, o) == 0)
 
 
 def tau_pair(q, root, shift, k=1):
@@ -255,7 +241,7 @@ def zq_vertex(q, root, shift):
     """ZQ vertex (m, i) of M(root)[shift]: tau walks M(root)[shift mod 2]
     down to the projective slice and m counts the steps; each 2 taken off the
     shift adds tau_period(q, i) to m."""
-    if root not in qv.root_set(q):
+    if root not in qv.roots_of(q).index:
         raise qv.InternalInconsistencyError("object %r not found in ZQ" % ((root, shift),))
     k, shift = divmod(shift, 2)
     projs = qv.proj_roots(q)
@@ -274,44 +260,38 @@ def serre_dual_check(x, y):
 
 def k0_class(x):
     """Alternating-sign class in the Grothendieck group."""
-    q = x.quiver
-    out = [0] * q.n
-    for s in x.summands:
-        sign = -1 if s.shift % 2 else 1
-        for v in range(q.n):
-            out[v] += sign * s.mult * s.root[v]
-    return tuple(out)
+    roots = qv.roots_of(x.quiver).roots
+    return tuple(sum((1 - 2 * (s % 2)) * m * roots[a][v] for (a, s), m in zip(x.pairs, x.mults))
+                 for v in range(x.quiver.n))
 
 
 def k0_unimodular(t):
-    """Whether the classes of the distinct summands span the full lattice,
-    i.e. k0_inverse finds an integral inverse (determinant +-1).
-
-    Kept as a documented cheap guard inside is_tilting.  In D^b(kQ) a rigid
-    object with n distinct summands already generates (cf. Aihara-Iyama,
-    Silting mutation in triangulated categories, 2012), and the test suite
-    pins that this guard holds on every object of the mutation census of A3,
-    both A4 orientations and D4.  `dercat tilting check` prints its verdict as
-    the `unimodular classes:` line.
-    """
+    """Whether the classes of the distinct summands span the lattice, i.e.
+    k0_inverse finds an integral inverse; is_tilting's cheap guard."""
     return k0_inverse(t.basic()) is not None
 
 
-@lru_cache(maxsize=None)
 def k0_inverse(t):
     """Integral inverse of the class matrix of T's distinct summands, or None.
 
     Column j is the class of summand j of t.indecs(), so row j of the inverse
     gives that summand's coefficient in the basis [T]: the T-coordinates of
     mutation's exchange filter.  None unless T has n distinct summands whose
-    classes span the lattice.  Memoized: callers pass the basic object, so one
-    n x n inverse serves the tilting test and every exchange from T.
+    classes span the lattice.  Memoized on the basic T moved to least shift
+    0, since T[k] has (-1)^k times T's inverse: one n x n inverse serves the
+    tilting test and every exchange from each suspension of T.
     """
-    q = t.quiver
-    n = q.n
+    k = t.min_shift if t.pairs else 0
+    inv = _k0_inverse(t.shift(-k) if k else t)
+    return inv if inv is None or k % 2 == 0 else tuple(tuple(-x for x in row) for row in inv)
+
+
+@lru_cache(maxsize=None)
+def _k0_inverse(t):
+    n = t.quiver.n
     if t.num_distinct() != n:
         return None
-    cols = [k0_class(stalk(q, r, s)) for r, s in t.indecs()]
+    cols = [k0_class(t.take((j,))) for j in range(n)]
     # fraction-free Gauss-Jordan on [A | I] (Bareiss, Math. Comp. 1968): each
     # step divides exactly by the previous pivot, and the end is [d I | d A^-1]
     # with d = +-det A
@@ -324,8 +304,9 @@ def k0_inverse(t):
         m[k], m[p] = m[p], m[k]
         pk = m[k]
         for i in range(n):
-            if i != k:
-                f = m[i][k]
+            f = m[i][k]
+            # a row with nothing to clear is only rescaled by pk[k] / prev
+            if i != k and (f or pk[k] != prev):
                 m[i] = [(pk[k] * a - f * b) // prev for a, b in zip(m[i], pk)]
         prev = pk[k]
     if abs(prev) != 1:
@@ -334,23 +315,20 @@ def k0_inverse(t):
 
 
 def k0_coords(t):
-    """T-coordinates of every M(r)[0], as {root: tuple by summand of t.indecs()}:
-    k0_inverse applied to the class r; M(r)[s] has (-1)^s times them.  None
-    when k0_inverse is.
+    """T-coordinates of every M(r_a)[0], by root index a, each a tuple by
+    summand of t.indecs(): k0_inverse applied to the class r_a; M(r_a)[s]
+    has (-1)^s times them.  None when k0_inverse is.
     """
     inv = k0_inverse(t)
     if inv is None:
         return None
-    return {r: tuple(sum(map(mul, row, r)) for row in inv) for r in qv.positive_roots(t.quiver)}
+    # one summand's coordinates of every root at a time: the inverse is sparse
+    return list(zip(*map(qv.roots_of(t.quiver).dots, inv)))
 
 
 def is_tilting(t):
-    """Rigid, n distinct indecomposable summands, unimodular class lattice.
-
-    The generation half of the definition is not searched for: the exact
-    K-group test stands in for a cone search, and the mutation census in the
-    test suite certifies the criterion (see the module docstring).
-    """
+    """Rigid, n distinct indecomposable summands, unimodular class lattice;
+    the generation half is not searched for (see the module docstring)."""
     return _is_tilting(t.basic())
 
 
@@ -372,18 +350,15 @@ def rigidity_failure(t):
     summand, index of the second) in t.basic().indecs() order: the first one
     a scan over i, then summand pairs, would meet.
     """
-    q = t.quiver
-    pairs = t.basic().indecs()
-    found = None
-    for a, x in enumerate(pairs):
-        for b, y in enumerate(pairs):
-            i = nonzero_shift(q, x, y)
-            if i and (found is None or (i, a, b) < found):
-                found = (i, a, b)
+    c = qv.roots_of(t.quiver)
+    pairs = t.pairs
+    found = min(((i, a, b) for a, x in enumerate(pairs) for b, y in enumerate(pairs)
+                 if (i := nonzero_shift(c, x, y))), default=None)
     if found is None:
         return None
     i, a, b = found
-    return i, pairs[a], pairs[b]
+    indecs = t.indecs()
+    return i, indecs[a], indecs[b]
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +367,8 @@ def rigidity_failure(t):
 
 def format_object(x):
     """Canonical object-file text: one summand per line, shift then root order."""
-    lines = []
-    for s in x.summands:
-        lines.append("summand dim=[%s] shift=%d mult=%d"
-                     % (",".join(str(d) for d in s.root), s.shift, s.mult))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join("summand dim=[%s] shift=%d mult=%d\n" % (",".join(map(str, s.root)), s.shift,
+                                                            s.mult) for s in x.summands)
 
 
 def parse_object(q, text):

@@ -7,32 +7,30 @@ left one.  The two are the dual halves of silting mutation (Aihara-Iyama,
 Silting mutation in triangulated categories, 2012) and share one path,
 `_exchange`, with a `left` flag.
 
-Y is read off K0 in integers.  The summand classes of T are a basis (the
-integral inverse derived.k0_inverse), and [Y] = [B] - [x], so Y has
-T-coordinates -1 at x, 0 at the other t2 summands and its multiplicity in B
-at each t1 summand: the index of the exchange (ibid., section 2).
-Once per basic T, `_candidates` reads the T-coordinates of every positive
-root, one integer tuple per root (derived.k0_coords), and files the root
-under the summand j where it has that sign pattern at even shift (its
-negative, at odd shift): -1 at j and >= 0 elsewhere.  For the t2 summand x,
-`_survivors` places each root filed under x at the shift of x or the one
-below (above, for co-mutation), whichever has the right parity, and keeps a
-candidate whose coordinates vanish at the other t2 summands, which is rigid
-against t1, and whose connecting map with x is nonzero.  Rigidity against
-t1 is tested pair by pair at the one live shift of each direction
-(derived.nonzero_shift); no candidate object is built.  The true Y always
-survives, so a unique survivor is Y, and its t1 coordinates are the
-approximation's multiplicities.  Any other count is an
-InternalInconsistencyError, except that no survivor on a co-mutation split
-with Hom(t1, t2) != 0, which need not invert any mutation, is a ValueError.
-Every output is re-checked for tilting-ness.
+Y is read off K0 in integers.  The summand classes of T are a basis
+(derived.k0_inverse), and [Y] = [B] - [x], so Y has T-coordinates -1 at x, 0
+at the other t2 summands and its multiplicity in B at each t1 summand.  Once
+per basic T, `_candidates` files each root (derived.k0_coords) under the
+summand j where its coordinates, or their negatives at odd shift, read -1
+at j and >= 0 elsewhere.  `_survivors` places each root filed under x at
+the shift of x or the next one with the right parity, and keeps a candidate
+whose coordinates vanish at the other t2 summands, whose connecting map
+with x is nonzero and which is rigid against t1.  All of it runs on
+(root index, shift) pairs over quiver.roots_of, each Hom read at its live
+shift (derived.nonzero_shift); no candidate object is built, and the
+admissible splits are bitmasks (_admissible_masks), made into Split objects
+only when used.  The true Y always survives, so a unique survivor is Y; any
+other count is an InternalInconsistencyError, except that no survivor on a
+co-mutation split with Hom(t1, t2) != 0, which need not invert any
+mutation, is a ValueError.  Every output is re-checked for tilting-ness.
 """
 
 import random as _random
 from collections import namedtuple
 from functools import lru_cache
+from operator import neg
 
-from . import derived as dv, sgd, slices as sls
+from . import derived as dv, quiver as qv, sgd, slices as sls
 from .quiver import InternalInconsistencyError
 
 Split = namedtuple("Split", "t1 t2")
@@ -67,66 +65,66 @@ def make_split(t, t2_picks):
 
 
 def admissible_splits(t):
-    """All splits with both parts nonzero and Hom(t2, t1) = 0, in ascending mask order.
-
-    Bit i of a mask picks summand i of t.basic() into t2.  The Hom pattern
-    between summands is computed once; a mask is admissible when no summand it
-    picks maps nonzero into a summand it leaves out.
-    """
+    """All splits with both parts nonzero and Hom(t2, t1) = 0, in ascending mask order."""
     tb = t.basic()
-    q = tb.quiver
-    indecs = tb.indecs()
-    n = len(indecs)
-    # into[i]: bitmask of the summands j with Hom(T_i, T_j) != 0
-    into = [0] * n
-    for i, (ri, si) in enumerate(indecs):
-        for j, (rj, sj) in enumerate(indecs):
-            if dv.pair_hom_dim(q, ri, si, rj, sj):
-                into[i] |= 1 << j
-    out = []
-    for mask in range(1, (1 << n) - 1):
-        if all(not into[i] & ~mask for i in range(n) if mask >> i & 1):
-            picks = [indecs[i] for i in range(n) if mask >> i & 1]
-            rest = [indecs[i] for i in range(n) if not mask >> i & 1]
-            out.append(Split(tb.restrict(rest), tb.restrict(picks)))
-    return out
+    return [_split(tb, mask) for mask in _admissible_masks(tb)]
+
+
+def _admissible_masks(tb):
+    """The admissible splits of the basic T as bitmasks, ascending: bit i
+    picks summand i into t2.  A mask is admissible when no summand it picks
+    maps nonzero into a summand it leaves out, that is when it equals the
+    set its summands map into."""
+    c = qv.roots_of(tb.quiver)
+    # into[i]: bitmask of the summands j with Hom(T_i, T_j) != 0, i among them
+    into = [sum(1 << j for j, y in enumerate(tb.pairs) if dv.nonzero_shift(c, x, y) == 0)
+            for x in tb.pairs]
+    # reach[mask]: the summands that those of mask map into, one lowest bit at a time
+    reach = [0]
+    for mask in range(1, 1 << len(into)):
+        low = mask & -mask
+        reach.append(reach[mask ^ low] | into[low.bit_length() - 1])
+    return [mask for mask in range(1, len(reach) - 1) if reach[mask] == mask]
+
+
+def _split(tb, mask):
+    return Split(*(tb.take([i for i in range(len(tb.pairs)) if (mask >> i & 1) == bit])
+                   for bit in (0, 1)))
 
 
 @lru_cache(maxsize=None)
 def _candidates(tb):
-    """Exchange candidates of the basic tilting T by summand index j: the
-    (root, parity, coordinates) with (-1)^parity times the T-coordinates of
-    the root (derived.k0_coords) equal to -1 at j and >= 0 at every other
-    summand, in positive-root order.  A root qualifies for at most one j per
-    parity.  Memoized, so every split of T reads one table."""
+    """Exchange candidates of the basic tilting T by summand index j, in root
+    order: (root index, parity, coordinates), the coordinates (-1)^parity
+    times the root's (derived.k0_coords), -1 at j and >= 0 elsewhere.
+    Memoized, so every split of T reads one table."""
     out = [[] for _ in range(tb.num_distinct())]
-    for r, base in dv.k0_coords(tb).items():
-        for parity, c in ((0, base), (1, tuple(-v for v in base))):
-            if min(c) == -1 and c.count(-1) == 1:
-                out[c.index(-1)].append((r, parity, c))
+    for a, base in enumerate(dv.k0_coords(tb)):
+        if min(base) == -1 and base.count(-1) == 1:
+            out[base.index(-1)].append((a, 0, base))
+        if max(base) == 1 and base.count(1) == 1:
+            out[base.index(1)].append((a, 1, tuple(map(neg, base))))
     return tuple(map(tuple, out))
 
 
-def _survivors(q, cands, t1, zero, x, left):
-    """The ((root, shift), T-coordinates) candidates passing the exchange
-    filter for the t2 summand x, given x's entry of _candidates.  t1 lists
-    (index, (root, shift)) of the t1 summands, zero the indices of the other
-    t2 summands, where the coordinates must vanish."""
-    rx, sx = x
+def _survivors(c, cands, t1, zero, x, left):
+    """The (pair, T-coordinates) candidates of x's entry of _candidates that
+    pass the exchange filter against the t1 pairs, with coordinates zero at
+    the indices `zero` of the other t2 summands."""
+    sx = x[1]
     out = []
-    for r, parity, c in cands:
-        if zero and any(c[k] for k in zero):
+    for a, parity, co in cands:
+        if zero and any(map(co.__getitem__, zero)):
             continue
         # of the two shifts tried, the one with the candidate's parity
         s = sx if sx % 2 == parity else (sx + 1 if left else sx - 1)
         # the connecting map: Y -> x[1] shifted down for co-mutation, x -> Y[1]
-        if not (dv.pair_hom_dim(q, r, s - 1, rx, sx) if left
-                else dv.pair_hom_dim(q, rx, sx, r, s + 1)):
+        if (dv.nonzero_shift(c, (a, s - 1), x) if left
+                else dv.nonzero_shift(c, x, (a, s + 1))) != 0:
             continue
         # t1 and Y are rigid on their own, so this tests Y against t1
-        y = (r, s)
-        if not any(dv.nonzero_shift(q, a, y) or dv.nonzero_shift(q, y, a) for _, a in t1):
-            out.append((y, c))
+        if dv.rigid_against(c, (a, s), t1):
+            out.append(((a, s), co))
     return out
 
 
@@ -138,38 +136,43 @@ def _not_an_inverse(t2):
 def _exchange(t, split, left):
     """Replace each t2 summand by its unique exchange survivor; returns (new
     object, exchange triangles)."""
-    q = t.quiver
     tb = t.basic()
     if not dv.is_tilting(tb):
         raise ValueError("mutation starts from a tilting object")
-    if set(split.t1.indecs()) | set(split.t2.indecs()) != set(tb.indecs()):
+    if set(split.t1.pairs) | set(split.t2.pairs) != set(tb.pairs):
         raise ValueError("split does not partition the summands of T")
     if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
-    index = {o: j for j, o in enumerate(tb.indecs())}
-    t1 = [(index[o], o) for o in split.t1.indecs()]
-    t2 = split.t2.indecs()
+    c = qv.roots_of(tb.quiver)
+
+    def obj(p):   # (root index, shift) -> (root, shift)
+        return c.roots[p[0]], p[1]
+
+    index = {p: j for j, p in enumerate(tb.pairs)}
+    t1 = [(index[p], p) for p in split.t1.pairs]
+    t2 = split.t2.pairs
     cands = _candidates(tb)
     triangles = []
-    new_summands = [o for _, o in t1]
+    new = list(split.t1.pairs)
     for x in t2:
-        zero = [index[o] for o in t2 if o != x]
-        found = _survivors(q, cands[index[x]], t1, zero, x, left)
+        zero = [index[p] for p in t2 if p != x]
+        found = _survivors(c, cands[index[x]], split.t1.pairs, zero, x, left)
         if len(found) != 1:
             if left and not found and dv.hom_dim(split.t1, split.t2) != 0:
-                raise _not_an_inverse(t2)
+                raise _not_an_inverse(split.t2.indecs())
             raise InternalInconsistencyError(
-                "%d exchange candidates for %r, not one" % (len(found), x))
-        ((repl, c),) = found
-        triangles.append(ApproxTriangle(x, tuple(o for k, o in t1 for _ in range(c[k])), repl))
-        new_summands.append(repl)
-    out = dv.DerivedObject(q, [(r, s, 1) for r, s in new_summands])
+                "%d exchange candidates for %r, not one" % (len(found), obj(x)))
+        ((repl, co),) = found
+        triangles.append(ApproxTriangle(
+            obj(x), tuple(obj(p) for k, p in t1 for _ in range(co[k])), obj(repl)))
+        new.append(repl)
+    out = dv.DerivedObject.of_pairs(tb.quiver, tuple(sorted(new, key=lambda p: (p[1], p[0]))))
     if not dv.is_tilting(out):
         if not left:
             raise InternalInconsistencyError("mutation produced a non-tilting object")
         if dv.hom_dim(split.t1, split.t2) == 0:
             raise InternalInconsistencyError("co-mutation produced a non-tilting object")
-        raise _not_an_inverse(t2)
+        raise _not_an_inverse(split.t2.indecs())
     return out, triangles
 
 
@@ -186,13 +189,10 @@ def co_mutate_with_data(t, split):
     """Dual mutation: each t2 summand x goes to the cone of its minimal left
     add(t1)-approximation x -> B.
 
-    Inverts mutate on the matching split (replacement summands against the
-    same t1).  That split can have Hom(t1, t2) != 0, so only the partition is
-    required.  Under Hom(t1, t2) = 0 the output is tilting, so anything but
-    one survivor per summand, or a non-tilting output, is a broken invariant.
-    Otherwise the split may invert no mutation: no survivor, or a non-tilting
-    output, raises ValueError.  A fault in the exchange itself there reads as
-    that ValueError too; the round-trip tests against mutate catch it.
+    Inverts mutate on the matching split, which can have Hom(t1, t2) != 0,
+    so only the partition is required.  Under Hom(t1, t2) = 0 anything but
+    one survivor per summand and a tilting output is a broken invariant;
+    otherwise the split may invert no mutation, and that raises ValueError.
     """
     return _exchange(t, split, True)
 
@@ -212,8 +212,10 @@ def verify_length_table(t, t_prime, split, x):
     prof_new = sgd.ell_profile(t_prime, x)
     xn = x.shift(-prof_new.ell_minus)
     ell = prof_new.ell
-    p_row = dv.hom_dim(xn, split.t1.shift(ell)) != 0 if not split.t1.is_zero() else False
-    p_col = dv.hom_dim(split.t2, xn.shift(1)) != 0
+    # Hom(xn, t1[ell]) and Hom(t2, xn[1]), each nonzero where a live shift is
+    c, (xp,) = qv.roots_of(t.quiver), xn.pairs
+    p_row = any(dv.nonzero_shift(c, xp, y) == ell for y in split.t1.pairs)
+    p_col = any(dv.nonzero_shift(c, y, xp) == 1 for y in split.t2.pairs)
     if p_row and p_col:
         predicted = (-1, ell, ell + 1)
     elif p_row:
@@ -289,15 +291,15 @@ def random_tilting_walk(q, seed, steps):
     t = dv.projective_generator(q)
     log = []
     for step in range(steps):
-        splits = admissible_splits(t)
-        order = list(range(len(splits)))
+        masks = _admissible_masks(t)
+        order = list(range(len(masks)))
         rng.shuffle(order)
         applied = False
         for idx in order:
-            cand = mutate(t, splits[idx])
+            split = _split(t, masks[idx])
+            cand = mutate(t, split)
             if cand.spread <= SPREAD_CAP:
-                log.append({"step": step, "t2": splits[idx].t2.indecs(),
-                            "result": cand.indecs()})
+                log.append({"step": step, "t2": split.t2.indecs(), "result": cand.indecs()})
                 t = cand
                 applied = True
                 break

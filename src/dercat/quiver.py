@@ -5,23 +5,21 @@ printer do the translation.  All values are immutable after construction.
 
 This is the bottom layer every other module imports, so it also holds the
 package's error class InternalInconsistencyError and the root-level AR
-translate (tau_root / tau_inv_root, with the projective and injective roots
-it wraps at): integer functions of the Coxeter matrix, which lives here too.
-All of it is integer arithmetic with no matrix inversion: the inverse of the
-Euler matrix is the path-count matrix (path_counts), which gives the
-projective and injective dimension vectors and both Coxeter matrices.  One
-topological sort (_sinks_first) serves as the cycle check and as the
-sink-first vertex order.
+translate (tau_root / tau_inv_root).  All of it is integer arithmetic with no
+matrix inversion: the inverse of the Euler matrix is the path-count matrix
+(path_counts), which gives the projective and injective dimension vectors
+and both Coxeter matrices.  One topological sort (_sinks_first) serves as
+the cycle check and as the sink-first vertex order.
 
-Every root-level map is memoized per quiver (lru_cache keyed on the quiver,
-whose hash is computed once): the positive roots and their frozenset, the
-projective and injective roots, the Euler form on each pair it is asked
-for, and tau / inverse tau on each root.  The records are plain classes and
-namedtuples, so importing the product layers stays cheap.
+Root-level maps are memoized per quiver (lru_cache keyed on the quiver,
+whose hash is computed once).  The product route reads the Euler form
+through one per-quiver context, roots_of(q) (Roots): the positive roots
+numbered once, and Euler-form rows and columns by root index.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 
 class QuiverError(ValueError):
@@ -65,11 +63,11 @@ def _sinks_first(n, arrows):
 class Quiver:
     """Finite acyclic quiver: n vertices 0..n-1 and a tuple of (source, target) arrows.
 
-    Immutable, compared by (n, arrows), with its hash computed once: every
-    memo below is keyed on it.
+    Immutable, compared by (n, arrows), with its hash and its neighbour lists
+    computed once: every memo below is keyed on it.
     """
 
-    __slots__ = ("n", "arrows", "_hash")
+    __slots__ = ("n", "arrows", "_hash", "_adj")
 
     def __init__(self, n, arrows):
         if n < 1:
@@ -84,6 +82,9 @@ class Quiver:
                 raise QuiverError("loop at vertex %d" % (s + 1))
         _sinks_first(n, arrows)  # the cycle check
         object.__setattr__(self, "_hash", hash((n, arrows)))
+        object.__setattr__(self, "_adj", tuple(
+            tuple(sorted({t for s, t in arrows if s == v} | {s for s, t in arrows if t == v}))
+            for v in range(n)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
@@ -107,13 +108,7 @@ class Quiver:
         return (Quiver, (self.n, self.arrows))
 
     def neighbors(self, v):
-        out = set()
-        for s, t in self.arrows:
-            if s == v:
-                out.add(t)
-            elif t == v:
-                out.add(s)
-        return sorted(out)
+        return self._adj[v]
 
     def components(self):
         """Connected components of the underlying graph, each a sorted vertex list."""
@@ -257,13 +252,8 @@ def euler_matrix(q):
     return e
 
 
-@lru_cache(maxsize=None)
 def euler_form(q, d, e):
-    """<d,e> = sum d_i e_i - sum over arrows i->j of d_i e_j.
-
-    Memoized per (quiver, d, e) as the pairs are asked for, so d and e are
-    tuples.
-    """
+    """<d,e> = sum d_i e_i - sum over arrows i->j of d_i e_j."""
     if len(d) != q.n or len(e) != q.n:
         raise QuiverError("dimension vector length mismatch")
     total = sum(x * y for x, y in zip(d, e))
@@ -280,11 +270,10 @@ def positive_roots(q):
     (termination is guaranteed by finiteness of the root system).
     """
     ensure_dynkin(q)
-    adj = [q.neighbors(v) for v in range(q.n)]
 
     def reflect(r, i):
         out = list(r)
-        out[i] = sum(r[j] for j in adj[i]) - r[i]
+        out[i] = sum(r[j] for j in q.neighbors(i)) - r[i]
         return tuple(out)
 
     roots = {tuple(1 if j == i else 0 for j in range(q.n)) for i in range(q.n)}
@@ -301,10 +290,48 @@ def positive_roots(q):
     return tuple(sorted(roots))
 
 
-@lru_cache(maxsize=None)
-def root_set(q):
-    """The positive roots as a frozenset, for membership tests."""
-    return frozenset(positive_roots(q))
+class _Table(dict):
+    """self[a] = fill(a), computed on first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, a):
+        value = self[a] = self.fill(a)
+        return value
+
+
+class Roots:
+    """The per-quiver root context of the product route.
+
+    roots: the positive roots, sorted, so index order is root order; index:
+    root -> its number; rows[a][b] = cols[b][a] = <r_a, r_b>, each row or
+    column built on first use (r_a^T E by bilinearity, then dots): no
+    roots x roots table unless every root is asked about.
+    """
+
+    __slots__ = ("roots", "index", "rows", "cols", "_by_vertex")
+
+    def __init__(self, q):
+        roots = self.roots = positive_roots(q)
+        self.index = {r: a for a, r in enumerate(roots)}
+        self._by_vertex = tuple(zip(*roots))
+        simple = [simple_root(q, i) for i in range(q.n)]
+        self.rows = _Table(lambda a: self.dots([euler_form(q, roots[a], e) for e in simple]))
+        self.cols = _Table(lambda b: self.dots([euler_form(q, e, roots[b]) for e in simple]))
+
+    def dots(self, v):
+        """The dot product of v with every root, by root index, added up
+        vertex by vertex: the vertices where v is 0 cost nothing."""
+        out = [0] * len(self.roots)
+        for f, col in zip(v, self._by_vertex):
+            if f:
+                out = [u + f * w for u, w in zip(out, col)]
+        return tuple(out)
+
+
+# the one context per quiver: every product layer reads the same numbering
+roots_of = lru_cache(maxsize=None)(Roots)
 
 
 def simple_root(q, i):
@@ -388,21 +415,18 @@ def inj_roots(q):
 @lru_cache(maxsize=None)
 def tau_root(q, root):
     """Root of tau(M) for the indecomposable M of the given root; None if projective."""
-    if root in proj_roots(q):
-        return None
-    phi = coxeter_matrix(q)
-    out = tuple(sum(phi[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in root_set(q):
-        raise InternalInconsistencyError("tau left the root system: %r" % (out,))
-    return out
+    return _translate(q, root, proj_roots(q), coxeter_matrix)
 
 
 @lru_cache(maxsize=None)
 def tau_inv_root(q, root):
-    if root in inj_roots(q):
+    return _translate(q, root, inj_roots(q), coxeter_inverse)
+
+
+def _translate(q, root, ends, matrix):
+    if root in ends:
         return None
-    phi_inv = coxeter_inverse(q)
-    out = tuple(sum(phi_inv[a][b] * root[b] for b in range(q.n)) for a in range(q.n))
-    if out not in root_set(q):
-        raise InternalInconsistencyError("inverse tau left the root system: %r" % (out,))
+    out = tuple(sum(map(mul, row, root)) for row in matrix(q))
+    if out not in roots_of(q).index:
+        raise InternalInconsistencyError("tau left the root system: %r" % (out,))
     return out

@@ -1,17 +1,17 @@
 """Strong global dimension of endomorphism algebras of tilting objects.
 
-sgldim evaluates length profiles with derived.pair_hom_dim, the closed
-Euler-form Hom rule (integer arithmetic only).  Its oracle is
-complexes.sgldim_ringel: the same profiles evaluated with genuine chain-map
-computations on minimal complexes (plus, for a projective-slice tilting
-object, the literal sup of the degree spans hi - lo of the stalk complexes,
-which are minimal, so the spans are Ringel's lengths).  Disagreement is a
-hard failure.
-
-This module is on the product path with quiver, derived, slices and
-mutation, and like them imports neither the oracle engines (reps, complexes)
-nor the rational arithmetic they run on (linalg, fractions); the test suite
-checks that.  The oracle imports this module, never the reverse.
+Length profiles come in closed form, with no scan over shifts.  Against a
+summand M(r)[s] of T, X = M(x)[k] has one live shift each way
+(derived.nonzero_shift): Hom(X, M(r)[s + n]) != 0 only at n = k - s when
+<x,r> > 0 and n = k + 1 - s when it is < 0; Hom(M(r)[s + n], X) != 0 only at
+n = k - s when <r,x> > 0 and n = k - s - 1 when it is < 0.  ell_plus(X) is
+the largest n of the first kind over T's summands, ell_minus(X) the least of
+the second.  The Euler values are read by root index from quiver.roots_of:
+one row and one column per summand of T serve every X, so no roots x roots
+table is built.  The scan over shifts is the oracle's own code,
+complexes.sgldim_scan, fed chain-map Hom dimensions by sgldim_ringel and
+derived.pair_hom_dim by the test suite.  Like the other product modules,
+this one imports neither reps, complexes, linalg nor fractions.
 """
 
 from collections import namedtuple
@@ -33,60 +33,31 @@ class LengthProfile(namedtuple("LengthProfile", "ell_minus ell_plus")):
 SgdReport = namedtuple("SgdReport", "value witness")
 
 
-def _profile(q, t_indecs, x_root, x_shift, pair):
-    """Exact extreme shifts of Hom(X, T[n]) and Hom(T[n], X).
-
-    Only n with a shift gap of 0 or 1 against some summand can contribute, so
-    both scans are finite.
-    """
-    smin = min(s for _, s in t_indecs)
-    smax = max(s for _, s in t_indecs)
-    ell_plus = None
-    for n in range(x_shift + 1 - smin, x_shift - smax - 1, -1):
-        if any(pair(q, x_root, x_shift, r, s + n) for r, s in t_indecs):
-            ell_plus = n
-            break
-    ell_minus = None
-    for n in range(x_shift - 1 - smax, x_shift - smin + 1):
-        if any(pair(q, r, s + n, x_root, x_shift) for r, s in t_indecs):
-            ell_minus = n
-            break
-    if ell_plus is None or ell_minus is None:
+def profile(c, pairs, a, k):
+    """Length profile of M(r_a)[k] against a tilting object's (root index,
+    shift) pairs over the root context c, in the module docstring's form."""
+    plus = minus = None
+    for b, s in pairs:
+        e = c.cols[b][a]   # <x, r_b>
+        if e and (plus is None or k - s + (e < 0) > plus):
+            plus = k - s + (e < 0)
+        e = c.rows[b][a]   # <r_b, x>
+        if e and (minus is None or k - s - (e < 0) < minus):
+            minus = k - s - (e < 0)
+    if plus is None or minus is None:
         raise InternalInconsistencyError(
-            "tilting object misses %r[%d] entirely" % (x_root, x_shift))
-    return LengthProfile(ell_minus, ell_plus)
+            "tilting object misses %r[%d] entirely" % (c.roots[a], k))
+    return LengthProfile(minus, plus)
 
 
 def ell_profile(t, x):
     """Length profile of an indecomposable X against a tilting object T."""
     if not dv.is_tilting(t):
         raise ValueError("length profiles are defined against tilting objects")
-    xb = x.basic()
-    if xb.num_distinct() != 1 or x.summands[0].mult != 1:
+    if x.mults != (1,):
         raise ValueError("X must be indecomposable")
-    (root, shift), = xb.indecs()
-    return _profile(t.quiver, t.basic().indecs(), root, shift, dv.pair_hom_dim)
-
-
-def sgldim_scan(t, pair):
-    """sup of ell_T with its witness, each Hom dimension read off pair(q, r1, s1, r2, s2).
-
-    sgldim passes derived.pair_hom_dim; complexes.sgldim_ringel passes chain-map
-    Hom dimensions.
-    """
-    q = t.quiver
-    indecs = t.basic().indecs()
-    best_val = -1
-    best_witness = None
-    # ell is invariant under suspension of X, so each root is solved once, at shift 0
-    for root in qv.positive_roots(q):
-        prof = _profile(q, indecs, root, 0, pair)
-        key = (-prof.ell_minus, root)
-        if prof.ell > best_val or (prof.ell == best_val and key < best_witness):
-            best_val = prof.ell
-            best_witness = key
-    w = dv.stalk(q, best_witness[1], best_witness[0])
-    return SgdReport(best_val, w)
+    (a, k), = x.pairs
+    return profile(qv.roots_of(t.quiver), t.pairs, a, k)
 
 
 def sgldim(t):
@@ -100,4 +71,11 @@ def sgldim(t):
 def _sgldim(tb):
     if not dv.is_tilting(tb):
         raise ValueError("strong global dimension needs a tilting object")
-    return sgldim_scan(tb, dv.pair_hom_dim)
+    c = qv.roots_of(tb.quiver)
+    # ell is invariant under suspension of X, so each root is solved once, at
+    # shift 0; the witness has the largest ell, then the largest ell_minus,
+    # then the least root
+    profs = [profile(c, tb.pairs, a, 0) for a in range(len(c.roots))]
+    neg_ell, shift, a = min((p.ell_minus - p.ell_plus, -p.ell_minus, a)
+                            for a, p in enumerate(profs))
+    return SgdReport(-neg_ell, dv.stalk(tb.quiver, c.roots[a], shift))

@@ -11,9 +11,9 @@ determines a canonical slice, the pointwise least of the single-source
 sections of its Hom-minimal summands, whose window reproduces the strong
 global dimension exactly (minus two).
 
-The hereditary window of a slice is read on (root, shift) pairs: level_of
-takes each summand's level from the Hom pattern of the slice objects into it
-(derived.pair_hom_dim), with no scan over shifts and no objects built.
+The hereditary window of a slice is read by root index (quiver.roots_of):
+each summand's level is the live shift of the slice objects into it
+(derived.nonzero_shift), with no scan over shifts and no objects built.
 """
 
 from collections import namedtuple
@@ -90,9 +90,10 @@ def find_slice(t):
     q = t.quiver
     if not dv.is_tilting(t):
         raise ValueError("slices are extracted from tilting objects")
+    c = qv.roots_of(q)
     indecs = t.basic().indecs()
-    sources = [dv.zq_vertex(q, *x) for x in indecs
-               if not any(dv.pair_hom_dim(q, *y, *x) for y in indecs if y != x)]
+    sources = [dv.zq_vertex(q, *o) for o, x in zip(indecs, t.pairs)
+               if not any(dv.nonzero_shift(c, y, x) == 0 for y in t.pairs if y != x)]
     if not sources:
         raise InternalInconsistencyError("tilting object with no Hom-minimal summand")
     sections = [_single_source_section(q, m, i) for m, i in sources]
@@ -108,20 +109,16 @@ def find_slice(t):
     return sl
 
 
-def level_of(sl, xr, xs):
-    """The unique i with M(xr)[xs] in H[i], H the hereditary subcategory of the slice.
-
-    H holds the Y with Hom(S, Y[j]) = 0 for every slice object S and j != 0.
-    So a nonzero Hom(S[i], X), at a gap g = xs - ss - i in {0, 1}, fixes the
-    level i = xs - ss - g.  Some S maps to X, because the slice generates, and
-    all of them must fix the same level; hard failure otherwise.
-    """
-    q = sl.quiver
-    found = set(xs - ss - g for sr, ss in sl.objects for g in (0, 1)
-                if dv.pair_hom_dim(q, sr, xs - g, xr, xs))
+def level_of(c, slice_pairs, x):
+    """The unique i with X in H[i], H the hereditary subcategory of a slice,
+    for X and the slice objects as (root index, shift) pairs over context c.
+    H holds the Y with Hom(S, Y[j]) = 0 for every slice object S and j != 0,
+    so each S with Hom(S[i], X) != 0, i = -nonzero_shift(S, X), fixes level i;
+    they must all agree (some S maps to X, as the slice generates)."""
+    found = set(-i for y in slice_pairs if (i := dv.nonzero_shift(c, y, x)) is not None)
     if len(found) != 1:
-        raise InternalInconsistencyError(
-            "summand %r: the slice fixes %d hereditary shifts" % (((xr, xs),), len(found)))
+        raise InternalInconsistencyError("summand %r: the slice fixes %d hereditary shifts"
+                                         % (((c.roots[x[0]], x[1]),), len(found)))
     return found.pop()
 
 
@@ -131,7 +128,9 @@ HeredWindow = namedtuple("HeredWindow", "slice ell levels")
 
 def shift_window(t, sl):
     """Minimal window of slice-shift levels containing every summand of T."""
-    levels = [((r, s), level_of(sl, r, s)) for r, s in t.basic().indecs()]
+    c = qv.roots_of(t.quiver)
+    slice_pairs = [(c.index[r], s) for r, s in sl.objects]
+    levels = [(o, level_of(c, slice_pairs, x)) for o, x in zip(t.indecs(), t.pairs)]
     base = min(l for _, l in levels)
     levels = tuple((o, l - base) for o, l in levels)
     ell = max(l for _, l in levels)

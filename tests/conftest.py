@@ -78,18 +78,26 @@ def e6_alt():
 
 
 @lru_cache(maxsize=None)
-def _mutation_closure(q):
+def _mutation_graph(q):
     # breadth first: the loop reaches the objects appended while it runs
     order = [dv.projective_generator(q)]
     seen = set(order)
+    graph = {}
     for t in order:
+        graph[t] = []
         for split in mu.admissible_splits(t):
             u = mu.mutate(t, split)
             u = u.shift(-u.min_shift)
+            graph[t].append(u)
             if u not in seen:
                 seen.add(u)
                 order.append(u)
-    return frozenset(seen)
+    return graph
+
+
+@lru_cache(maxsize=None)
+def _mutation_closure(q):
+    return frozenset(_mutation_graph(q))
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +105,10 @@ def census():
     """census(q): the tilting objects reached from the projective generator by
     mutation at every admissible split, each shifted to min shift 0."""
     return _mutation_closure
+
+
+@pytest.fixture(scope="session")
+def census_graph():
+    """census_graph(q): {T: the right mutations of T, one per admissible
+    split in split order, each shifted to min shift 0} over census(q)."""
+    return _mutation_graph

@@ -103,6 +103,41 @@ def test_verify_reports_counts_on_stderr(tmp_path, capsys):
     assert err.splitlines()[-1] == "# checked=0 skipped=3 failed=0"
 
 
+def test_verify_min_checked(tmp_path, capsys):
+    # on A3 at seed 0, `verify a` checks 3 of its 20 instances and skips 17
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    argv = ["verify", "a", "--quiver", str(path), "--seed", "0"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "# checked=3 skipped=17 failed=0"
+    assert cli.main(argv + ["--min-checked", "3"]) == 0
+    assert capsys.readouterr() == (out, err)
+    assert cli.main(argv + ["--min-checked", "4"]) == 1
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err == err + "error: 3 instances checked, fewer than --min-checked 4\n"
+
+
+# argv whose usage or error text comes from the top-level parser or from the
+# verb's own subparser
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["sgd", "--help"],
+                                  ["sgd", "--quiver", "x.q"],
+                                  ["sgd", "--quiver", "x.q", "--object", "y.obj", "extra"]],
+                         ids=["none", "help", "typo", "sgd-help", "sgd-no-object", "sgd-extra"])
+def test_one_verb_parser_prints_what_the_full_parser_does(argv, capsys):
+    full = cli.build_parser([])   # no verb to go by: every subparser
+    with pytest.raises(SystemExit) as e:
+        full.parse_args(argv)
+    want = capsys.readouterr()
+    assert cli.main(argv) == (2 if e.value.code else 0)
+    assert capsys.readouterr() == want
+    # the parser for one verb has that verb's subparser and no other
+    with pytest.raises(SystemExit):
+        cli.build_parser(["sgd"]).parse_args(["quiver", "validate", "--quiver", "x.q"])
+    capsys.readouterr()
+
+
 def test_mutate_rejects_an_out_of_range_summand_index(tmp_path, capsys):
     q = qv.Quiver(3, ((0, 1), (1, 2)))
     quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
@@ -299,29 +334,33 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     quiver.write_text(D4_ALT)
     obj.write_text(dv.format_object(dv.projective_generator(qv.parse_quiver(D4_ALT))))
     q, o = ["--quiver", str(quiver)], ["--object", str(obj)]
-    product = ["cli", "derived", "quiver", "sgd"]
-    walk, cut = sorted(product + ["mutation"]), sorted(product + ["slices"])
+    base = ["cli", "derived", "quiver"]
+    product = base + ["sgd"]
+    walk, cut = sorted(base + ["mutation"]), sorted(base + ["slices"])
+    table = sorted(product + ["mutation"])
     both = sorted(product + ["mutation", "slices"])
     # an s.gl.dim-3 object, so theoremb takes a mutation step through a slice
     d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
     # no product verb imports dataclasses, inspect or fractions: the part after
     # "|" is empty
     for argv, layers in (
-            (["quiver", "validate"] + q, product), (["sgd"] + q + o, product),
-            (["tilting", "check"] + q + o, product), (["hom"] + q + o + o, product),
+            # the set-up probe of every benchmark workload: neither derived nor sgd
+            (["quiver", "validate"] + q, ["cli", "quiver"]), (["sgd"] + q + o, product),
+            (["tilting", "check"] + q + o, base), (["hom"] + q + o + o, base),
+            (["verify", "serre"] + q, base),
             (["mutate", "--t2", "3"] + q + o, walk),
             (["random-tilting", "--seed", "0", "--steps", "3"] + q, walk),
-            (["verify", "table", "--samples", "1"] + q, walk),
-            (["verify", "delta", "--samples", "1"] + q, walk),
+            (["verify", "table", "--samples", "1"] + q, table),
+            (["verify", "delta", "--samples", "1"] + q, table),
             (["slice"] + q + o, cut), (["theoremb"] + d5, both),
             (["verify", "a", "--samples", "3"] + q, both)):
         assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + layers + ["|"], argv
     # the oracle routes load their rational arithmetic, and no more
-    oracle = sorted(product + ["complexes", "linalg", "reps"])
+    oracle = sorted(base + ["complexes", "linalg", "reps"])
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
     assert ran == ["0"] + oracle + ["|", "fractions"], ran
     ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
-    assert ran == ["0"] + sorted(product + ["linalg", "reps"]) + ["|", "fractions"], ran
+    assert ran == ["0"] + sorted(base + ["linalg", "reps"]) + ["|", "fractions"], ran
 
 
 def test_lazy_layer_reuses_an_imported_module():

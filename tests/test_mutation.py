@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import homk_basis
+from conftest import INPUTS, homk_basis
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
@@ -379,9 +379,46 @@ def test_exchange_matches_the_reference(a3, a4, a4_alt, d4, e6_alt, census):
     # equal summands still merge, and basic drops the multiplicity
     assert fat.summands == (((0, 0, 1), 0, 3), ((0, 1, 1), 0, 1), ((1, 1, 1), 0, 1))
     assert fat.basic() == t and hash(fat.basic()) == hash(t) and fat.basic() is not fat
+    # the same summands with other multiplicities are another object
+    assert fat != t and fat.shift(1) != t.shift(1) and fat.shift(1).basic() == t.shift(1)
     assert fat.restrict([((0, 0, 1), 0)]) == dv.stalk(a3, (0, 0, 1))
     with pytest.raises(ValueError, match="not summands"):
         t.restrict([((0, 0, 1), 1)])
+
+
+@pytest.mark.parametrize("name, objects, edges, hist", [
+    ("A5-alt", 273, 1848, {1: 48, 2: 165, 3: 54, 4: 6}),
+    ("D5-alt", 416, 2648, {1: 64, 2: 296, 3: 56}),
+], ids=["A5-alt", "D5-alt"])
+def test_theorem_b_as_the_distance_along_right_mutations(name, objects, edges, hist,
+                                                          census_graph):
+    # the whole mutation census of a bench quiver, one edge per admissible split
+    q = qv.parse_quiver((INPUTS / (name + ".q")).read_text())
+    graph = census_graph(q)
+    dim = {t: sgd.sgldim(t).value for t in graph}
+    assert len(graph) == objects and sum(map(len, graph.values())) == edges
+    assert Counter(dim.values()) == hist
+    assert all(abs(dim[t] - dim[u]) <= 1 for t, us in graph.items() for u in us)
+    # Theorem B: following right mutations (mutate, the direction
+    # theoremB_sequence takes) from T, the set with s.gl.dim <= 2 is
+    # max(s.gl.dim - 2, 0) steps away.  Breadth first from that set, backwards
+    # along the edges.  (The other direction, right mutations from that set up
+    # to T, needs more steps on some E6 and E7 objects.)
+    into = {t: [] for t in graph}
+    for t, us in graph.items():
+        for u in us:
+            into[u].append(t)
+    dist = {t: 0 for t in graph if dim[t] <= 2}
+    frontier = list(dist)
+    while frontier:
+        reached = []
+        for u in frontier:
+            for t in into[u]:
+                if t not in dist:
+                    dist[t] = dist[u] + 1
+                    reached.append(t)
+        frontier = reached
+    assert dist == {t: max(dim[t] - 2, 0) for t in graph}
 
 
 def test_two_exchange_survivors_are_a_breach(a2, monkeypatch):

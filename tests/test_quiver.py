@@ -184,12 +184,14 @@ def _apply(m, r):
 def test_root_memos_agree_with_direct_formulas(path):
     q = qv.parse_quiver(path.read_text())
     roots = qv.positive_roots(q)
-    assert qv.root_set(q) == frozenset(roots)
+    c = qv.roots_of(q)
+    assert c.roots == roots and c.index == {r: a for a, r in enumerate(roots)}
     assert qv.proj_roots(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
     assert qv.inj_roots(q) == tuple(qv.inj_dims(q, i) for i in range(q.n))
     # an equal quiver parsed again reads the same memo entries
     same = qv.parse_quiver(path.read_text())
     assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is qv.proj_roots(q)
+    assert qv.roots_of(same) is c
     phi, phi_inv = qv.coxeter_matrix(q), qv.coxeter_inverse(q)
     for r in roots:
         assert qv.tau_root(q, r) == (None if r in qv.proj_roots(q) else _apply(phi, r))
@@ -201,6 +203,8 @@ def test_root_memos_agree_with_direct_formulas(path):
         want = sum(a * b for a, b in zip(d, e_times[f]))
         assert qv.euler_form(q, d, f) == want
         assert qv.euler_form(same, d, f) == want
+        # the context's rows and columns, by root index
+        assert c.rows[c.index[d]][c.index[f]] == want == c.cols[c.index[f]][c.index[d]]
 
 
 NOT_A_TREE = "vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n"

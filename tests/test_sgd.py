@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
@@ -115,3 +120,34 @@ def test_sgldim_memo_is_keyed_on_the_basic_object(a4):
     assert sgd.sgldim(t) is rep
     assert sgd.sgldim(doubled) is rep
     assert sgd.sgldim(reordered) is rep
+
+
+def test_closed_form_profiles_equal_the_shift_scan(a4, a4_alt, d4, census):
+    # the oracle's scan over shifts, fed the product route's Hom dimensions,
+    # against the closed form on every census object and every root
+    checked = 0
+    for q in (a4, a4_alt, d4):
+        roots = qv.positive_roots(q)
+        for t in sorted(census(q), key=dv.format_object):
+            for root in roots:
+                for k in (-1, 0, 3):
+                    want = cx._profile(q, t.indecs(), root, k, dv.pair_hom_dim)
+                    assert sgd.ell_profile(t, dv.stalk(q, root, k)) == want, (t, root, k)
+            assert sgd.sgldim(t) == cx.sgldim_scan(t, dv.pair_hom_dim), t
+            checked += 1
+    assert checked == 55 + 55 + 69
+
+
+def test_sgldim_reads_only_the_rows_and_columns_of_the_summands():
+    # E8 has 120 positive roots: sgd on its projective generator reads the
+    # Euler rows and columns of the 8 summands, and builds no 120 x 120 table
+    code = ("from dercat import derived as dv, quiver as qv, sgd\n"
+            "q = qv.parse_quiver(open(%r).read())\n"
+            "print(sgd.sgldim(dv.projective_generator(q)).value)\n"
+            "c = qv.roots_of(q)\n"
+            "print(len(c.roots), len(c.rows), len(c.cols))\n"
+            % str(pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "E8-alt.q"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sgd.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout.split()
+    assert out == ["1", "120", "8", "8"]
