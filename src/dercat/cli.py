@@ -1,10 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors,
-141 stdout closed by its reader (as a shell reports death by SIGPIPE).
-Every command is deterministic given its input files and --seed.  Every
-`verify` mode ends by writing `# checked=N skipped=M failed=K` to stderr, so a
-run that checked nothing shows as such, and exits 1 below `--min-checked`.
+Exit codes: 0 success, 1 property or verdict failure, 2 usage/parse errors
+and failed reads or writes, 141 stdout closed by its reader (as a shell
+reports death by SIGPIPE).  `main(argv)` is the in-process API: it returns
+the exit code and leaves the interpreter as it is.  A process enters through
+`run`, which calls main, flushes stdout and stderr and leaves by os._exit,
+without interpreter teardown.  Every command is deterministic given its
+input files and --seed.  Every `verify` mode ends by writing
+`# checked=N skipped=M failed=K` to stderr, so a run that checked nothing
+shows as such, and exits 1 below `--min-checked`.
 
 A process runs only the layers its verb uses, and builds only its verb's
 subparser (build_parser).  quiver is imported here and is all that `quiver
@@ -483,5 +487,29 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """The process entry (`python -m dercat.cli`, the `dercat` script): main
+    on sys.argv, then flush and leave through os._exit, skipping module
+    teardown and the final collection.  Nothing needs them: dercat registers
+    no atexit handler, starts no thread, and closes every file it writes
+    before main returns.  An exception escaping main propagates as usual."""
+    code = main()
+    # main flushes only after a verb returns: --help, usage errors and error
+    # returns after partial output reach this flush with stdout unwritten
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    except OSError as e:
+        print("error: %s" % e, file=sys.stderr)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = code or 2   # nothing left to report it on
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -399,5 +399,10 @@ def parse_object(q, text):
             mult = int(fields.get("mult", "1"))
         except (KeyError, ValueError):
             raise ValueError("malformed object line %d: %r" % (lineno, raw))
+        # DerivedObject checks multiplicities only after equal summands merge,
+        # so a negative line could cancel part of another
+        if mult < 1:
+            raise ValueError("malformed object line %d: %r: mult must be at least 1"
+                             % (lineno, raw))
         summands.append((root, shift, mult))
     return DerivedObject(q, summands)

@@ -171,13 +171,21 @@ def test_tilting_check_prints_the_first_rigidity_witness(tmp_path, capsys):
 def test_object_file_rejects_unknown_and_repeated_keys(tmp_path, capsys):
     quiver, obj = tmp_path / "a3.q", tmp_path / "t.obj"
     quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
-    # "shfit" would have read as shift 0, and the second "shift" would have won
+    # "shfit" would have read as shift 0, and the second "shift" would have won;
+    # a multiplicity below 1 would have cancelled part of an equal summand
+    # (mult 2 then -1, or 1 then 0, read as mult 1), and a lone mult=0 was
+    # reported without its line; the last line is the bad one
     for bad, why in (("summand dim=[1,1,1] shfit=-1", "unknown key 'shfit'"),
-                     ("summand dim=[1,1,1] shift=0 shift=-1", "repeated key 'shift'")):
-        obj.write_text("summand dim=[0,0,1]\nsummand dim=[0,1,1]\n" + bad + "\n")
+                     ("summand dim=[1,1,1] shift=0 shift=-1", "repeated key 'shift'"),
+                     ("summand dim=[1,1,1] mult=2\nsummand dim=[1,1,1] mult=-1", "at least 1"),
+                     ("summand dim=[1,1,1] mult=1\nsummand dim=[1,1,1] mult=0", "at least 1"),
+                     ("summand dim=[1,1,1] mult=0", "at least 1")):
+        text = "summand dim=[0,0,1]\nsummand dim=[0,1,1]\n" + bad + "\n"
+        obj.write_text(text)
         assert cli.main(["sgd", "--quiver", str(quiver), "--object", str(obj)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "line 3" in err and why in err
+        assert out == "" and "malformed object line %d:" % text.count("\n") in err
+        assert why in err
 
 
 def test_tilting_check_on_a_determinant_two_object(tmp_path, capsys):
@@ -367,3 +375,78 @@ def test_lazy_layer_reuses_an_imported_module():
     code = ("import sys\nfrom dercat import mutation\nfrom dercat import cli\n"
             "print(cli.mu is mutation and sys.modules['dercat.mutation'] is mutation)\n")
     assert _run_fresh(code) == ["True"]
+
+
+E6_ALT_FILE, D4_ALT_FILE = str(INPUTS / "E6-alt.q"), str(INPUTS / "D4-alt.q")
+
+
+# {T} is the test's directory, {OUT} a file of each side's own
+@pytest.mark.parametrize("argv, code, expect", [
+    (["quiver", "validate", "--quiver", E6_ALT_FILE], 0, "dynkin: yes\n"),
+    (["--help"], 0, "usage: dercat"),
+    (["sgd", "--quiver", E6_ALT_FILE], 2, "required: --object"),
+    (["tilting", "check", "--quiver", E6_ALT_FILE, "--object", "{T}/s.obj"], 1, "tilting: no\n"),
+    (["mutate", "--quiver", E6_ALT_FILE, "--object", "{T}/p.obj", "--t2", "4", "--out", "{OUT}"],
+     0, ""),
+    # 152,064 bytes: many times the child's stdout buffer
+    (["verify", "homagree", "--quiver", D4_ALT_FILE], 0, "# checked=2304 "),
+])
+def test_process_entry_prints_and_exits_what_main_does(tmp_path, capsys, monkeypatch,
+                                                       argv, code, expect):
+    e6 = qv.parse_quiver((INPUTS / "E6-alt.q").read_text())
+    (tmp_path / "s.obj").write_text("summand dim=[1,0,0,0,0,0]\n")
+    (tmp_path / "p.obj").write_text(dv.format_object(dv.projective_generator(e6)))
+    monkeypatch.setenv("COLUMNS", "80")   # the --help layout, on both sides
+
+    def args(side):
+        return [a.replace("{T}", str(tmp_path)).replace("{OUT}", str(tmp_path / side))
+                for a in argv]
+
+    assert cli.main(args("main.obj")) == code
+    out, err = capsys.readouterr()
+    assert expect in out + err
+    # block-buffered stdout: output that run failed to flush would be lost
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "dercat.cli", *args("run.obj")],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.stdout.decode(), proc.stderr.decode(), proc.returncode) == (out, err, code)
+    written = [p.read_bytes() if p.exists() else None
+               for p in (tmp_path / "main.obj", tmp_path / "run.obj")]
+    assert written[0] == written[1] and (written[0] is not None) == ("--out" in argv)
+
+
+class _Flushed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flush_error, code", [(None, 1), (OSError(28, "No space left"), 2)])
+def test_run_flushes_then_exits_with_mains_code(monkeypatch, flush_error, code):
+    events = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            events.append(("write", self.name, text))
+
+        def flush(self):
+            events.append(("flush", self.name))
+            if self.name == "stdout" and flush_error is not None:
+                raise flush_error
+
+    def exit_(status):
+        events.append(("exit", status))
+        raise _Flushed
+
+    monkeypatch.setattr(cli, "main", lambda: events.append(("main",)) or 1)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(_Flushed):
+        cli.run()
+    # a failed write is never a silent exit: it is reported on stderr
+    report = [("write", "stderr", "error: [Errno 28] No space left"), ("write", "stderr", "\n")]
+    assert events == ([("main",), ("flush", "stdout")] + (report if flush_error else [])
+                      + [("flush", "stderr"), ("exit", code)])
