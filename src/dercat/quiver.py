@@ -1,14 +1,15 @@
-"""Quivers, Dynkin classification, Euler form, positive roots, AR translate on roots.
+"""Quivers, Dynkin classification, Euler form, positive roots.
 
 Vertices are 1-based in files and 0-based everywhere in code; the parser and
 printer do the translation.  All values are immutable after construction.
 
 This is the bottom layer every other module imports, so it also holds the
-package's error class InternalInconsistencyError and the root-level AR
-translate (tau_root / tau_inv_root).  All of it is integer arithmetic with no
-matrix inversion: the inverse of the Euler matrix is the path-count matrix
-(path_counts), which gives the projective and injective dimension vectors
-and both Coxeter matrices.  One topological sort (_sinks_first) serves as
+package's error class InternalInconsistencyError.  All of it is integer
+arithmetic with no matrix inversion: the inverse of the Euler matrix is the
+path-count matrix (path_counts), which gives the projective dimension
+vectors and both Coxeter matrices.  The AR translate on roots that the
+Coxeter matrices drive (tau_root / tau_inv_root) lives in zq, with the
+injective dimension vectors.  One topological sort (_sinks_first) serves as
 the cycle check and as the sink-first vertex order.
 
 Root-level maps are memoized per quiver (lru_cache keyed on the quiver,
@@ -19,7 +20,6 @@ numbered once, and Euler-form rows and columns by root index.
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import mul
 
 
 class QuiverError(ValueError):
@@ -264,29 +264,22 @@ def euler_form(q, d, e):
 
 @lru_cache(maxsize=None)
 def positive_roots(q):
-    """All positive roots, by closure of the simple roots under simple reflections.
+    """All positive roots, sorted, grown height by height from the simple roots.
 
-    Orientation-free: only the underlying graph enters.  Requires Dynkin input
-    (termination is guaranteed by finiteness of the root system).
+    For a positive root r, r + e_i is a root exactly when the symmetric form
+    (r, e_i) = 2 r_i - (sum of r_j over the neighbours j of i) is -1, and
+    every root of height h + 1 > 1 is such an r + e_i with r of height h
+    (Gabriel: the positive roots are the positive vectors of Tits form 1).
+    Orientation-free: only the underlying graph enters.  Requires Dynkin input.
     """
     ensure_dynkin(q)
-
-    def reflect(r, i):
-        out = list(r)
-        out[i] = sum(r[j] for j in q.neighbors(i)) - r[i]
-        return tuple(out)
-
-    roots = {tuple(1 if j == i else 0 for j in range(q.n)) for i in range(q.n)}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for r in frontier:
-            for i in range(q.n):
-                s = reflect(r, i)
-                if all(x >= 0 for x in s) and any(x > 0 for x in s) and s not in roots:
-                    new.add(s)
-        roots |= new
-        frontier = new
+    level = [simple_root(q, i) for i in range(q.n)]
+    roots = list(level)
+    while level:
+        grown = {r[:i] + (r[i] + 1,) + r[i + 1:] for r in level for i in range(q.n)
+                 if sum(r[j] for j in q.neighbors(i)) - 2 * r[i] == 1}
+        roots.extend(grown)
+        level = grown
     return tuple(sorted(roots))
 
 
@@ -390,43 +383,6 @@ def proj_dims(q, i):
     return path_counts(q)[i]
 
 
-def inj_dims(q, i):
-    """Dimension vector of the indecomposable injective at vertex i: column i of P."""
-    return tuple(row[i] for row in path_counts(q))
-
-
-# ---------------------------------------------------------------------------
-# AR translate on roots
-
-
 @lru_cache(maxsize=None)
 def proj_roots(q):
     return tuple(proj_dims(q, i) for i in range(q.n))
-
-
-@lru_cache(maxsize=None)
-def inj_roots(q):
-    return tuple(inj_dims(q, i) for i in range(q.n))
-
-
-# memoized per (quiver, root), so the root is a tuple: the slice and mutation
-# layers translate the same few roots over and over, and the root-system check
-# then runs once per root
-@lru_cache(maxsize=None)
-def tau_root(q, root):
-    """Root of tau(M) for the indecomposable M of the given root; None if projective."""
-    return _translate(q, root, proj_roots(q), coxeter_matrix)
-
-
-@lru_cache(maxsize=None)
-def tau_inv_root(q, root):
-    return _translate(q, root, inj_roots(q), coxeter_inverse)
-
-
-def _translate(q, root, ends, matrix):
-    if root in ends:
-        return None
-    out = tuple(sum(map(mul, row, root)) for row in matrix(q))
-    if out not in roots_of(q).index:
-        raise InternalInconsistencyError("tau left the root system: %r" % (out,))
-    return out

@@ -7,14 +7,14 @@ intertwiner_system, vector_to_map) are what complexes builds its stalk
 complexes and HomKSpace from: complexes.homk_pair_dim is the one oracle for
 the closed Euler-form rule derived.pair_hom_dim, and the test suite compares
 the two on every root pair.  The AR translate on roots is integer arithmetic
-and lives in quiver (tau_root / tau_inv_root).
+and lives in zq (tau_root / tau_inv_root).
 
 Beyond the chain oracle this module serves only `dercat ind list`
 (knitting_order, format_rep).  knitting_order sorts the roots by their ZQ
-coordinates (derived.zq_vertex), so this module imports derived: the oracle
-imports the product, never the reverse.  No module of the integer route
-(quiver, derived, sgd, slices, mutation) imports reps, nor linalg, on which
-it runs.
+coordinates (zq.zq_vertex), so this module imports zq: the oracle imports
+the product, never the reverse.  No module of the integer route (quiver,
+derived, zq, sgd, slices, mutation) imports reps, nor linalg, on which it
+runs.
 
 All functions are pure; the memoized tables (indecomposables, knitting order)
 are functools.lru_cache entries keyed by (quiver, roots), so results are
@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import derived as dv, linalg, quiver as qv
+from . import linalg, quiver as qv, zq
 from .linalg import Subspace
 
 
@@ -425,7 +425,7 @@ def knitting_order(q):
     """All positive roots ordered by (tau-orbit depth, slice position).
 
     The depth m and orbit i are the ZQ vertex (m, i) of the module at shift 0
-    (derived.zq_vertex), and the slice position is i's place in the sink-first
+    (zq.zq_vertex), and the slice position is i's place in the sink-first
     order.  In this order Hom between distinct indecomposables only goes
     forward: the matrix of Hom dimensions is upper uni-triangular.  `dercat
     ind list` prints the indecomposables in this order.
@@ -434,7 +434,7 @@ def knitting_order(q):
     slicepos = {v: k for k, v in enumerate(qv.sink_first_order(q))}
 
     def key(root):
-        m, i = dv.zq_vertex(q, root, 0)
+        m, i = zq.zq_vertex(q, root, 0)
         return m, slicepos[i]
 
     return tuple(sorted(qv.positive_roots(q), key=key))

@@ -3,8 +3,8 @@
 For a Dynkin quiver the whole derived category is a single transjective
 component of shape ZQ, so slices are sections of ZQ: one vertex per tau-orbit,
 adjacent choices differing by the mesh relations.  ZQ coordinates are root
-arithmetic in derived (zq_object, zq_vertex: one tau-walk of under two
-Coxeter numbers each), and the arrows of ZQ are read off one memoized table,
+arithmetic in zq (zq_object, zq_vertex: one tau-walk of under two Coxeter
+numbers each), and the arrows of ZQ are read off one memoized table,
 step(q): each edge i - j of Q gives the arrows (m, i) -> (m + step[i, j], j),
 with step 1 along the Q-arrow i -> j and 0 against it.  A tilting object
 determines a canonical slice, the pointwise least of the single-source
@@ -19,7 +19,7 @@ each summand's level is the live shift of the slice objects into it
 from collections import namedtuple
 from functools import lru_cache
 
-from . import derived as dv, quiver as qv, sgd
+from . import derived as dv, quiver as qv, sgd, zq
 from .quiver import InternalInconsistencyError
 
 
@@ -51,7 +51,7 @@ Slice = namedtuple("Slice", "quiver vertices objects sources")
 def _slice_from_positions(q, pos):
     st = step(q)
     verts = tuple(sorted((pos[i], i) for i in range(q.n)))
-    objs = tuple(dv.zq_object(q, m, i) for m, i in verts)
+    objs = tuple(zq.zq_object(q, m, i) for m, i in verts)
     srcs = tuple((m, i) for m, i in verts
                  if not any(pos[j] == m - st[j, i] for j in q.neighbors(i)))
     return Slice(q, verts, objs, srcs)
@@ -92,7 +92,7 @@ def find_slice(t):
         raise ValueError("slices are extracted from tilting objects")
     c = qv.roots_of(q)
     indecs = t.basic().indecs()
-    sources = [dv.zq_vertex(q, *o) for o, x in zip(indecs, t.pairs)
+    sources = [zq.zq_vertex(q, *o) for o, x in zip(indecs, t.pairs)
                if not any(dv.nonzero_shift(c, y, x) == 0 for y in t.pairs if y != x)]
     if not sources:
         raise InternalInconsistencyError("tilting object with no Hom-minimal summand")
@@ -101,7 +101,7 @@ def find_slice(t):
     if not is_section(q, pos):
         raise InternalInconsistencyError("pointwise minimum is not a section: %r" % (pos,))
     sl = _slice_from_positions(q, pos)
-    summand_verts = set(dv.zq_vertex(q, *x) for x in indecs)
+    summand_verts = set(zq.zq_vertex(q, *x) for x in indecs)
     if not set(sl.sources) <= summand_verts:
         raise InternalInconsistencyError("slice sources are not all summands of T")
     if any(m < pos[i] for m, i in summand_verts):
@@ -188,7 +188,7 @@ def window_slices(t, pad):
     """enumerate_slices from the least ZQ position of T's summands to the
     greatest, each widened by pad."""
     q = t.quiver
-    verts = [dv.zq_vertex(q, *o) for o in t.basic().indecs()]
+    verts = [zq.zq_vertex(q, *o) for o in t.basic().indecs()]
     return enumerate_slices(q, min(m for m, _ in verts) - pad, max(m for m, _ in verts) + pad)
 
 

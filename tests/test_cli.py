@@ -316,7 +316,8 @@ def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
 LAYER_PROBE = """
 import sys, types
 from dercat import cli
-layers = ("quiver", "linalg", "reps", "complexes", "derived", "sgd", "slices", "mutation")
+layers = ("quiver", "linalg", "reps", "complexes", "derived", "zq", "sgd", "slices", "mutation",
+          "verify")
 missing = [n for n in layers if "dercat." + n not in sys.modules]
 assert not missing, missing
 code = cli.main(sys.argv[1:])
@@ -344,18 +345,20 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     q, o = ["--quiver", str(quiver)], ["--object", str(obj)]
     base = ["cli", "derived", "quiver"]
     product = base + ["sgd"]
-    walk, cut = sorted(base + ["mutation"]), sorted(base + ["slices"])
-    table = sorted(product + ["mutation"])
-    both = sorted(product + ["mutation", "slices"])
+    walk, cut = sorted(base + ["mutation"]), sorted(base + ["slices", "zq"])
+    table = sorted(product + ["mutation", "verify"])
+    both = sorted(product + ["mutation", "slices", "verify", "zq"])
     # an s.gl.dim-3 object, so theoremb takes a mutation step through a slice
     d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
-    # no product verb imports dataclasses, inspect or fractions: the part after
-    # "|" is empty
+    # verify (the verify and theoremb verbs, and sgd --csv's rows) and zq (tau
+    # and the ZQ coordinates) run only where they are used; no product verb
+    # imports dataclasses, inspect or fractions: the part after "|" is empty
     for argv, layers in (
             # the set-up probe of every benchmark workload: neither derived nor sgd
             (["quiver", "validate"] + q, ["cli", "quiver"]), (["sgd"] + q + o, product),
             (["tilting", "check"] + q + o, base), (["hom"] + q + o + o, base),
-            (["verify", "serre"] + q, base),
+            (["sgd", "--csv"] + q + o, sorted(product + ["verify"])),
+            (["verify", "serre"] + q, sorted(base + ["verify", "zq"])),
             (["mutate", "--t2", "3"] + q + o, walk),
             (["random-tilting", "--seed", "0", "--steps", "3"] + q, walk),
             (["verify", "table", "--samples", "1"] + q, table),
@@ -364,11 +367,25 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
             (["verify", "a", "--samples", "3"] + q, both)):
         assert _run_fresh(LAYER_PROBE, *argv) == ["0"] + layers + ["|"], argv
     # the oracle routes load their rational arithmetic, and no more
-    oracle = sorted(base + ["complexes", "linalg", "reps"])
+    oracle = sorted(base + ["complexes", "linalg", "reps", "verify"])
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
     assert ran == ["0"] + oracle + ["|", "fractions"], ran
+    # knitting order sorts by ZQ coordinates; with no --object, derived never runs
     ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
-    assert ran == ["0"] + sorted(base + ["linalg", "reps"]) + ["|", "fractions"], ran
+    assert ran == ["0"] + ["cli", "linalg", "quiver", "reps", "zq"] + ["|", "fractions"], ran
+
+
+def test_verify_never_imports_the_cli_module(tmp_path):
+    # under -m the CLI runs as __main__; an import of dercat.cli from a layer
+    # would compile cli.py a second time, as a module of that name
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dercat.cli", "verify",
+                           "delta", "--samples", "1", "--quiver", str(INPUTS / "A5-alt.q")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dercat" in imported and "dercat.cli" not in imported, imported
 
 
 def test_lazy_layer_reuses_an_imported_module():
@@ -414,6 +431,38 @@ def test_process_entry_prints_and_exits_what_main_does(tmp_path, capsys, monkeyp
     written = [p.read_bytes() if p.exists() else None
                for p in (tmp_path / "main.obj", tmp_path / "run.obj")]
     assert written[0] == written[1] and (written[0] is not None) == ("--out" in argv)
+
+
+def _run_into_dev_full(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "dercat.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+NO_SPACE = "error: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    # a short output fails at main's flush, a long one at a write inside the verb
+    ["quiver", "validate", "--quiver", E6_ALT_FILE],
+    ["verify", "homagree", "--quiver", D4_ALT_FILE]], ids=["flush", "write"])
+def test_a_failed_stdout_write_is_reported_once(argv):
+    # block-buffered: the unwritten bytes stay in the buffer after the failure
+    assert _run_into_dev_full(argv, unbuffered=False) == (2, NO_SPACE)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_that_cannot_be_written_is_an_error(unbuffered):
+    assert _run_into_dev_full(["--help"], unbuffered) == (2, NO_SPACE)
+    assert _run_into_dev_full(["sgd", "--help"], unbuffered) == (2, NO_SPACE)
 
 
 class _Flushed(Exception):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dercat import quiver as qv
+from dercat import quiver as qv, zq
 
 BENCH_QUIVERS = sorted((pathlib.Path(__file__).parents[1] / "bench" / "inputs").glob("*.q"))
 
@@ -155,6 +155,61 @@ def test_positive_roots_against_tits_oracle(a2, a3, a4, d4, d5):
         assert set(qv.positive_roots(q)) == _tits_box_roots(q)
 
 
+def _reflection_closure(q):
+    """Reference: the simple roots closed under the simple reflections, kept
+    while positive (positive_roots grows them by height instead)."""
+
+    def reflect(r, i):
+        out = list(r)
+        out[i] = sum(r[j] for j in q.neighbors(i)) - r[i]
+        return tuple(out)
+
+    roots = {qv.simple_root(q, i) for i in range(q.n)}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for r in frontier:
+            for i in range(q.n):
+                s = reflect(r, i)
+                if all(x >= 0 for x in s) and any(x > 0 for x in s) and s not in roots:
+                    new.add(s)
+        roots |= new
+        frontier = new
+    return tuple(sorted(roots))
+
+
+def _ade_edges(family, n):
+    """A_n is the path 0 - ... - n-1; D_n and E_n are the path on n - 1
+    vertices with vertex n-1 joined to vertex n-3 (D) or to vertex 2 (E)."""
+    path = [(i, i + 1) for i in range(n - 2 if family != "A" else n - 1)]
+    return path + ([] if family == "A" else [(n - 3 if family == "D" else 2, n - 1)])
+
+
+def _two_orientations(edges):
+    """Every edge i - j as i -> j, and the bipartite orientation (each vertex
+    a source or a sink), coloured by distance from vertex 0."""
+    colour = {0: 0}
+    while len(colour) <= len(edges):
+        for i, j in edges:
+            if (i in colour) != (j in colour):
+                known, new = (i, j) if i in colour else (j, i)
+                colour[new] = 1 - colour[known]
+    return edges, [(i, j) if colour[i] == 0 else (j, i) for i, j in edges]
+
+
+ADE = ([("A", n, n * (n + 1) // 2) for n in range(1, 9)]
+       + [("D", n, n * (n - 1)) for n in range(4, 9)] + [("E", 6, 36), ("E", 7, 63), ("E", 8, 120)])
+
+
+@pytest.mark.parametrize("family, n, count", ADE, ids=["%s%d" % t[:2] for t in ADE])
+def test_positive_roots_by_height_match_the_reflection_closure(family, n, count):
+    for arrows in _two_orientations(_ade_edges(family, n)):
+        q = qv.Quiver(n, arrows)
+        assert str(qv.classify(q)) == "%s%d" % (family, n)
+        roots = qv.positive_roots(q)
+        assert roots == _reflection_closure(q) and len(roots) == count
+
+
 def test_positive_roots_requires_dynkin():
     q = qv.Quiver(5, ((0, 4), (1, 4), (2, 4), (3, 4)))
     with pytest.raises(qv.NotDynkinError):
@@ -173,7 +228,7 @@ def test_coxeter_swaps_projectives_for_injectives(a3, d4):
         for i in range(q.n):
             p = qv.proj_dims(q, i)
             img = tuple(sum(phi[a][b] * p[b] for b in range(q.n)) for a in range(q.n))
-            assert img == tuple(-x for x in qv.inj_dims(q, i))
+            assert img == tuple(-x for x in zq.inj_dims(q, i))
 
 
 def _apply(m, r):
@@ -187,16 +242,16 @@ def test_root_memos_agree_with_direct_formulas(path):
     c = qv.roots_of(q)
     assert c.roots == roots and c.index == {r: a for a, r in enumerate(roots)}
     assert qv.proj_roots(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
-    assert qv.inj_roots(q) == tuple(qv.inj_dims(q, i) for i in range(q.n))
+    assert zq.inj_roots(q) == tuple(zq.inj_dims(q, i) for i in range(q.n))
     # an equal quiver parsed again reads the same memo entries
     same = qv.parse_quiver(path.read_text())
     assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is qv.proj_roots(q)
     assert qv.roots_of(same) is c
     phi, phi_inv = qv.coxeter_matrix(q), qv.coxeter_inverse(q)
     for r in roots:
-        assert qv.tau_root(q, r) == (None if r in qv.proj_roots(q) else _apply(phi, r))
-        assert qv.tau_inv_root(q, r) == (None if r in qv.inj_roots(q) else _apply(phi_inv, r))
-        assert qv.tau_root(same, r) == qv.tau_root(q, r)
+        assert zq.tau_root(q, r) == (None if r in qv.proj_roots(q) else _apply(phi, r))
+        assert zq.tau_inv_root(q, r) == (None if r in zq.inj_roots(q) else _apply(phi_inv, r))
+        assert zq.tau_root(same, r) == zq.tau_root(q, r)
     e = qv.euler_matrix(q)
     e_times = {r: _apply(e, r) for r in roots}
     for d, f in itertools.product(roots, repeat=2):
@@ -228,7 +283,7 @@ def test_integer_inverses(text):
                for row in m for x in row)
     if text == NOT_A_TREE:
         # two paths 1 -> 3: P_1 has dimension 2 at vertex 3
-        assert p[0][2] == 2 and qv.proj_dims(q, 0) == (1, 1, 2) and qv.inj_dims(q, 2) == (2, 1, 1)
+        assert p[0][2] == 2 and qv.proj_dims(q, 0) == (1, 1, 2) and zq.inj_dims(q, 2) == (2, 1, 1)
 
 
 def test_quiver_is_immutable(a3):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import reference_quivers
-from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls
+from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls, zq
 
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
@@ -64,10 +64,10 @@ def lower_bound_witness(t, sl, ell):
     tops = [o for o, l in hw.levels if l == ell]
     assert tops, "no summand at the top of the window"
     src_sum = dv.DerivedObject(
-        q, [(r, s + ell + 2, 1) for r, s in (dv.zq_object(q, *v) for v in sl.sources)])
+        q, [(r, s + ell + 2, 1) for r, s in (zq.zq_object(q, *v) for v in sl.sources)])
     big_l = dv.stalk(q, *tops[0])
     for (sr, ss) in sl.objects:
-        m_obj = dv.stalk(q, *dv.tau_pair(q, sr, ss, -1)).shift(ell + 1)
+        m_obj = dv.stalk(q, *zq.tau_pair(q, sr, ss, -1)).shift(ell + 1)
         if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
             assert sgd.ell_profile(t, m_obj).ell >= ell + 2, m_obj
             return m_obj
@@ -77,11 +77,11 @@ def lower_bound_witness(t, sl, ell):
 def test_zq_dictionary_round_trip(a3, d4):
     for q in [a3, d4] + reference_quivers():
         for m, i in itertools.product(range(-12, 13), range(q.n)):
-            obj = dv.zq_object(q, m, i)
-            assert dv.zq_vertex(q, *obj) == (m, i), (q, m, i)
+            obj = zq.zq_object(q, m, i)
+            assert zq.zq_vertex(q, *obj) == (m, i), (q, m, i)
             # m = 0 is the projective slice at suspension 0
             assert (obj[1] >= 0) == (m >= 0)
-        assert [dv.zq_object(q, 0, i) for i in range(q.n)] == [(r, 0) for r in qv.proj_roots(q)]
+        assert [zq.zq_object(q, 0, i) for i in range(q.n)] == [(r, 0) for r in qv.proj_roots(q)]
 
 
 @pytest.mark.parametrize("name", ["E7-alt", "E8-alt"])
@@ -89,9 +89,9 @@ def test_zq_vertex_of_round_trip_on_e_types(name):
     q = qv.parse_quiver((INPUTS / (name + ".q")).read_text())
     shifts = set()
     for m, i in itertools.product(range(-45, 46), range(q.n)):
-        obj = dv.zq_object(q, m, i)
+        obj = zq.zq_object(q, m, i)
         shifts.add(obj[1])
-        assert dv.zq_vertex(q, *obj) == (m, i)
+        assert zq.zq_vertex(q, *obj) == (m, i)
     assert {-3, -1, 0, 3} <= shifts
 
 
@@ -103,56 +103,56 @@ def test_zq_coordinates_fold_by_the_coxeter_number():
             # a root's support is connected, so it lies in one component
             roots = sum(1 for r in qv.positive_roots(q) if any(r[v] for v in comp))
             for i in comp:
-                h = dv.tau_period(q, i)
+                h = zq.tau_period(q, i)
                 assert h == 2 * roots // len(comp), (q, i)
                 for m in range(-3 * h, 3 * h + 1):
-                    obj = dv.tau_pair(q, qv.proj_dims(q, i), 0, -m)
-                    assert dv.zq_object(q, m, i) == obj, (q, m, i)
-                    assert dv.zq_vertex(q, *obj) == (m, i), (q, m, i)
+                    obj = zq.tau_pair(q, qv.proj_dims(q, i), 0, -m)
+                    assert zq.zq_object(q, m, i) == obj, (q, m, i)
+                    assert zq.zq_vertex(q, *obj) == (m, i), (q, m, i)
                 for m in (-10 ** 6, 10 ** 6):
-                    root, shift = dv.zq_object(q, m, i)
-                    assert dv.zq_vertex(q, root, shift) == (m, i)
-                    assert dv.zq_object(q, m + h, i) == (root, shift + 2)
+                    root, shift = zq.zq_object(q, m, i)
+                    assert zq.zq_vertex(q, root, shift) == (m, i)
+                    assert zq.zq_object(q, m + h, i) == (root, shift + 2)
 
 
 def test_zq_vertex_of_rejects_an_object_off_zq(a3):
     with pytest.raises(qv.InternalInconsistencyError, match="not found in ZQ"):
-        dv.zq_vertex(a3, (2, 0, 0), 1)
+        zq.zq_vertex(a3, (2, 0, 0), 1)
 
 
 def test_zq_tau_matches_derived(a3):
     for q in [a3] + reference_quivers():
         for m, i in itertools.product(range(-12, 13), range(q.n)):
-            obj = dv.stalk(q, *dv.zq_object(q, m, i))
-            prev = dv.tau_derived(obj).indecs()[0]
-            assert dv.zq_object(q, m - 1, i) == prev
+            obj = dv.stalk(q, *zq.zq_object(q, m, i))
+            prev = zq.tau_derived(obj).indecs()[0]
+            assert zq.zq_object(q, m - 1, i) == prev
 
 
 def test_zq_arrows_carry_morphisms(a3, d4):
     for q in (a3, d4):
         st = sls.step(q)
         for m, i in itertools.product(range(-2, 3), range(q.n)):
-            src = dv.stalk(q, *dv.zq_object(q, m, i))
+            src = dv.stalk(q, *zq.zq_object(q, m, i))
             for j in q.neighbors(i):
-                mid = dv.stalk(q, *dv.zq_object(q, m + st[i, j], j))
+                mid = dv.stalk(q, *zq.zq_object(q, m + st[i, j], j))
                 assert dv.hom_dim(src, mid) >= 1
                 # mesh: each arrow (m, i) -> mid is followed by one mid -> (m + 1, i)
                 assert st[i, j] + st[j, i] == 1
-                assert dv.hom_dim(mid, dv.stalk(q, *dv.zq_object(q, m + 1, i))) >= 1
+                assert dv.hom_dim(mid, dv.stalk(q, *zq.zq_object(q, m + 1, i))) >= 1
 
 
 def test_find_slice_projective_generator(a2):
     t = dv.projective_generator(a2)
     s = sls.find_slice(t)
     assert set(s.objects) == {((1, 1), 0), ((0, 1), 0)}
-    assert [dv.zq_object(a2, *v) for v in s.sources] == [((0, 1), 0)]
+    assert [zq.zq_object(a2, *v) for v in s.sources] == [((0, 1), 0)]
 
 
 def test_find_slice_apr_tilt(a2):
     t = dv.DerivedObject(a2, [((1, 1), 0, 1), ((1, 0), 0, 1)])
     s = sls.find_slice(t)
     assert set(s.objects) == {((1, 1), 0), ((1, 0), 0)}
-    assert [dv.zq_object(a2, *v) for v in s.sources] == [((1, 1), 0)]
+    assert [zq.zq_object(a2, *v) for v in s.sources] == [((1, 1), 0)]
 
 
 def test_find_slice_shift_equivariance(a3):
@@ -169,7 +169,7 @@ def test_find_slice_sources_are_summands(a4, d4):
             t, _ = mu.random_tilting_walk(q, seed, 5)
             s = sls.find_slice(t)
             summands = set(t.basic().indecs())
-            assert set(dv.zq_object(q, *v) for v in s.sources) <= summands
+            assert set(zq.zq_object(q, *v) for v in s.sources) <= summands
 
 
 def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
@@ -179,7 +179,7 @@ def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
         for seed in range(4):
             t, _ = mu.random_tilting_walk(q, seed, 2 + seed)
             objs = [dv.stalk(q, r, sh) for r, sh in t.basic().indecs()]
-            minimal = [dv.zq_vertex(q, *x.indecs()[0]) for x in objs
+            minimal = [zq.zq_vertex(q, *x.indecs()[0]) for x in objs
                        if not any(dv.hom_dim(y, x) for y in objs if y is not x)]
             found, truncated = sls.enumerate_slices(
                 q, min(m for m, _ in minimal), max(m for m, _ in minimal) + q.n)
@@ -310,7 +310,7 @@ def test_lower_bound_witness(a4, a4_alt, census):
             # the witness lies in the stated translate of the slice
             translate = set()
             for r, sh in s.objects:
-                tr, trs = dv.tau_pair(q, r, sh, -1)
+                tr, trs = zq.tau_pair(q, r, sh, -1)
                 translate.add((tr, trs + hw.ell + 1))
             assert m.indecs()[0] in translate
             checked += 1
