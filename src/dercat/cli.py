@@ -10,8 +10,15 @@ input files and --seed.  Every `verify` mode ends by writing
 `# checked=N skipped=M failed=K` to stderr, so a run that checked nothing
 shows as such, and exits 1 below `--min-checked`.
 
-A process runs only the layers its verb uses, and builds only its verb's
-subparser (build_parser).  quiver is imported here and is all that `quiver
+Every verb is declared once, in VERBS: its handler, its number of --object
+files and its options.  main parses a plain command line itself
+(parse_plain): the verb path, verify's `which`, then flags and `--name
+value` pairs with exact names.  Anything else, --help and usage errors among
+it, goes to argparse, whose parser dercat.usage builds from the same table;
+argparse, and with it gettext and locale, is imported only then.
+
+A process runs only the layers its verb uses, and imports argparse only
+off the plain path.  quiver is imported here and is all that `quiver
 validate` runs; the other modules are bound through _lazy, in sys.modules
 from start-up but run on first attribute access.  main reads --quiver, and
 each --object through derived, before it hands them to the verb.  `tilting
@@ -30,10 +37,11 @@ tracer, bench/traced.py) looks every layer up in sys.modules right after
 importing this module: all ten are there, and each runs when it is read.
 """
 
-import argparse
 import importlib.util
 import os
 import sys
+import types
+from collections import namedtuple
 
 from . import quiver as qv
 
@@ -130,7 +138,8 @@ def cmd_sgd(args, q, t):
 def _parse_t2(t, spec_str, dual):
     """The split with the listed summands as t2: admissible for mutate, any
     partition for comutate (the split inverting a mutation need not be admissible)."""
-    indecs = t.basic().indecs()
+    # tilting first: an object with no summands would otherwise read as a bad index
+    indecs = mu.require_tilting(t).indecs()
     try:
         idx = [int(i) for i in spec_str.split(",")]
     except ValueError:
@@ -144,7 +153,7 @@ def _parse_t2(t, spec_str, dual):
     return mu.partition(t, picks) if dual else mu.make_split(t, picks)
 
 
-def cmd_mutate(args, t, dual):
+def _mutate(args, t, dual):
     split = _parse_t2(t, args.t2, dual)
     out = mu.co_mutate(t, split) if dual else mu.mutate(t, split)
     text = dv.format_object(out)
@@ -154,6 +163,14 @@ def cmd_mutate(args, t, dual):
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_mutate(args, q, t):
+    return _mutate(args, t, False)
+
+
+def cmd_comutate(args, q, t):
+    return _mutate(args, t, True)
 
 
 def cmd_slice(args, q, t):
@@ -181,127 +198,138 @@ def cmd_random_tilting(args, q):
     return 0
 
 
+# theoremb and verify live in the verify module: read vf.<handler> only when
+# the verb runs, or building the table would load verify on every command
+def cmd_theoremb(args, q, t):
+    return vf.cmd_theoremb(args, q, t)
+
+
+def cmd_verify(args, q):
+    return vf.cmd_verify(args, q)
+
+
 def non_negative_int(text):
-    """argparse type of the count options: a negative count is a usage error (exit 2)."""
+    """Type of the count options: a negative count is a usage error (exit 2)."""
     n = int(text)
     if n < 0:
+        import argparse   # here, not at the top: only a usage error needs it
         raise argparse.ArgumentTypeError("must be a non-negative integer, got %d" % n)
     return n
 
 
-# the verbs, in the order the full parser lists them
-VERBS = ("quiver", "ind", "hom", "tilting", "sgd", "mutate", "comutate", "slice", "theoremb",
-         "random-tilting", "verify")
+# path: the verb's words; objects: how many --object files it takes (main
+# checks the count: `append` alone would take extra files and ignore them);
+# options and exclusive: (name, add_argument keywords) pairs, exclusive being
+# one mutually exclusive group; help: the first word's line in `dercat --help`
+Verb = namedtuple("Verb", "path fn objects options exclusive help")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that text it cannot write to stdout raises
-    the OSError, for main to report: argparse drops it, and `--help >
-    /dev/full` on unbuffered stdout exited 0.  A failed write to stderr,
-    where argparse reports usage errors, still passes: nothing is left to
-    report it on."""
+def _verb(path, fn, *options, objects=0, exclusive=(), help=None):
+    """A row of VERBS.  The keywords of an option are type (int or
+    non_negative_int; none for a string), required, default, action
+    ("append" or "store_true"), help and choices.  A verb with object files
+    takes --quiver and --object before its own options."""
+    if objects:
+        options = (("--quiver", {"required": True, "help": "quiver file"}),
+                   ("--object", {"action": "append", "required": True,
+                                 "help": "object file" if objects == 1
+                                 else "object file, twice: X then Y"})) + options
+    return Verb(tuple(path.split()), fn, objects, options, exclusive, help)
 
-    def _print_message(self, message, file=None):
-        if message and file is sys.stdout:
-            file.write(message)
+
+QUIVER = ("--quiver", {"required": True})
+CSV = ("--csv", {"action": "store_true"})
+T2 = ("--t2", {"required": True, "help": "comma-separated summand indices"})
+OUT = ("--out", {"help": "output object file"})
+
+# every verb, in the order `dercat --help` lists them
+VERBS = (
+    _verb("quiver validate", cmd_quiver_validate, QUIVER, help="quiver utilities"),
+    _verb("ind list", cmd_ind_list, QUIVER, ("--reps", {"action": "store_true"}),
+          help="indecomposables"),
+    _verb("hom", cmd_hom, objects=2),
+    _verb("tilting check", cmd_tilting_check, objects=1, help="tilting checks"),
+    _verb("sgd", cmd_sgd, CSV, objects=1),
+    _verb("mutate", cmd_mutate, T2, OUT, objects=1),
+    _verb("comutate", cmd_comutate, T2, OUT, objects=1),
+    _verb("slice", cmd_slice, ("--all-slices", {"action": "store_true"}),
+          ("--window-pad", {"type": non_negative_int, "default": 2}), objects=1),
+    _verb("theoremb", cmd_theoremb,
+          ("--out-prefix", {"help": "write numbered object files with this prefix"}), CSV,
+          objects=1),
+    _verb("random-tilting", cmd_random_tilting, QUIVER, ("--seed", {"type": int, "required": True}),
+          ("--steps", {"type": non_negative_int, "default": 0})),
+    _verb("verify", cmd_verify,
+          ("which", {"choices": ["a", "b", "table", "delta", "serre", "homagree"]}), QUIVER,
+          ("--seed", {"type": int, "default": 0}),
+          ("--samples", {"type": non_negative_int, "default": 20}),
+          ("--window-pad", {"type": non_negative_int, "default": 2}),
+          ("--min-checked", {"type": non_negative_int, "default": 0,
+                             "help": "exit 1 when fewer instances were checked"}),
+          exclusive=(CSV, ("--jsonl", {"action": "store_true"}))),
+)
+
+
+def _value(kw, argv, i):
+    """argv[i] as the option or positional takes it, or None where argparse
+    might read it otherwise or refuse it: no word, a word starting with "-",
+    a type or choices failure."""
+    if i >= len(argv) or argv[i].startswith("-"):
+        return None
+    try:
+        value = kw.get("type", str)(argv[i])
+    except Exception:   # ValueError or non_negative_int's: argparse repeats the call, reports it
+        return None
+    return value if value in kw.get("choices", (value,)) else None
+
+
+def parse_plain(argv):
+    """The namespace argparse gives a plain command line, or None.  Plain
+    means the verb's words, its positional, then `--name value` pairs and
+    flags with exact names, every option it requires, and at most one of an
+    exclusive pair.  None (abbreviated or unknown names, `--name=value`, -h,
+    --, a value starting with "-" or failing its type) sends argv to argparse."""
+    verb = next((v for v in VERBS if tuple(argv[:len(v.path)]) == v.path), None)
+    if verb is None:
+        return None
+    ns = {"cmd": verb.path[0], "fn": verb.fn}
+    if len(verb.path) > 1:
+        ns["sub"] = verb.path[1]
+    if verb.objects:
+        # argparse's prog of the verb's subparser
+        ns["objects_needed"] = ("dercat " + " ".join(verb.path), verb.objects)
+    i = len(verb.path)
+    named = {}   # option name -> (dest, keywords)
+    for name, kw in verb.options + verb.exclusive:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            named[name] = dest, kw
+            ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
         else:
-            super()._print_message(message, file)
-
-
-class _Unbuilt:
-    """A verb's subparser when another verb is on the command line: a no-op."""
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: self
-
-
-def build_parser(argv):
-    """The parser, with only the subparser of the verb argv starts with, if any
-    (no argument, --help, a typo: all of them); the usage line names every
-    verb either way, so usage and error text are the full parser's."""
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    p = _Parser(prog="dercat", description="Exact derived-category computations for Dynkin quivers")
-    sub = p.add_subparsers(dest="cmd", required=True,
-                           metavar="{%s}" % ",".join(VERBS) if verb else None)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, **kwargs) if verb in (None, name) else _Unbuilt()
-
-    def add_common(sp, objects):
-        sp.add_argument("--quiver", required=True, help="quiver file")
-        sp.add_argument("--object", action="append", required=True,
-                        help="object file" if objects == 1 else "object file, twice: X then Y")
-        # main checks the count: `append` alone would take extra files and ignore them
-        sp.set_defaults(objects_needed=(sp.prog, objects))
-
-    spq = add_parser("quiver", help="quiver utilities")
-    sq = spq.add_subparsers(dest="sub", required=True)
-    v = sq.add_parser("validate")
-    v.add_argument("--quiver", required=True)
-    v.set_defaults(fn=cmd_quiver_validate)
-
-    spi = add_parser("ind", help="indecomposables")
-    si = spi.add_subparsers(dest="sub", required=True)
-    il = si.add_parser("list")
-    il.add_argument("--quiver", required=True)
-    il.add_argument("--reps", action="store_true")
-    il.set_defaults(fn=cmd_ind_list)
-
-    h = add_parser("hom")
-    add_common(h, objects=2)
-    h.set_defaults(fn=cmd_hom)
-
-    spt = add_parser("tilting", help="tilting checks")
-    st = spt.add_subparsers(dest="sub", required=True)
-    tc = st.add_parser("check")
-    add_common(tc, objects=1)
-    tc.set_defaults(fn=cmd_tilting_check)
-
-    s = add_parser("sgd")
-    add_common(s, objects=1)
-    s.add_argument("--csv", action="store_true")
-    s.set_defaults(fn=cmd_sgd)
-
-    for name, dual in (("mutate", False), ("comutate", True)):
-        m = add_parser(name)
-        add_common(m, objects=1)
-        m.add_argument("--t2", required=True, help="comma-separated summand indices")
-        m.add_argument("--out", help="output object file")
-        m.set_defaults(fn=lambda a, q, t, dual=dual: cmd_mutate(a, t, dual))
-
-    sl = add_parser("slice")
-    add_common(sl, objects=1)
-    sl.add_argument("--all-slices", action="store_true")
-    sl.add_argument("--window-pad", type=non_negative_int, default=2)
-    sl.set_defaults(fn=cmd_slice)
-
-    tb = add_parser("theoremb")
-    add_common(tb, objects=1)
-    tb.add_argument("--out-prefix", help="write numbered object files with this prefix")
-    tb.add_argument("--csv", action="store_true")
-    # through a lambda: set_defaults runs for unbuilt verbs too, and reading
-    # vf.cmd_theoremb here would load verify on every parse
-    tb.set_defaults(fn=lambda a, q, t: vf.cmd_theoremb(a, q, t))
-
-    rt = add_parser("random-tilting")
-    rt.add_argument("--quiver", required=True)
-    rt.add_argument("--seed", type=int, required=True)
-    rt.add_argument("--steps", type=non_negative_int, default=0)
-    rt.set_defaults(fn=cmd_random_tilting)
-
-    ve = add_parser("verify")
-    ve.add_argument("which", choices=["a", "b", "table", "delta", "serre", "homagree"])
-    ve.add_argument("--quiver", required=True)
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--samples", type=non_negative_int, default=20)
-    ve.add_argument("--window-pad", type=non_negative_int, default=2)
-    ve.add_argument("--min-checked", type=non_negative_int, default=0,
-                    help="exit 1 when fewer instances were checked")
-    fmt = ve.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true")
-    fmt.add_argument("--jsonl", action="store_true")
-    ve.set_defaults(fn=lambda a, q: vf.cmd_verify(a, q))
-    return p
+            ns[name] = _value(kw, argv, i)
+            if ns[name] is None:
+                return None
+            i += 1
+    seen = set()
+    while i < len(argv):
+        if argv[i] not in named:
+            return None
+        dest, kw = named[argv[i]]
+        seen.add(argv[i])
+        if kw.get("action") == "store_true":
+            ns[dest] = True
+            i += 1
+            continue
+        value = _value(kw, argv, i + 1)
+        if value is None:
+            return None
+        ns[dest] = (ns[dest] or []) + [value] if kw.get("action") == "append" else value
+        i += 2
+    if any(kw.get("required") and name not in seen for name, (_, kw) in named.items()):
+        return None
+    if len(seen & {name for name, _ in verb.exclusive}) > 1:
+        return None
+    return types.SimpleNamespace(**ns)
 
 
 def _discard_stdout():
@@ -313,7 +341,10 @@ def _discard_stdout():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_plain(argv)
+        if args is None:
+            from . import usage   # argparse: --help, usage errors and every other spelling
+            args = usage.build_parser(VERBS, argv).parse_args(argv)
         prog, needed = getattr(args, "objects_needed", (None, 0))
         if needed and len(args.object) != needed:
             print("error: %s takes exactly %d --object file%s, got %d"

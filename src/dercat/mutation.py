@@ -133,12 +133,18 @@ def _not_an_inverse(t2):
                       "does not invert a mutation" % (t2,))
 
 
-def _exchange(t, split, left):
-    """Replace each t2 summand by its unique exchange survivor; returns (new
-    object, exchange triangles)."""
+def require_tilting(t):
+    """T.basic(); ValueError unless T is tilting, where every mutation starts."""
     tb = t.basic()
     if not dv.is_tilting(tb):
         raise ValueError("mutation starts from a tilting object")
+    return tb
+
+
+def _exchange(t, split, left):
+    """Replace each t2 summand by its unique exchange survivor; returns (new
+    object, exchange triangles)."""
+    tb = require_tilting(t)
     if set(split.t1.pairs) | set(split.t2.pairs) != set(tb.pairs):
         raise ValueError("split does not partition the summands of T")
     if not left and dv.hom_dim(split.t2, split.t1) != 0:

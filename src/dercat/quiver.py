@@ -227,21 +227,15 @@ def classify_components(q):
     return tuple(_classify_component(q, set(c)) for c in q.components())
 
 
-def classify(q):
-    """Dynkin type of a connected quiver; the sorted component multiset otherwise."""
-    types = classify_components(q)
-    if len(types) == 1:
-        return types[0]
-    return tuple(sorted(types, key=str))
-
-
 def is_dynkin(q):
     return all(t.is_dynkin for t in classify_components(q))
 
 
 def ensure_dynkin(q):
     if not is_dynkin(q):
-        raise NotDynkinError("quiver is not Dynkin: %s" % (classify(q),))
+        # the component types as `quiver validate` lists them, e.g. "NotDynkin, A1"
+        raise NotDynkinError("quiver is not Dynkin: %s"
+                             % ", ".join(str(k) for k in classify_components(q)))
 
 
 def euler_matrix(q):

@@ -1,12 +1,15 @@
+import contextlib
 import csv
+import io
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dercat import cli, derived as dv, mutation as mu, quiver as qv, slices as sls
+from dercat import cli, derived as dv, mutation as mu, quiver as qv, slices as sls, usage
 
 
 @pytest.fixture
@@ -126,7 +129,7 @@ def test_verify_min_checked(tmp_path, capsys):
                                   ["sgd", "--quiver", "x.q", "--object", "y.obj", "extra"]],
                          ids=["none", "help", "typo", "sgd-help", "sgd-no-object", "sgd-extra"])
 def test_one_verb_parser_prints_what_the_full_parser_does(argv, capsys):
-    full = cli.build_parser([])   # no verb to go by: every subparser
+    full = usage.build_parser(cli.VERBS, [])   # no verb to go by: every subparser
     with pytest.raises(SystemExit) as e:
         full.parse_args(argv)
     want = capsys.readouterr()
@@ -134,7 +137,8 @@ def test_one_verb_parser_prints_what_the_full_parser_does(argv, capsys):
     assert capsys.readouterr() == want
     # the parser for one verb has that verb's subparser and no other
     with pytest.raises(SystemExit):
-        cli.build_parser(["sgd"]).parse_args(["quiver", "validate", "--quiver", "x.q"])
+        usage.build_parser(cli.VERBS, ["sgd"]).parse_args(["quiver", "validate", "--quiver",
+                                                            "x.q"])
     capsys.readouterr()
 
 
@@ -311,7 +315,8 @@ def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
 # Run in a fresh interpreter: its last stdout line is the exit code, then the
 # dercat modules whose code has run, then "|" and which of dataclasses, inspect
 # and fractions (with the modules they pull in, the costliest standard imports a
-# layer could add) are loaded.  A LazyLoader module that has not run yet is an
+# layer could add) and of argparse, gettext and locale (what parsing through
+# argparse loads) are loaded.  A LazyLoader module that has not run yet is an
 # instance of a ModuleType subclass, so `type(m) is ModuleType` tells them apart.
 LAYER_PROBE = """
 import sys, types
@@ -323,7 +328,8 @@ assert not missing, missing
 code = cli.main(sys.argv[1:])
 print(code, *sorted(k.split(".")[1] for k, m in list(sys.modules.items())
                     if k.startswith("dercat.") and type(m) is types.ModuleType),
-      "|", *[m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules])
+      "|", *[m for m in ("dataclasses", "inspect", "fractions", "argparse", "gettext", "locale")
+             if m in sys.modules])
 """
 
 D4_ALT = "vertices 4\narrow 1 2\narrow 3 2\narrow 4 2\n"
@@ -352,7 +358,8 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
     # verify (the verify and theoremb verbs, and sgd --csv's rows) and zq (tau
     # and the ZQ coordinates) run only where they are used; no product verb
-    # imports dataclasses, inspect or fractions: the part after "|" is empty
+    # imports dataclasses, inspect or fractions, and no plain command line
+    # argparse, gettext or locale: the part after "|" is empty
     for argv, layers in (
             # the set-up probe of every benchmark workload: neither derived nor sgd
             (["quiver", "validate"] + q, ["cli", "quiver"]), (["sgd"] + q + o, product),
@@ -373,19 +380,24 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     # knitting order sorts by ZQ coordinates; with no --object, derived never runs
     ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
     assert ran == ["0"] + ["cli", "linalg", "quiver", "reps", "zq"] + ["|", "fractions"], ran
+    # an abbreviated option name is argparse's to read, and still runs the verb
+    ran = _run_fresh(LAYER_PROBE, "quiver", "validate", "--quiv", str(quiver))
+    assert ran[:5] == ["0", "cli", "quiver", "usage", "|"] and "argparse" in ran[5:], ran
 
 
 def test_verify_never_imports_the_cli_module(tmp_path):
     # under -m the CLI runs as __main__; an import of dercat.cli from a layer
-    # would compile cli.py a second time, as a module of that name
+    # would compile cli.py a second time, as a module of that name.  The
+    # abbreviated --samp goes through usage, argparse's half of the CLI.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dercat.cli", "verify",
-                           "delta", "--samples", "1", "--quiver", str(INPUTS / "A5-alt.q")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "dercat" in imported and "dercat.cli" not in imported, imported
+    for samples, loaded in (("--samples", "dercat"), ("--samp", "dercat.usage")):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dercat.cli", "verify",
+                               "delta", samples, "1", "--quiver", str(INPUTS / "A5-alt.q")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert loaded in imported and "dercat.cli" not in imported, imported
 
 
 def test_lazy_layer_reuses_an_imported_module():
@@ -499,3 +511,139 @@ def test_run_flushes_then_exits_with_mains_code(monkeypatch, flush_error, code):
     report = [("write", "stderr", "error: [Errno 28] No space left"), ("write", "stderr", "\n")]
     assert events == ([("main",), ("flush", "stdout")] + (report if flush_error else [])
                       + [("flush", "stderr"), ("exit", code)])
+
+
+def test_a_quiver_that_is_not_dynkin_is_named_by_its_components(tmp_path, capsys):
+    quiver, obj = tmp_path / "q.q", tmp_path / "t.obj"
+    # a double arrow 1 -> 2 (not Dynkin) beside an isolated vertex (A1)
+    quiver.write_text("vertices 3\narrow 1 2\narrow 1 2\n")
+    obj.write_text("summand dim=[1,0,0]\n")
+    for argv in (["ind", "list"], ["sgd", "--object", str(obj)]):
+        assert cli.main(argv + ["--quiver", str(quiver)]) == 2
+        assert capsys.readouterr() == ("", "error: quiver is not Dynkin: NotDynkin, A1\n")
+
+
+def test_mutation_of_an_object_with_no_summands_is_refused(tmp_path, capsys):
+    quiver, obj = tmp_path / "a3.q", tmp_path / "zero.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text("")
+    for verb in ("mutate", "comutate"):
+        assert cli.main([verb, "--quiver", str(quiver), "--object", str(obj), "--t2", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: mutation starts from a tilting object\n")
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse makes of argv, None where it refuses it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(usage.build_parser(cli.VERBS, argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# (argv, plain): a plain command line parses as argparse parses it; any other
+# goes to argparse
+@pytest.mark.parametrize("argv, plain", [
+    (["quiver", "validate", "--quiver", "x.q"], True),
+    (["ind", "list", "--reps", "--quiver", "x.q"], True),
+    (["hom", "--quiver", "x.q", "--object", "a.obj", "--object", "b.obj"], True),
+    (["tilting", "check", "--object", "a.obj", "--quiver", "x.q"], True),
+    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--csv", "--csv"], True),
+    (["mutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "0,2", "--out", "m.obj"], True),
+    (["comutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "1"], True),
+    (["slice", "--all-slices", "--window-pad", " 5", "--quiver", "x.q", "--object", "a.obj"], True),
+    (["theoremb", "--quiver", "x.q", "--object", "a.obj", "--out-prefix", "p", "--csv"], True),
+    (["random-tilting", "--quiver", "x.q", "--seed", "5_0", "--steps", "8"], True),
+    (["verify", "a", "--quiver", "x.q", "--seed", "0", "--samples", "4", "--jsonl"], True),
+    # an abbreviated name, an unknown one, --name=value, -h and --
+    (["sgd", "--quiv", "x.q", "--object", "a.obj"], False),
+    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--nosuch"], False),
+    (["sgd", "--quiver=x.q", "--object", "a.obj"], False),
+    (["sgd", "-h"], False),
+    (["sgd", "--quiver", "x.q", "--", "--object", "a.obj"], False),
+    # a value starting with "-", a type and a choices failure
+    (["random-tilting", "--quiver", "x.q", "--seed", "-1"], False),
+    (["slice", "--quiver", "x.q", "--object", "a.obj", "--window-pad", "x"], False),
+    (["random-tilting", "--quiver", "x.q", "--seed", "0", "--steps", " -1"], False),
+    (["verify", "c", "--quiver", "x.q"], False),
+    # a missing required option, both of the exclusive pair, `which` after the
+    # options, a verb path cut short, no verb
+    (["sgd", "--quiver", "x.q"], False),
+    (["verify", "a", "--quiver", "x.q", "--csv", "--jsonl"], False),
+    (["verify", "--quiver", "x.q", "a"], False),
+    (["tilting", "--quiver", "x.q", "--object", "a.obj"], False),
+    ([], False),
+])
+def test_the_fast_parse_takes_plain_command_lines_only(argv, plain):
+    fast = cli.parse_plain(argv)
+    if plain:
+        assert fast is not None and vars(fast) == _argparse_vars(argv)
+    else:
+        assert fast is None
+
+
+OPTION_NAMES = sorted({name for v in cli.VERBS for name, _ in v.options + v.exclusive
+                       if name.startswith("-")})
+STRAY = ["-h", "--help", "--", "--nosuch", "extra"] + OPTION_NAMES
+ODD_VALUES = ["-1", "", " 5", "5_0", "a,b", "x.q", " -1", "-"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A plain command line of a verb, its options in any order, some
+    repeated, then up to three edits that may or may not leave it plain: an
+    abbreviated name, --name=value, an odd value, a stray word, `which`
+    after the options, a verb path cut short, a dropped option."""
+    verb = draw(st.sampled_from(cli.VERBS))
+    path, which, pieces = list(verb.path), [], []
+    for name, kw in verb.options + verb.exclusive:
+        if not name.startswith("-"):
+            which = [draw(st.sampled_from(kw["choices"]))]
+            continue
+        if not (kw.get("required") or draw(st.booleans())):
+            continue
+        for _ in range(draw(st.integers(1, 2))):
+            if kw.get("action") == "store_true":
+                pieces.append([name])
+            else:
+                pieces.append([name, draw(st.sampled_from(["x.q", "a,b"] if "type" not in kw
+                                                          else ["0", "3", "5_0", " 5"]))])
+    pieces = draw(st.permutations(pieces))
+    which_last = False
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["abbreviate", "equals", "value", "stray", "which", "cut",
+                                     "drop"]))
+        i = draw(st.integers(0, len(pieces) - 1)) if pieces else None
+        if edit == "abbreviate" and i is not None and len(pieces[i][0]) > 3:
+            name = pieces[i][0]
+            pieces[i] = [name[:draw(st.integers(3, len(name) - 1))]] + pieces[i][1:]
+        elif edit == "equals" and i is not None and len(pieces[i]) == 2:
+            pieces[i] = ["=".join(pieces[i])]
+        elif edit == "value" and i is not None and len(pieces[i]) == 2:
+            pieces[i] = [pieces[i][0], draw(st.sampled_from(ODD_VALUES))]
+        elif edit == "stray":
+            pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(STRAY))])
+        elif edit == "which":
+            which_last = True
+        elif edit == "cut":
+            path = path[:1]
+        elif edit == "drop" and i is not None:
+            del pieces[i]
+    argv = [w for piece in pieces for w in piece]
+    return path + (argv + which if which_last else which + argv)
+
+
+def test_whatever_the_fast_parse_takes_argparse_takes_alike():
+    taken = set()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_command_lines())
+    def check(argv):
+        fast = cli.parse_plain(argv)
+        if fast is not None:
+            taken.add(tuple(argv))
+            assert vars(fast) == _argparse_vars(argv), argv
+
+    check()
+    # the property holds on many plain command lines, not on a few
+    assert len(taken) >= 200, len(taken)
