@@ -65,13 +65,13 @@ def _lazy(name):
     return module
 
 
-# no handler here calls linalg or complexes directly: they are bound so that
-# they are in sys.modules with the other layers from start-up (see the module
-# docstring)
+# no handler here calls linalg, complexes or zq directly: they are bound so
+# that they are in sys.modules with the other layers from start-up (see the
+# module docstring)
 _lazy("linalg")
 _lazy("complexes")
+_lazy("zq")
 dv = _lazy("derived")
-zq = _lazy("zq")
 sgd = _lazy("sgd")
 reps = _lazy("reps")
 sls = _lazy("slices")
@@ -183,7 +183,7 @@ def cmd_slice(args, q, t):
             print("# truncated at cap", file=sys.stderr)
         return 0
     s = sls.find_slice(t)
-    src_objs = set(zq.zq_object(q, *v) for v in s.sources)
+    src_objs = set(o for v, o in zip(s.vertices, s.objects) if v in s.sources)
     for r, sh in s.objects:
         mark = "  # source" if (r, sh) in src_objs else ""
         print("summand dim=[%s] shift=%d mult=1%s" % (",".join(map(str, r)), sh, mark))

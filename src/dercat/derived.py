@@ -29,10 +29,11 @@ triangulated categories*, 2012), and the test suite checks on A3, A4 (two
 orientations) and D4 that the objects reached from the projective generator
 are exactly the rigid n-summand objects of a shift window, each tilting.
 
-The AR translate on objects (tau_pair, tau_derived) and the ZQ coordinates
-are the next layer up, zq, which imports this one.  This module imports
-neither reps nor complexes, nor linalg or fractions: k0_inverse is
-fraction-free integer elimination.
+The AR translate (tau_pair, tau_derived) and the ZQ coordinates are the
+next layer up, zq, whose tau-orbit table is keyed on the same root indices,
+and which imports this one.  This module imports neither reps nor
+complexes, nor linalg or fractions: k0_inverse is fraction-free integer
+elimination.
 """
 
 from collections import namedtuple

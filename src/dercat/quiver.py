@@ -7,10 +7,9 @@ This is the bottom layer every other module imports, so it also holds the
 package's error class InternalInconsistencyError.  All of it is integer
 arithmetic with no matrix inversion: the inverse of the Euler matrix is the
 path-count matrix (path_counts), which gives the projective dimension
-vectors and both Coxeter matrices.  The AR translate on roots that the
-Coxeter matrices drive (tau_root / tau_inv_root) lives in zq, with the
-injective dimension vectors.  One topological sort (_sinks_first) serves as
-the cycle check and as the sink-first vertex order.
+vectors and the inverse Coxeter matrix.  The AR translate that it drives
+lives in zq, as one tau-orbit table per quiver.  One topological sort
+(_sinks_first) serves as the cycle check and as the sink-first vertex order.
 
 Root-level maps are memoized per quiver (lru_cache keyed on the quiver,
 whose hash is computed once).  The product route reads the Euler form
@@ -353,20 +352,9 @@ def path_counts(q):
     return tuple(tuple(rows[v]) for v in range(q.n))
 
 
-@lru_cache(maxsize=None)
-def coxeter_matrix(q):
-    """Integer matrix C with dim(tau M) = C . dim(M) for non-projective indecomposables.
-
-    C = -E^-1 E^T, and E^-1 is the path-count matrix P: C = -P E^T.
-    """
-    p, e = path_counts(q), euler_matrix(q)
-    return tuple(tuple(-sum(p[i][k] * e[j][k] for k in range(q.n)) for j in range(q.n))
-                 for i in range(q.n))
-
-
-@lru_cache(maxsize=None)
 def coxeter_inverse(q):
-    """C^-1 = -E^-T E = -P^T E, in integers like C."""
+    """Integer matrix with dim(tau^-1 M) = C^-1 . dim(M) for non-injective
+    indecomposables M: C^-1 = -E^-T E = -P^T E, with P = E^-1 (path_counts)."""
     p, e = path_counts(q), euler_matrix(q)
     return tuple(tuple(-sum(p[k][i] * e[k][j] for k in range(q.n)) for j in range(q.n))
                  for i in range(q.n))

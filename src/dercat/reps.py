@@ -6,8 +6,8 @@ proj_resolution) and the intertwiner systems (intertwiner_rows,
 intertwiner_system, vector_to_map) are what complexes builds its stalk
 complexes and HomKSpace from: complexes.homk_pair_dim is the one oracle for
 the closed Euler-form rule derived.pair_hom_dim, and the test suite compares
-the two on every root pair.  The AR translate on roots is integer arithmetic
-and lives in zq (tau_root / tau_inv_root).
+the two on every root pair.  The AR translate is integer arithmetic and
+lives in zq (tau_pair, read off one tau-orbit table per quiver).
 
 Beyond the chain oracle this module serves only `dercat ind list`
 (knitting_order, format_rep).  knitting_order sorts the roots by their ZQ

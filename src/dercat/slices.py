@@ -2,14 +2,13 @@
 
 For a Dynkin quiver the whole derived category is a single transjective
 component of shape ZQ, so slices are sections of ZQ: one vertex per tau-orbit,
-adjacent choices differing by the mesh relations.  ZQ coordinates are root
-arithmetic in zq (zq_object, zq_vertex: one tau-walk of under two Coxeter
-numbers each), and the arrows of ZQ are read off one memoized table,
-step(q): each edge i - j of Q gives the arrows (m, i) -> (m + step[i, j], j),
-with step 1 along the Q-arrow i -> j and 0 against it.  A tilting object
-determines a canonical slice, the pointwise least of the single-source
-sections of its Hom-minimal summands, whose window reproduces the strong
-global dimension exactly (minus two).
+adjacent choices differing by the mesh relations.  ZQ coordinates are
+lookups in zq's tau-orbit table (zq_object, zq_vertex), and the arrows of
+ZQ are read off one memoized table, step(q): each edge i - j of Q gives the
+arrows (m, i) -> (m + step[i, j], j), with step 1 along the Q-arrow i -> j
+and 0 against it.  A tilting object determines a canonical slice, the
+pointwise least of the single-source sections of its Hom-minimal summands,
+whose window reproduces the strong global dimension exactly (minus two).
 
 The hereditary window of a slice is read by root index (quiver.roots_of):
 each summand's level is the live shift of the slice objects into it
@@ -189,6 +188,8 @@ def window_slices(t, pad):
     greatest, each widened by pad."""
     q = t.quiver
     verts = [zq.zq_vertex(q, *o) for o in t.basic().indecs()]
+    if not verts:
+        raise SliceError("the zero object has no summands to place on ZQ")
     return enumerate_slices(q, min(m for m, _ in verts) - pad, max(m for m, _ in verts) + pad)
 
 

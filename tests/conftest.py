@@ -18,6 +18,34 @@ def homk_basis(sp):
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
 
+@lru_cache(maxsize=None)
+def coxeter_matrix(q):
+    """Integer matrix C with dim(tau M) = C . dim(M) for non-projective
+    indecomposables: C = -E^-1 E^T = -P E^T, P the path-count matrix.  The
+    reference for tau on modules; the program steps with C^-1 only."""
+    p, e = qv.path_counts(q), qv.euler_matrix(q)
+    return tuple(tuple(-sum(p[i][k] * e[j][k] for k in range(q.n)) for j in range(q.n))
+                 for i in range(q.n))
+
+
+def apply(m, r):
+    return tuple(sum(a * b for a, b in zip(row, r)) for row in m)
+
+
+def inj_dims(q, i):
+    """Dimension vector of the indecomposable injective at vertex i: column i of P."""
+    return tuple(row[i] for row in qv.path_counts(q))
+
+
+def tau_reference(q, root, shift):
+    """tau of M(root)[shift] as a (root, shift) pair, by C on modules and
+    tau P_i = I_i[-1] on projectives."""
+    projs = qv.proj_roots(q)
+    if root in projs:
+        return inj_dims(q, projs.index(root)), shift - 1
+    return apply(coxeter_matrix(q), root), shift
+
+
 def _orientations(n, edges):
     for flips in itertools.product((False, True), repeat=len(edges)):
         yield qv.Quiver(n, [(j, i) if f else (i, j) for (i, j), f in zip(edges, flips)])

@@ -286,6 +286,15 @@ def test_slice_verbs_reject_a_disconnected_quiver(tmp_path, capsys, verb):
     assert out == "" and "error: slice machinery needs a connected quiver" in err
 
 
+def test_all_slices_of_the_zero_object_is_an_error(tmp_path, capsys):
+    quiver, obj = tmp_path / "a3.q", tmp_path / "zero.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text("")
+    assert cli.main(["slice", "--all-slices", "--quiver", str(quiver), "--object", str(obj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the zero object has no summands to place on ZQ\n"
+
+
 @pytest.mark.parametrize("argv,given", [
     (["sgd"], 2), (["tilting", "check"], 2), (["mutate", "--t2", "0"], 2),
     (["comutate", "--t2", "0"], 2), (["slice"], 2), (["theoremb"], 2), (["hom"], 1), (["hom"], 3),

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import apply, coxeter_matrix, inj_dims
 from dercat import quiver as qv, zq
 
 BENCH_QUIVERS = sorted((pathlib.Path(__file__).parents[1] / "bench" / "inputs").glob("*.q"))
@@ -229,15 +230,13 @@ def test_sink_first_order_property(a4, d5):
 
 def test_coxeter_swaps_projectives_for_injectives(a3, d4):
     for q in (a3, d4):
-        phi = qv.coxeter_matrix(q)
+        phi = coxeter_matrix(q)
         for i in range(q.n):
             p = qv.proj_dims(q, i)
             img = tuple(sum(phi[a][b] * p[b] for b in range(q.n)) for a in range(q.n))
-            assert img == tuple(-x for x in zq.inj_dims(q, i))
-
-
-def _apply(m, r):
-    return tuple(sum(a * b for a, b in zip(row, r)) for row in m)
+            assert img == tuple(-x for x in inj_dims(q, i))
+            # in D^b the class -I_i is I_i[-1] = tau P_i, the one wrap
+            assert zq.tau_pair(q, p, 0) == (inj_dims(q, i), -1)
 
 
 @pytest.mark.parametrize("path", BENCH_QUIVERS, ids=lambda p: p.stem)
@@ -247,18 +246,21 @@ def test_root_memos_agree_with_direct_formulas(path):
     c = qv.roots_of(q)
     assert c.roots == roots and c.index == {r: a for a, r in enumerate(roots)}
     assert qv.proj_roots(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
-    assert zq.inj_roots(q) == tuple(zq.inj_dims(q, i) for i in range(q.n))
+    projs, injs = qv.proj_roots(q), [inj_dims(q, i) for i in range(q.n)]
     # an equal quiver parsed again reads the same memo entries
     same = qv.parse_quiver(path.read_text())
-    assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is qv.proj_roots(q)
-    assert qv.roots_of(same) is c
-    phi, phi_inv = qv.coxeter_matrix(q), qv.coxeter_inverse(q)
+    assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is projs
+    assert qv.roots_of(same) is c and zq.orbits(same) is zq.orbits(q)
+    # tau on modules is C, with tau P_i = I_i[-1]; tau^-1 is C^-1, with tau^-1 I_i = P_i[1]
+    phi, phi_inv = coxeter_matrix(q), qv.coxeter_inverse(q)
     for r in roots:
-        assert zq.tau_root(q, r) == (None if r in qv.proj_roots(q) else _apply(phi, r))
-        assert zq.tau_inv_root(q, r) == (None if r in zq.inj_roots(q) else _apply(phi_inv, r))
-        assert zq.tau_root(same, r) == zq.tau_root(q, r)
+        want = (injs[projs.index(r)], -1) if r in projs else (apply(phi, r), 0)
+        assert zq.tau_pair(q, r, 0) == want
+        want = (projs[injs.index(r)], 1) if r in injs else (apply(phi_inv, r), 0)
+        assert zq.tau_pair(q, r, 0, -1) == want
+        assert zq.tau_pair(same, r, 0) == zq.tau_pair(q, r, 0)
     e = qv.euler_matrix(q)
-    e_times = {r: _apply(e, r) for r in roots}
+    e_times = {r: apply(e, r) for r in roots}
     for d, f in itertools.product(roots, repeat=2):
         want = sum(a * b for a, b in zip(d, e_times[f]))
         assert qv.euler_form(q, d, f) == want
@@ -283,12 +285,12 @@ def test_integer_inverses(text):
 
     p = qv.path_counts(q)
     assert mul(p, qv.euler_matrix(q)) == ident
-    assert mul(qv.coxeter_matrix(q), qv.coxeter_inverse(q)) == ident
-    assert all(isinstance(x, int) for m in (p, qv.coxeter_matrix(q), qv.coxeter_inverse(q))
+    assert mul(coxeter_matrix(q), qv.coxeter_inverse(q)) == ident
+    assert all(isinstance(x, int) for m in (p, coxeter_matrix(q), qv.coxeter_inverse(q))
                for row in m for x in row)
     if text == NOT_A_TREE:
         # two paths 1 -> 3: P_1 has dimension 2 at vertex 3
-        assert p[0][2] == 2 and qv.proj_dims(q, 0) == (1, 1, 2) and zq.inj_dims(q, 2) == (2, 1, 1)
+        assert p[0][2] == 2 and qv.proj_dims(q, 0) == (1, 1, 2) and inj_dims(q, 2) == (2, 1, 1)
 
 
 def test_quiver_is_immutable(a3):

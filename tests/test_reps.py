@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import reference_quivers
+from conftest import apply, coxeter_matrix, inj_dims, reference_quivers
 from dercat import complexes as cx, linalg, quiver as qv, reps, zq
 
 
@@ -103,24 +103,33 @@ def test_proj_resolution_projective_input(a2):
 
 
 def test_tau_hand_values(a2):
-    assert zq.tau_root(a2, (1, 0)) == (0, 1)
-    assert zq.tau_root(a2, qv.proj_dims(a2, 1)) is None
+    # 1 -> 2: tau S_1 = S_2, and tau P_2 = I_2[-1] leaves the module category
+    assert zq.tau_pair(a2, (1, 0), 0) == ((0, 1), 0)
+    assert zq.tau_pair(a2, qv.proj_dims(a2, 1), 0) == (inj_dims(a2, 1), -1) == ((1, 1), -1)
 
 
 def test_ar_formula_sampled(a3, d4):
-    # dim Ext^1(Y, X) = dim Hom(X, tau Y) for Y non-projective
+    # dim Ext^1(Y, X) = dim Hom(X, tau Y) for Y non-projective, whose tau is
+    # the module of root C dim Y; for Y = P_i, tau Y = I_i[-1] and Ext^1(Y, -) = 0
     for q in (a3, d4):
+        projs = qv.proj_roots(q)
         for r1, r2 in itertools.product(qv.positive_roots(q), repeat=2):
-            tr = zq.tau_root(q, r1)
-            rhs = cx.homk_pair_dim(q, r2, tr, 0) if tr else 0
+            tr, ts = zq.tau_pair(q, r1, 0)
+            if r1 in projs:
+                assert (tr, ts) == (inj_dims(q, projs.index(r1)), -1)
+                rhs = 0
+            else:
+                assert (tr, ts) == (apply(coxeter_matrix(q), r1), 0)
+                rhs = cx.homk_pair_dim(q, r2, tr, 0)
             assert cx.homk_pair_dim(q, r1, r2, 1) == rhs
 
 
 def test_tau_inv_round_trip(d4):
     for r in qv.positive_roots(d4):
-        tr = zq.tau_root(d4, r)
-        if tr is not None:
-            assert zq.tau_inv_root(d4, tr) == r
+        tr = zq.tau_pair(d4, r, 0)
+        assert zq.tau_pair(d4, *tr, -1) == (r, 0)
+        if tr[1] == 0:
+            assert tr == (apply(coxeter_matrix(d4), r), 0)
 
 
 def test_kernel_cokernel_socle_inclusion(a2):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import reference_quivers
+from conftest import reference_quivers, tau_reference
 from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls, zq
 
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
@@ -96,8 +96,9 @@ def test_zq_vertex_of_round_trip_on_e_types(name):
 
 
 def test_zq_coordinates_fold_by_the_coxeter_number():
-    # tau^-h = [2]: against a step-by-step tau walk within three periods, and
-    # as a round trip at m = +-10^6, where a walk would take a million steps
+    # tau^-h = [2]: against a step-by-step tau walk by the Coxeter matrix
+    # within three periods, and as a round trip at m = +-10^6, where a walk
+    # would take a million steps
     for q in reference_quivers():
         for comp in q.components():
             # a root's support is connected, so it lies in one component
@@ -105,9 +106,11 @@ def test_zq_coordinates_fold_by_the_coxeter_number():
             for i in comp:
                 h = zq.tau_period(q, i)
                 assert h == 2 * roots // len(comp), (q, i)
+                assert zq.zq_object(q, 0, i) == (qv.proj_dims(q, i), 0)
                 for m in range(-3 * h, 3 * h + 1):
-                    obj = zq.tau_pair(q, qv.proj_dims(q, i), 0, -m)
-                    assert zq.zq_object(q, m, i) == obj, (q, m, i)
+                    obj = zq.zq_object(q, m, i)
+                    assert tau_reference(q, *obj) == zq.zq_object(q, m - 1, i), (q, m, i)
+                    assert zq.tau_pair(q, *obj, m) == (qv.proj_dims(q, i), 0), (q, m, i)
                     assert zq.zq_vertex(q, *obj) == (m, i), (q, m, i)
                 for m in (-10 ** 6, 10 ** 6):
                     root, shift = zq.zq_object(q, m, i)
@@ -128,10 +131,10 @@ def test_zq_tau_matches_derived(a3):
             assert zq.zq_object(q, m - 1, i) == prev
 
 
-def test_zq_arrows_carry_morphisms(a3, d4):
-    for q in (a3, d4):
+def test_zq_arrows_carry_morphisms():
+    for q in (q for q in reference_quivers() if q.is_connected()):
         st = sls.step(q)
-        for m, i in itertools.product(range(-2, 3), range(q.n)):
+        for m, i in itertools.product(range(zq.tau_period(q, 0)), range(q.n)):
             src = dv.stalk(q, *zq.zq_object(q, m, i))
             for j in q.neighbors(i):
                 mid = dv.stalk(q, *zq.zq_object(q, m + st[i, j], j))
@@ -139,6 +142,26 @@ def test_zq_arrows_carry_morphisms(a3, d4):
                 # mesh: each arrow (m, i) -> mid is followed by one mid -> (m + 1, i)
                 assert st[i, j] + st[j, i] == 1
                 assert dv.hom_dim(mid, dv.stalk(q, *zq.zq_object(q, m + 1, i))) >= 1
+
+
+def test_zq_meshes_add_up_in_k0():
+    # the mesh ending at tau^-1 X: [X] + [tau^-1 X] is the sum of the classes
+    # of X's ZQ successors, the wrap P_j[1] included; no Coxeter matrix needed
+    meshes = 0
+    for q in (q for q in reference_quivers() if q.is_connected()):
+        st = sls.step(q)
+
+        def k0(m, i):
+            return dv.k0_class(dv.stalk(q, *zq.zq_object(q, m, i)))
+
+        h = zq.tau_period(q, 0)
+        for m, i in itertools.product(range(-h - 1, h + 2), range(q.n)):
+            want = [0] * q.n
+            for j in q.neighbors(i):
+                want = [a + b for a, b in zip(want, k0(m + st[i, j], j))]
+            assert [a + b for a, b in zip(k0(m, i), k0(m + 1, i))] == want, (q, m, i)
+            meshes += 1
+    assert meshes == 4264
 
 
 def test_find_slice_projective_generator(a2):
