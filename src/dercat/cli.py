@@ -26,12 +26,13 @@ check` and `hom` run quiver and derived, and `sgd` adds sgd: integer
 arithmetic, with neither linalg nor fractions.  `mutate`, `comutate` and
 `random-tilting` run quiver, derived and mutation.  The `verify` and
 `theoremb` verbs live in verify, which `sgd --csv` reads for its row
-output; zq (tau and the ZQ coordinates) runs under `slice`, `verify serre`
-and `ind list` and wherever slices runs.  `verify table|delta` run quiver,
-derived, sgd, mutation and verify, `slice` runs quiver, derived, zq and
-slices, and `theoremb` and `verify a|b` reach all seven.  `ind list` runs
-quiver, zq, reps and linalg, and `verify homagree` quiver, derived,
-verify, complexes, reps and linalg.  LazyLoader rather than imports inside
+output; zq (tau, the ZQ coordinates and the knitting order) runs under
+`slice`, `verify serre` and `ind list` and wherever slices runs.  `verify
+table|delta` run quiver, derived, sgd, mutation and verify, `slice` runs
+quiver, derived, zq and slices, and `theoremb` and `verify a|b` reach all
+seven.  `ind list` runs quiver and zq alone, `ind list --reps` adds reps
+and linalg, and `verify homagree` runs quiver, derived, verify, complexes,
+reps and linalg.  LazyLoader rather than imports inside
 each command, because a tool that wraps functions in place (the benchmark's
 tracer, bench/traced.py) looks every layer up in sys.modules right after
 importing this module: all ten are there, and each runs when it is read.
@@ -65,12 +66,12 @@ def _lazy(name):
     return module
 
 
-# no handler here calls linalg, complexes or zq directly: they are bound so
-# that they are in sys.modules with the other layers from start-up (see the
-# module docstring)
+# no handler here calls linalg or complexes directly: they are bound so that
+# they are in sys.modules with the other layers from start-up (see the module
+# docstring)
 _lazy("linalg")
 _lazy("complexes")
-_lazy("zq")
+zq = _lazy("zq")
 dv = _lazy("derived")
 sgd = _lazy("sgd")
 reps = _lazy("reps")
@@ -93,7 +94,7 @@ def cmd_quiver_validate(args, q):
 
 
 def cmd_ind_list(args, q):
-    for root in reps.knitting_order(q):
+    for root in zq.knitting_order(q):
         if args.reps:
             print(reps.format_rep(reps.indec_of_root(q, root)), end="")
         else:
@@ -176,9 +177,9 @@ def cmd_comutate(args, q, t):
 def cmd_slice(args, q, t):
     if args.all_slices:
         found, truncated = sls.window_slices(t, args.window_pad)
-        for s in found:
+        for pos in found:
             print("slice: " + " ".join("[%s]@%d" % (",".join(map(str, r)), sh)
-                                       for r, sh in s.objects))
+                                       for r, sh in sls.slice_from_positions(q, pos).objects))
         if truncated:
             print("# truncated at cap", file=sys.stderr)
         return 0

@@ -23,6 +23,8 @@ only when used.  The true Y always survives, so a unique survivor is Y; any
 other count is an InternalInconsistencyError, except that no survivor on a
 co-mutation split with Hom(t1, t2) != 0, which need not invert any
 mutation, is a ValueError.  Every output is re-checked for tilting-ness.
+verify_length_table checks the length table of a mutation once per root,
+since the table of X[k] is the table of X.
 """
 
 import random as _random
@@ -145,7 +147,8 @@ def _exchange(t, split, left):
     """Replace each t2 summand by its unique exchange survivor; returns (new
     object, exchange triangles)."""
     tb = require_tilting(t)
-    if set(split.t1.pairs) | set(split.t2.pairs) != set(tb.pairs):
+    # disjoint parts that cover T: each summand of T exactly once
+    if sorted(split.t1.pairs + split.t2.pairs) != sorted(tb.pairs):
         raise ValueError("split does not partition the summands of T")
     if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
@@ -212,31 +215,32 @@ def co_mutate(t, split):
 TableCheck = namedtuple("TableCheck", "cell predicted actual")
 
 
-def verify_length_table(t, t_prime, split, x):
-    """The two-predicate length table for a mutation, checked against the
-    directly computed profile; mismatches raise."""
-    prof_new = sgd.ell_profile(t_prime, x)
-    xn = x.shift(-prof_new.ell_minus)
-    ell = prof_new.ell
-    # Hom(xn, t1[ell]) and Hom(t2, xn[1]), each nonzero where a live shift is
-    c, (xp,) = qv.roots_of(t.quiver), xn.pairs
-    p_row = any(dv.nonzero_shift(c, xp, y) == ell for y in split.t1.pairs)
-    p_col = any(dv.nonzero_shift(c, y, xp) == 1 for y in split.t2.pairs)
-    if p_row and p_col:
-        predicted = (-1, ell, ell + 1)
-    elif p_row:
-        predicted = (0, ell, ell)
-    elif p_col:
-        predicted = (-1, ell - 1, ell)
-    else:
-        predicted = (0, ell - 1, ell - 1)
-    prof_old = sgd.ell_profile(t, xn)
-    actual = (prof_old.ell_minus, prof_old.ell_plus, prof_old.ell)
-    if predicted != actual:
-        raise InternalInconsistencyError(
-            "length table mismatch for %r: predicted %r got %r"
-            % (xn.indecs(), predicted, actual))
-    return TableCheck((p_row, p_col), predicted, actual)
+def verify_length_table(t, t_prime, split):
+    """The two-predicate length table of the mutation T' of T at split, one
+    TableCheck per root in root order; mismatches raise.  Every M(r)[k] is
+    first moved to ell_minus = 0 against T', so one shift serves each root."""
+    if not (dv.is_tilting(t) and dv.is_tilting(t_prime)):
+        raise ValueError("length profiles are defined against tilting objects")
+    c = qv.roots_of(t.quiver)
+    out = []
+    for a in range(len(c.roots)):
+        prof_new = sgd.profile(c, t_prime.pairs, a, 0)
+        xp = (a, -prof_new.ell_minus)
+        ell = prof_new.ell
+        # Hom(xn, t1[ell]) and Hom(t2, xn[1]), each nonzero where a live shift is
+        p_row = any(dv.nonzero_shift(c, xp, y) == ell for y in split.t1.pairs)
+        p_col = any(dv.nonzero_shift(c, y, xp) == 1 for y in split.t2.pairs)
+        # against T: ell_minus is -1 where p_col holds, else 0; ell_plus is
+        # ell where p_row holds, else ell - 1
+        predicted = (-p_col, ell - 1 + p_row, ell - 1 + p_row + p_col)
+        prof_old = sgd.profile(c, t.pairs, *xp)
+        actual = (prof_old.ell_minus, prof_old.ell_plus, prof_old.ell)
+        if predicted != actual:
+            raise InternalInconsistencyError(
+                "length table mismatch for %r: predicted %r got %r"
+                % (((c.roots[a], xp[1]),), predicted, actual))
+        out.append(TableCheck((p_row, p_col), predicted, actual))
+    return out
 
 
 def sgd_delta(t, t_prime):

@@ -9,15 +9,13 @@ the closed Euler-form rule derived.pair_hom_dim, and the test suite compares
 the two on every root pair.  The AR translate is integer arithmetic and
 lives in zq (tau_pair, read off one tau-orbit table per quiver).
 
-Beyond the chain oracle this module serves only `dercat ind list`
-(knitting_order, format_rep).  knitting_order sorts the roots by their ZQ
-coordinates (zq.zq_vertex), so this module imports zq: the oracle imports
-the product, never the reverse.  No module of the integer route (quiver,
-derived, zq, sgd, slices, mutation) imports reps, nor linalg, on which it
-runs.
+Beyond the chain oracle this module serves only `dercat ind list --reps`
+(format_rep); the listing order is zq.knitting_order.  No module of the
+integer route (quiver, derived, zq, sgd, slices, mutation) imports reps,
+nor linalg, on which it runs.
 
-All functions are pure; the memoized tables (indecomposables, knitting order)
-are functools.lru_cache entries keyed by (quiver, roots), so results are
+All functions are pure; the memoized tables (indecomposables) are
+functools.lru_cache entries keyed by (quiver, roots), so results are
 identical under any evaluation order.
 """
 
@@ -25,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, quiver as qv, zq
+from . import linalg, quiver as qv
 from .linalg import Subspace
 
 
@@ -414,30 +412,6 @@ def indec_of_root(q, root):
     if m.dims != root:
         raise qv.InternalInconsistencyError("reflection functors missed the root %r" % (root,))
     return Representation(q, m.dims, m.mats)
-
-
-# ---------------------------------------------------------------------------
-# listing order of the indecomposables
-
-
-@lru_cache(maxsize=None)
-def knitting_order(q):
-    """All positive roots ordered by (tau-orbit depth, slice position).
-
-    The depth m and orbit i are the ZQ vertex (m, i) of the module at shift 0
-    (zq.zq_vertex), and the slice position is i's place in the sink-first
-    order.  In this order Hom between distinct indecomposables only goes
-    forward: the matrix of Hom dimensions is upper uni-triangular.  `dercat
-    ind list` prints the indecomposables in this order.
-    """
-    qv.ensure_dynkin(q)
-    slicepos = {v: k for k, v in enumerate(qv.sink_first_order(q))}
-
-    def key(root):
-        m, i = zq.zq_vertex(q, root, 0)
-        return m, slicepos[i]
-
-    return tuple(sorted(qv.positive_roots(q), key=key))
 
 
 # ---------------------------------------------------------------------------

@@ -50,16 +50,6 @@ def profile(c, pairs, a, k):
     return LengthProfile(minus, plus)
 
 
-def ell_profile(t, x):
-    """Length profile of an indecomposable X against a tilting object T."""
-    if not dv.is_tilting(t):
-        raise ValueError("length profiles are defined against tilting objects")
-    if x.mults != (1,):
-        raise ValueError("X must be indecomposable")
-    (a, k), = x.pairs
-    return profile(qv.roots_of(t.quiver), t.pairs, a, k)
-
-
 def sgldim(t):
     """sup of ell_T over the indecomposables of D^b(kQ), with a witness."""
     return _sgldim(t.basic())

@@ -13,6 +13,9 @@ whose window reproduces the strong global dimension exactly (minus two).
 The hereditary window of a slice is read by root index (quiver.roots_of):
 each summand's level is the live shift of the slice objects into it
 (derived.nonzero_shift), with no scan over shifts and no objects built.
+enumerate_slices gives sections as position vectors, which theoremA_verify
+reads as (root index, shift) pairs (zq.zq_pair); a Slice is built only where
+one is returned or printed (find_slice, `slice --all-slices`).
 """
 
 from collections import namedtuple
@@ -47,7 +50,8 @@ def step(q):
 Slice = namedtuple("Slice", "quiver vertices objects sources")
 
 
-def _slice_from_positions(q, pos):
+def slice_from_positions(q, pos):
+    """The Slice at the positions pos[i] of a section, one per tau-orbit i."""
     st = step(q)
     verts = tuple(sorted((pos[i], i) for i in range(q.n)))
     objs = tuple(zq.zq_object(q, m, i) for m, i in verts)
@@ -99,7 +103,7 @@ def find_slice(t):
     pos = {i: min(p[i] for p in sections) for i in range(q.n)}
     if not is_section(q, pos):
         raise InternalInconsistencyError("pointwise minimum is not a section: %r" % (pos,))
-    sl = _slice_from_positions(q, pos)
+    sl = slice_from_positions(q, pos)
     summand_verts = set(zq.zq_vertex(q, *x) for x in indecs)
     if not set(sl.sources) <= summand_verts:
         raise InternalInconsistencyError("slice sources are not all summands of T")
@@ -121,66 +125,58 @@ def level_of(c, slice_pairs, x):
     return found.pop()
 
 
+def _levels(t, slice_pairs):
+    """The level of each summand of T (in t.pairs order) against the slice
+    objects as (root index, shift) pairs, normalized to start at 0."""
+    c = qv.roots_of(t.quiver)
+    levels = [level_of(c, slice_pairs, x) for x in t.pairs]
+    base = min(levels)
+    return [l - base for l in levels]
+
+
 # levels: ((root, shift), level) pairs, normalized to start at 0
 HeredWindow = namedtuple("HeredWindow", "slice ell levels")
 
 
 def shift_window(t, sl):
     """Minimal window of slice-shift levels containing every summand of T."""
-    c = qv.roots_of(t.quiver)
-    slice_pairs = [(c.index[r], s) for r, s in sl.objects]
-    levels = [(o, level_of(c, slice_pairs, x)) for o, x in zip(t.indecs(), t.pairs)]
-    base = min(l for _, l in levels)
-    levels = tuple((o, l - base) for o, l in levels)
-    ell = max(l for _, l in levels)
-    return HeredWindow(sl, ell, levels)
+    index = qv.roots_of(t.quiver).index
+    levels = tuple(zip(t.indecs(), _levels(t, [(index[r], s) for r, s in sl.objects])))
+    return HeredWindow(sl, max(l for _, l in levels), levels)
 
 
-# enumerate_slices stops after this many slices and reports the truncation
+# enumerate_slices returns at most this many sections and reports whether more exist
 SLICE_CAP = 100000
 
 
 def enumerate_slices(q, m_lo, m_hi):
-    """All sections with every chosen position in [m_lo, m_hi]; (slices, truncated).
+    """Position vectors (pos[i] = m of the vertex (m, i)) of the sections with
+    every position in [m_lo, m_hi], as (sections, truncated); truncated says
+    that a section beyond the first SLICE_CAP exists.
 
-    Vertices go in a depth-first order of the tree Q: each after the first has
-    one placed neighbour j, and a section asks only that it take the arrow
-    (pos[j], j) -> (pos[j] + step[j, i], i) or the one into (pos[j], j)."""
+    The vertices of the tree Q go in a depth-first order, each after the first
+    with one earlier neighbour j, and a section asks only that vertex i take
+    the arrow out of (pos[j], j), at pos[j] + step[j, i], or the one into it,
+    one less.  So a section is the first position m and one such choice per
+    edge: 2^(n-1) offsets from m, in lexicographic order, into first."""
     st = step(q)
-    out = []
-    truncated = False
-
-    def rec(pos, remaining):
-        nonlocal truncated
-        if len(out) >= SLICE_CAP:
-            truncated = True
-            return
-        if not remaining:
-            out.append(_slice_from_positions(q, dict(pos)))
-            return
-        i = remaining[0]
-        anchored = [j for j in q.neighbors(i) if j in pos]
-        lo, hi = m_lo, m_hi
-        for j in anchored:
-            lo = max(lo, pos[j] + st[j, i] - 1)
-            hi = min(hi, pos[j] + st[j, i])
-        for m in range(lo, hi + 1):
-            pos[i] = m
-            rec(pos, remaining[1:])
-            del pos[i]
-
-    order = []
-    seen = set()
-    stack = [qv.sink_first_order(q)[0]]
+    first = qv.sink_first_order(q)[0]
+    # each vertex i as a depth-first stack pops it, with its earlier neighbour j
+    offsets, stack = [{first: 0}], [(u, first) for u in q.neighbors(first)]
     while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        stack.extend(u for u in q.neighbors(v) if u not in seen)
-    rec({}, order)
-    return out, truncated
+        i, j = stack.pop()
+        offsets = [{**o, i: o[j] + st[j, i] - 1 + b} for o in offsets for b in (0, 1)]
+        stack.extend((u, i) for u in q.neighbors(i) if u != j)
+    offsets = [(min(o.values()), max(o.values()), tuple(o[i] for i in range(q.n)))
+               for o in offsets]
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        for lo, hi, off in offsets:
+            if m_lo <= m + lo and m + hi <= m_hi:
+                if len(out) == SLICE_CAP:
+                    return out, True
+                out.append(tuple(m + d for d in off))
+    return out, False
 
 
 def window_slices(t, pad):
@@ -197,16 +193,20 @@ TheoremAReport = namedtuple("TheoremAReport", "sgd ell slices_checked truncated"
 
 
 def theoremA_verify(t, window_pad=2):
-    """Upper bound over every enumerated slice, equality at the canonical one."""
+    """Upper bound over every enumerated slice, equality at the canonical one.
+    Each enumerated section is read as its (root index, shift) pairs
+    (zq.zq_pair), with no Slice built."""
     if not dv.is_tilting(t):
         raise ValueError("needs a tilting object")
     value = sgd.sgldim(t).value
     if value < 2:
         raise ValueError("the equality statement concerns non-hereditary cases")
+    q = t.quiver
     hw = shift_window(t, find_slice(t))
-    slices, truncated = window_slices(t, window_pad)
-    upper_ok = all(value <= shift_window(t, s2).ell + 2 for s2 in slices)
+    sections, truncated = window_slices(t, window_pad)
+    upper_ok = all(value <= max(_levels(t, [zq.zq_pair(q, m, i) for i, m in enumerate(pos)])) + 2
+                   for pos in sections)
     if value != hw.ell + 2 or not upper_ok:
         raise InternalInconsistencyError(
             "slice window bound failed: sgd=%d ell=%d upper_ok=%s" % (value, hw.ell, upper_ok))
-    return TheoremAReport(value, hw.ell, len(slices), truncated)
+    return TheoremAReport(value, hw.ell, len(sections), truncated)

@@ -4,8 +4,11 @@ D^b(kQ) of a Dynkin quiver is the mesh category of ZQ (Happel 1988), and
 this layer, between derived and slices, places objects on it.  One table per
 quiver, orbits(q), holds every tau-orbit over one period as (root index,
 shift) pairs; tau^-h = [2] on each orbit, h the Coxeter number (tau_period),
-so the ZQ coordinates (zq_object, zq_vertex) and the translate (tau_pair) are
-lookups in it plus one divmod, however far out an object lies.
+so the ZQ coordinates (zq_pair, zq_object, zq_vertex) and the translate
+(tau_pair) are lookups in it plus one divmod, however far out an object
+lies.  `dercat ind list` prints the roots in the order of their ZQ
+coordinates (knitting_order), read off the same table, and so runs only
+quiver and this module.
 """
 
 from collections import namedtuple
@@ -70,13 +73,20 @@ def tau_period(q, i):
     return len(orbits(q).walks[i])
 
 
+def zq_pair(q, m, i):
+    """(root index, shift) at the ZQ vertex (m, i), that is tau^-m P_i[0]:
+    m = 0 is the projective slice at suspension 0, and shift >= 0 exactly
+    when m >= 0.  Each h = tau_period(q, i) steps add 2 to the shift."""
+    walk = orbits(q).walks[i]
+    k, m = divmod(m, len(walk))
+    a, shift = walk[m]
+    return a, shift + 2 * k
+
+
 def zq_object(q, m, i):
-    """(root, shift) at the ZQ vertex (m, i), that is tau^-m P_i[0]: m = 0 is
-    the projective slice at suspension 0, and shift >= 0 exactly when m >= 0.
-    Each h = tau_period(q, i) steps add 2 to the shift."""
-    k, m = divmod(m, tau_period(q, i))
-    a, shift = orbits(q).walks[i][m]
-    return qv.roots_of(q).roots[a], shift + 2 * k
+    """zq_pair with the root itself in place of its index."""
+    a, shift = zq_pair(q, m, i)
+    return qv.roots_of(q).roots[a], shift
 
 
 def zq_vertex(q, root, shift):
@@ -88,6 +98,28 @@ def zq_vertex(q, root, shift):
     k, shift = divmod(shift, 2)
     m, i = orbits(q).at[a, shift]
     return m + k * tau_period(q, i), i
+
+
+@lru_cache(maxsize=None)
+def knitting_order(q):
+    """All positive roots ordered by (tau-orbit depth, slice position).
+
+    The depth m and orbit i are the ZQ vertex (m, i) of the module at shift 0,
+    read off orbits(q).at, and the slice position is i's place in the
+    sink-first order.  In this order Hom between distinct indecomposables
+    only goes forward: the matrix of Hom dimensions is upper uni-triangular.
+    `dercat ind list` prints the indecomposables in this order.
+    """
+    qv.ensure_dynkin(q)
+    at = orbits(q).at
+    slicepos = {v: k for k, v in enumerate(qv.sink_first_order(q))}
+    roots = qv.roots_of(q).roots
+
+    def key(a):
+        m, i = at[a, 0]
+        return m, slicepos[i]
+
+    return tuple(roots[a] for a in sorted(range(len(roots)), key=key))
 
 
 def serre_dual_check(x, y):

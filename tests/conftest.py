@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from dercat import derived as dv, mutation as mu, quiver as qv, reps
+from dercat import derived as dv, mutation as mu, quiver as qv, reps, sgd
 
 
 def homk_basis(sp):
@@ -44,6 +44,13 @@ def tau_reference(q, root, shift):
     if root in projs:
         return inj_dims(q, projs.index(root)), shift - 1
     return apply(coxeter_matrix(q), root), shift
+
+
+def ell_profile(t, x):
+    """Length profile of the indecomposable X against the tilting object T:
+    sgd.profile on X's one (root index, shift) pair."""
+    (a, k), = x.pairs
+    return sgd.profile(qv.roots_of(t.quiver), t.pairs, a, k)
 
 
 def _orientations(n, edges):

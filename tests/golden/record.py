@@ -107,7 +107,8 @@ def _cases():
     # far out in ZQ: the coordinates fold by the Coxeter number
     for tag in ("far", "near"):
         case("slice", *e6, "--object", "{W}/E6-alt.%s.obj" % tag)
-        case("slice", "--all-slices", "--window-pad", "1", *e6, "--object", "{W}/E6-alt.%s.obj" % tag)
+        case("slice", "--all-slices", "--window-pad", "1", *e6,
+             "--object", "{W}/E6-alt.%s.obj" % tag)
     # errors main reports itself: exit 2 (1 for a failed verdict) and one message
     case("hom", *e6, "--object", "{W}/E6-alt.P.obj")
     case("mutate", *e6, "--object", "{W}/E6-alt.P.obj", "--t2", "0,0")

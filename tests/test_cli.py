@@ -386,7 +386,9 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     oracle = sorted(base + ["complexes", "linalg", "reps", "verify"])
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
     assert ran == ["0"] + oracle + ["|", "fractions"], ran
-    # knitting order sorts by ZQ coordinates; with no --object, derived never runs
+    # knitting order reads the ZQ coordinates off zq's table; with no
+    # --object, derived never runs, and only --reps builds modules
+    assert _run_fresh(LAYER_PROBE, "ind", "list", *q) == ["0", "cli", "quiver", "zq", "|"]
     ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
     assert ran == ["0"] + ["cli", "linalg", "quiver", "reps", "zq"] + ["|", "fractions"], ran
     # an abbreviated option name is argparse's to read, and still runs the verb

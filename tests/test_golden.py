@@ -9,4 +9,5 @@ def test_the_cli_prints_what_the_golden_corpus_recorded(tmp_path):
     cases = json.loads(record.CORPUS.read_text())
     changed = [" ".join(e["argv"]) for e in cases
                if record.run_case(e, tmp_path) != {k: e[k] for k in ("stdout", "stderr", "code")}]
-    assert not changed, "%d of %d cases differ:\n%s" % (len(changed), len(cases), "\n".join(changed))
+    assert not changed, "%d of %d cases differ:\n%s" % (len(changed), len(cases),
+                                                        "\n".join(changed))

@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import INPUTS, homk_basis
+from conftest import INPUTS, ell_profile, homk_basis
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
@@ -39,6 +39,17 @@ def test_make_split_rejects_inadmissible(a2):
     t = free_t(a2)
     with pytest.raises(ValueError):
         mu.make_split(t, [((0, 1), 0)])  # Hom(P2 -> P1) != 0
+
+
+def test_exchange_rejects_a_split_that_is_not_a_partition(a3):
+    t = free_t(a3)
+    x = t.restrict([((1, 1, 1), 0)])
+    # t1 = T overlaps t2 = x; the parts cover T but share x.  The two parts
+    # must also cover T: x alone leaves P2 and P3 out
+    for split in (mu.Split(t, x), mu.Split(x, t.restrict([((0, 0, 1), 0)]))):
+        for exchange in (mu.mutate, mu.co_mutate):
+            with pytest.raises(ValueError, match="split does not partition the summands of T"):
+                exchange(t, split)
 
 
 def test_minimal_right_approx_socle(a2):
@@ -122,25 +133,56 @@ def test_comutate_on_dual_admissible_splits_is_tilting(a3, d4, e6_alt):
                 assert dv.is_tilting(mu.co_mutate(t, mu.Split(split.t2, split.t1)))
 
 
-def test_length_table_cells_and_full_window(a3):
-    for seed in range(6):
-        t, _ = mu.random_tilting_walk(a3, seed, 4)
-        splits = mu.admissible_splits(t)
-        if not splits:
-            continue
-        split = splits[seed % len(splits)]
-        tp = mu.mutate(t, split)
-        seen_cells = set()
-        for k in range(tp.min_shift - 1, tp.max_shift + 2):
-            for root in qv.positive_roots(a3):
-                chk = mu.verify_length_table(t, tp, split, dv.stalk(a3, root, k))
-                seen_cells.add(chk.cell)
-                # the table's prediction is checked inside; spot-check two cells
-                if chk.cell == (True, False):
-                    assert chk.predicted[2] == chk.predicted[1]
-                if chk.cell == (False, False):
-                    assert chk.predicted == (0, chk.predicted[1], chk.predicted[1])
-        assert (False, False) in seen_cells or seen_cells
+def length_table_cell(t, tp, split, x):
+    """The length table at one indecomposable X, the reference for
+    mutation.verify_length_table: X moved to ell_minus = 0 against T', its
+    cell read off Hom of whole objects, its profile against T predicted."""
+    prof_new = ell_profile(tp, x)
+    xn = x.shift(-prof_new.ell_minus)
+    ell = prof_new.ell
+    cell = (dv.hom_dim(xn, split.t1.shift(ell)) != 0, dv.hom_dim(split.t2, xn.shift(1)) != 0)
+    predicted = {(True, True): (-1, ell, ell + 1), (True, False): (0, ell, ell),
+                 (False, True): (-1, ell - 1, ell), (False, False): (0, ell - 1, ell - 1)}[cell]
+    prof_old = ell_profile(t, xn)
+    assert (prof_old.ell_minus, prof_old.ell_plus, prof_old.ell) == predicted, (t, split, x)
+    return mu.TableCheck(cell, predicted, predicted)
+
+
+def test_length_table_cells_and_full_window(a3, a4, d4, census):
+    # one check per root stands for every shift of the root: against the
+    # reference at each cell of the window verify table counts, on every
+    # admissible split of every census object
+    cells = Counter()
+    for q in (a3, a4, d4):
+        roots = qv.positive_roots(q)
+        for t in sorted(census(q), key=dv.format_object):
+            for split in mu.admissible_splits(t):
+                tp = mu.mutate(t, split)
+                checks = mu.verify_length_table(t, tp, split)
+                assert len(checks) == len(roots)
+                for k in range(tp.min_shift - 1, tp.max_shift + 2):
+                    for root, chk in zip(roots, checks):
+                        assert length_table_cell(t, tp, split, dv.stalk(q, root, k)) == chk
+                for chk in checks:
+                    cells[chk.cell] += 1
+                    # the table's prediction is checked inside; spot-check two cells
+                    if chk.cell == (True, False):
+                        assert chk.predicted[2] == chk.predicted[1]
+                    if chk.cell == (False, False):
+                        assert chk.predicted == (0, chk.predicted[1], chk.predicted[1])
+    # every cell of the table occurs
+    assert len(cells) == 4, cells
+
+
+def test_length_table_names_the_root_it_fails_at(a3, monkeypatch):
+    t = free_t(a3)
+    split = mu.admissible_splits(t)[0]
+    tp = mu.mutate(t, split)
+    # every profile reads (k, k): the first root, at shift 0, breaks the table
+    monkeypatch.setattr(sgd, "profile", lambda c, pairs, a, k: sgd.LengthProfile(k, k))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"mismatch for \(\(\(0, 1, 0\), 0\),\): predicted"):
+        mu.verify_length_table(t, tp, split)
 
 
 def test_sgd_delta_bounded(a3, a4):

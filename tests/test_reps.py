@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import apply, coxeter_matrix, inj_dims, reference_quivers
+from conftest import apply, coxeter_matrix, inj_dims
 from dercat import complexes as cx, linalg, quiver as qv, reps, zq
 
 
@@ -164,37 +164,3 @@ def test_kernel_cokernel_induced_maps_commute(d4):
         # exact: eps has the image of d as its kernel, and d is injective
         assert reps.kernel(res.eps)[0].dims == res.p1.dims
         assert reps.kernel(res.d)[0].is_zero()
-
-
-def knitting_reference(q):
-    """The roots walked orbit by orbit with the inverse Coxeter matrix from each
-    projective until the orbit leaves the roots, sorted by (depth, sink-first
-    position of the orbit's vertex)."""
-    phi_inv = qv.coxeter_inverse(q)
-    roots = set(qv.positive_roots(q))
-    slicepos = {v: i for i, v in enumerate(qv.sink_first_order(q))}
-    per_orbit = []
-    for i in range(q.n):
-        r = qv.proj_dims(q, i)
-        depth = 0
-        while r in roots:
-            per_orbit.append((depth, slicepos[i], r))
-            r = tuple(sum(phi_inv[a][b] * r[b] for b in range(q.n)) for a in range(q.n))
-            depth += 1
-    per_orbit.sort()
-    order = tuple(r for _, _, r in per_orbit)
-    assert sorted(order) == sorted(roots), "the orbits missed roots"
-    return order
-
-
-def test_knitting_order_matches_the_coxeter_orbit_walk():
-    for q in reference_quivers():
-        assert reps.knitting_order(q) == knitting_reference(q), q
-
-
-def test_knitting_order_is_upper_triangular(a4):
-    order = reps.knitting_order(a4)
-    idx = {r: i for i, r in enumerate(order)}
-    for r1, r2 in itertools.product(order, repeat=2):
-        if r1 != r2 and cx.homk_pair_dim(a4, r1, r2, 0):
-            assert idx[r1] < idx[r2]

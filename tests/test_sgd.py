@@ -4,34 +4,34 @@ import subprocess
 import sys
 
 import pytest
+from conftest import ell_profile
 
 from dercat import complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd
 
 
 def test_profile_examples(a2):
     t = dv.projective_generator(a2)
-    p = sgd.ell_profile(t, dv.stalk(a2, (1, 0)))
+    p = ell_profile(t, dv.stalk(a2, (1, 0)))
     assert (p.ell_minus, p.ell_plus, p.ell) == (0, 1, 1)
-    p2 = sgd.ell_profile(t, dv.stalk(a2, (1, 1)))
+    p2 = ell_profile(t, dv.stalk(a2, (1, 1)))
     assert (p2.ell_minus, p2.ell_plus, p2.ell) == (0, 0, 0)
 
 
 def test_profile_shift_invariance(a2):
     t = dv.projective_generator(a2)
     for k in (-3, -1, 2, 4):
-        assert sgd.ell_profile(t, dv.stalk(a2, (1, 0), k)).ell == 1
+        assert ell_profile(t, dv.stalk(a2, (1, 0), k)).ell == 1
 
 
 def test_profile_requires_tilting(a2):
+    # the length table takes profiles against T and T', and refuses either
+    # when it is not tilting
     bad = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), 0, 1)])
-    with pytest.raises(ValueError):
-        sgd.ell_profile(bad, dv.stalk(a2, (1, 0)))
-
-
-def test_profile_requires_indecomposable(a2):
     t = dv.projective_generator(a2)
-    with pytest.raises(ValueError):
-        sgd.ell_profile(t, t)
+    (split,) = mu.admissible_splits(t)
+    for pair in ((bad, t), (t, bad)):
+        with pytest.raises(ValueError, match="against tilting objects"):
+            mu.verify_length_table(*pair, split)
 
 
 def test_sgldim_hereditary(a2):
@@ -61,7 +61,7 @@ def test_sgldim_witness_validity(a3, a4):
         for seed in range(6):
             t, _ = mu.random_tilting_walk(q, seed, 5)
             rep = sgd.sgldim(t)
-            prof = sgd.ell_profile(t, rep.witness)
+            prof = ell_profile(t, rep.witness)
             assert prof.ell == rep.value
             assert prof.ell_minus == 0
 
@@ -132,7 +132,7 @@ def test_closed_form_profiles_equal_the_shift_scan(a4, a4_alt, d4, census):
             for root in roots:
                 for k in (-1, 0, 3):
                     want = cx._profile(q, t.indecs(), root, k, dv.pair_hom_dim)
-                    assert sgd.ell_profile(t, dv.stalk(q, root, k)) == want, (t, root, k)
+                    assert ell_profile(t, dv.stalk(q, root, k)) == want, (t, root, k)
             assert sgd.sgldim(t) == cx.sgldim_scan(t, dv.pair_hom_dim), t
             checked += 1
     assert checked == 55 + 55 + 69

@@ -1,11 +1,13 @@
 import itertools
 import pathlib
+import time
 from collections import Counter
 
 import pytest
 
-from conftest import reference_quivers, tau_reference
-from dercat import derived as dv, mutation as mu, quiver as qv, sgd, slices as sls, zq
+from conftest import ell_profile, reference_quivers, tau_reference
+from dercat import (complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd,
+                    slices as sls, zq)
 
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
 
@@ -69,7 +71,7 @@ def lower_bound_witness(t, sl, ell):
     for (sr, ss) in sl.objects:
         m_obj = dv.stalk(q, *zq.tau_pair(q, sr, ss, -1)).shift(ell + 1)
         if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
-            assert sgd.ell_profile(t, m_obj).ell >= ell + 2, m_obj
+            assert ell_profile(t, m_obj).ell >= ell + 2, m_obj
             return m_obj
     raise AssertionError("no lower-bound witness in the slice translate")
 
@@ -164,6 +166,40 @@ def test_zq_meshes_add_up_in_k0():
     assert meshes == 4264
 
 
+def knitting_reference(q):
+    """The roots walked orbit by orbit with the inverse Coxeter matrix from each
+    projective until the orbit leaves the roots, sorted by (depth, sink-first
+    position of the orbit's vertex)."""
+    phi_inv = qv.coxeter_inverse(q)
+    roots = set(qv.positive_roots(q))
+    slicepos = {v: i for i, v in enumerate(qv.sink_first_order(q))}
+    per_orbit = []
+    for i in range(q.n):
+        r = qv.proj_dims(q, i)
+        depth = 0
+        while r in roots:
+            per_orbit.append((depth, slicepos[i], r))
+            r = tuple(sum(phi_inv[a][b] * r[b] for b in range(q.n)) for a in range(q.n))
+            depth += 1
+    per_orbit.sort()
+    order = tuple(r for _, _, r in per_orbit)
+    assert sorted(order) == sorted(roots), "the orbits missed roots"
+    return order
+
+
+def test_knitting_order_matches_the_coxeter_orbit_walk():
+    for q in reference_quivers():
+        assert zq.knitting_order(q) == knitting_reference(q), q
+
+
+def test_knitting_order_is_upper_triangular(a4):
+    order = zq.knitting_order(a4)
+    idx = {r: i for i, r in enumerate(order)}
+    for r1, r2 in itertools.product(order, repeat=2):
+        if r1 != r2 and cx.homk_pair_dim(a4, r1, r2, 0):
+            assert idx[r1] < idx[r2]
+
+
 def test_find_slice_projective_generator(a2):
     t = dv.projective_generator(a2)
     s = sls.find_slice(t)
@@ -209,7 +245,8 @@ def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
             assert not truncated
             singles = []
             for s in minimal:
-                (single,) = [positions(sl) for sl in found if sl.sources == (s,)]
+                (single,) = [dict(enumerate(pos)) for pos in found
+                             if sls.slice_from_positions(q, pos).sources == (s,)]
                 singles.append(single)
             least = {i: min(p[i] for p in singles) for i in range(q.n)}
             assert positions(sls.find_slice(t)) == least, (q, seed)
@@ -281,12 +318,27 @@ def test_shift_window_examples(a2):
     assert sls.shift_window(t2, sls.find_slice(t2)).ell == 0
 
 
-def test_enumerate_slices_a2(a2):
+def test_enumerate_slices_a2(a2, monkeypatch):
     found, truncated = sls.enumerate_slices(a2, -1, 1)
     assert not truncated
     assert len(found) == 5
-    for s in found:
-        assert sls.is_section(a2, positions(s))
+    for pos in found:
+        assert sls.is_section(a2, pos)
+    # truncated means that a section beyond the cap exists
+    monkeypatch.setattr(sls, "SLICE_CAP", 5)
+    assert sls.enumerate_slices(a2, -1, 1) == (found, False)
+    monkeypatch.setattr(sls, "SLICE_CAP", 4)
+    assert sls.enumerate_slices(a2, -1, 1) == (found[:4], True)
+
+
+def test_enumerate_slices_returns_at_the_cap(e6_alt, monkeypatch):
+    # a window two billion positions wide: the loop stops at the cap
+    monkeypatch.setattr(sls, "SLICE_CAP", 1000)
+    start = time.perf_counter()
+    found, truncated = sls.enumerate_slices(e6_alt, -10 ** 9, 10 ** 9)
+    assert time.perf_counter() - start < 1.0
+    assert truncated and len(found) == 1000
+    assert all(sls.is_section(e6_alt, pos) for pos in found)
 
 
 @pytest.mark.parametrize("window", [(-1, 1), (0, 2), (-2, 1)])
@@ -295,7 +347,7 @@ def test_enumerate_slices_matches_brute_force(d4, e6_alt, window):
     for q in (d4, e6_alt):
         found, truncated = sls.enumerate_slices(q, m_lo, m_hi)
         assert not truncated
-        got = sorted(tuple(positions(s)[i] for i in range(q.n)) for s in found)
+        got = sorted(found)
         # every position vector in the window, in ascending order, that is a section
         want = [p for p in itertools.product(range(m_lo, m_hi + 1), repeat=q.n)
                 if sls.is_section(q, dict(enumerate(p)))]
@@ -313,6 +365,22 @@ def test_theoremA_on_sgldim3(a4):
                               ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
     rep = sls.theoremA_verify(t)
     assert rep.sgd == 3 and rep.ell == 1
+
+
+def test_theoremA_builds_one_slice_per_call(a3, d4, census, monkeypatch):
+    # the enumerated sections are read as pairs: the one Slice is find_slice's
+    calls = []
+    build = sls.slice_from_positions
+    monkeypatch.setattr(sls, "slice_from_positions",
+                        lambda q, pos: calls.append(pos) or build(q, pos))
+    verified = sections = 0
+    for q in (a3, d4):
+        for t in sorted(census(q), key=dv.format_object):
+            if sgd.sgldim(t).value >= 2:
+                sections += sls.theoremA_verify(t).slices_checked
+                verified += 1
+                assert len(calls) == verified
+    assert (verified, len(calls)) == (49, 49) and sections > 10 * verified
 
 
 def test_theoremA_rejects_hereditary(a2):
