@@ -89,7 +89,7 @@ def cmd_quiver_validate(args, q):
     kinds = qv.classify_components(q)
     print("vertices %d, arrows %d" % (q.n, len(q.arrows)))
     print("components: %s" % ", ".join(str(k) for k in kinds))
-    print("dynkin: %s" % ("yes" if qv.is_dynkin(q) else "no"))
+    print("dynkin: %s" % ("yes" if all(k.is_dynkin for k in kinds) else "no"))
     return 0
 
 
@@ -114,8 +114,9 @@ def cmd_tilting_check(args, q, t):
     tilting = dv.is_tilting(tb)
     print("rigid: %s" % ("no" if failure else "yes"))
     if failure:
-        i, src, tgt = failure
-        print("  Hom(%r[%d], %r[%d]) != 0 at i=%d" % (src[0], src[1], tgt[0], tgt[1] + i, i))
+        i, (a, s), (b, t) = failure
+        roots = qv.roots_of(q).roots
+        print("  Hom(%r[%d], %r[%d]) != 0 at i=%d" % (roots[a], s, roots[b], t + i, i))
     print("summands: %d of %d" % (tb.num_distinct(), q.n))
     print("unimodular classes: %s" % ("yes" if unimodular else "no"))
     print("tilting: %s" % ("yes" if tilting else "no"))
@@ -140,17 +141,17 @@ def _parse_t2(t, spec_str, dual):
     """The split with the listed summands as t2: admissible for mutate, any
     partition for comutate (the split inverting a mutation need not be admissible)."""
     # tilting first: an object with no summands would otherwise read as a bad index
-    indecs = mu.require_tilting(t).indecs()
+    pairs = mu.require_tilting(t).pairs
     try:
         idx = [int(i) for i in spec_str.split(",")]
     except ValueError:
         idx = None
     # a negative index would silently pick from the end of the list, and a
     # repeated one would be dropped
-    if idx is None or not all(0 <= i < len(indecs) for i in idx) or len(set(idx)) != len(idx):
+    if idx is None or not all(0 <= i < len(pairs) for i in idx) or len(set(idx)) != len(idx):
         raise ValueError("bad --t2 %r; expected comma-separated summand indices 0..%d"
-                         % (spec_str, len(indecs) - 1))
-    picks = [indecs[i] for i in idx]
+                         % (spec_str, len(pairs) - 1))
+    picks = [pairs[i] for i in idx]
     return mu.partition(t, picks) if dual else mu.make_split(t, picks)
 
 
@@ -175,19 +176,19 @@ def cmd_comutate(args, q, t):
 
 
 def cmd_slice(args, q, t):
+    dims = [",".join(map(str, r)) for r in qv.roots_of(q).roots]
     if args.all_slices:
         found, truncated = sls.window_slices(t, args.window_pad)
         for pos in found:
-            print("slice: " + " ".join("[%s]@%d" % (",".join(map(str, r)), sh)
-                                       for r, sh in sls.slice_from_positions(q, pos).objects))
+            print("slice: " + " ".join("[%s]@%d" % (dims[a], sh)
+                                       for a, sh in sls.slice_from_positions(q, pos).pairs))
         if truncated:
             print("# truncated at cap", file=sys.stderr)
         return 0
     s = sls.find_slice(t)
-    src_objs = set(o for v, o in zip(s.vertices, s.objects) if v in s.sources)
-    for r, sh in s.objects:
-        mark = "  # source" if (r, sh) in src_objs else ""
-        print("summand dim=[%s] shift=%d mult=1%s" % (",".join(map(str, r)), sh, mark))
+    for v, (a, sh) in zip(s.vertices, s.pairs):
+        mark = "  # source" if v in s.sources else ""
+        print("summand dim=[%s] shift=%d mult=1%s" % (dims[a], sh, mark))
     return 0
 
 

@@ -13,14 +13,16 @@ dimension |<r1,r2>|.  The one independent oracle is complexes.homk_pair_dim
 (chain maps modulo homotopy between minimal projective resolutions); the
 test suite and `verify homagree` compare it with pair_hom_dim.
 
-The product route runs on root indices.  An object is its distinct summands
-as sorted (root index, shift) pairs over the per-quiver context
-quiver.roots_of, with their multiplicities, and every Euler value is read
-from the context's rows and columns by index.  (root, shift, mult) records
-(summands, indecs) are built only for the parse and format boundary.
-DerivedObject.__init__ is the one place that validates outside input: each
-root must be a positive root, each merged multiplicity at least 1; basic,
-shift and take derive new pairs from validated ones (of_pairs).
+A summand is a (root index, shift) pair over the per-quiver context
+quiver.roots_of, here and in zq, sgd, slices, mutation and the CLI
+handlers: an object is its distinct pairs, sorted by (shift, index), with
+their multiplicities, and every Euler value is read by index.  Root vectors
+cross only a boundary.  In: DerivedObject.__init__ (the one place that
+validates outside input: each root must be a positive root, each merged
+multiplicity at least 1), stalk, projective_generator and parse_object.
+Out: format_object, indecs and __repr__.  The chain oracle reads roots
+through pair_hom_dim.  basic, shift and take derive new pairs from
+validated ones (of_pairs).
 
 The tilting test is: rigid, n distinct summands, integral inverse of the
 class matrix.  Its generation half is not searched for: mutation takes
@@ -36,22 +38,18 @@ complexes, nor linalg or fractions: k0_inverse is fraction-free integer
 elimination.
 """
 
-from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import quiver as qv
-
-StalkSummand = namedtuple("StalkSummand", "root shift mult")
 
 
 class DerivedObject:
     """Formal direct sum of shifted indecomposable stalks; immutable.
 
-    Takes (root, shift, mult) triples, StalkSummand records among them, and
-    merges equal (root, shift) pairs.  Inside, an object is its distinct
-    summands as (root index, shift) pairs over quiver.roots_of in (shift,
-    index) order, which is (shift, root) order, and their multiplicities;
-    summands are the records, built on first use.
+    Takes (root, shift, mult) triples and merges equal (root, shift) pairs.
+    Inside, an object is its distinct summands as (root index, shift) pairs
+    over quiver.roots_of in (shift, index) order, which is (shift, root)
+    order, and their multiplicities.
     """
 
     def __init__(self, q, summands):
@@ -68,7 +66,8 @@ class DerivedObject:
         self.pairs = tuple((a, s) for s, a in keys)
         self.mults = tuple(merged[k] for k in keys)
         if min(self.mults, default=1) < 1:
-            raise ValueError("bad summand %r" % (next(s for s in self.summands if s.mult < 1),))
+            raise ValueError("bad summand %r[%d]^%d" % next(
+                (r, s, m) for (r, s), m in zip(self.indecs(), self.mults) if m < 1))
 
     @classmethod
     def of_pairs(cls, q, pairs, mults=None):
@@ -80,17 +79,13 @@ class DerivedObject:
         obj.mults = mults or (1,) * len(pairs)
         return obj
 
-    @cached_property
-    def summands(self):
-        roots = qv.roots_of(self.quiver).roots
-        return tuple(StalkSummand(roots[a], s, m) for (a, s), m in zip(self.pairs, self.mults))
-
     def is_zero(self):
         return not self.pairs
 
     def indecs(self):
-        """Distinct indecomposable summands as (root, shift) pairs, canonical order."""
-        return tuple(s[:2] for s in self.summands)
+        """Distinct indecomposable summands as (root, shift) pairs, in pairs order."""
+        roots = qv.roots_of(self.quiver).roots
+        return tuple((roots[a], s) for a, s in self.pairs)
 
     def num_distinct(self):
         return len(self.pairs)
@@ -103,14 +98,6 @@ class DerivedObject:
         k = int(k)
         return DerivedObject.of_pairs(self.quiver, tuple((a, s + k) for a, s in self.pairs),
                                       self.mults)
-
-    def restrict(self, picks):
-        """Sub-sum on the given (root, shift) pairs, multiplicity 1 each; each
-        pair must be a summand."""
-        picks = set(picks)
-        if not picks <= set(self.indecs()):
-            raise ValueError("not summands of %r: %r" % (self, sorted(picks - set(self.indecs()))))
-        return self.take([i for i, o in enumerate(self.indecs()) if o in picks])
 
     def take(self, keep):
         """Sub-sum on the summands at the given positions, multiplicity 1 each."""
@@ -138,7 +125,7 @@ class DerivedObject:
 
     def __repr__(self):
         return "DerivedObject(%s)" % ", ".join(
-            "%r[%d]^%d" % (s.root, s.shift, s.mult) for s in self.summands)
+            "%r[%d]^%d" % (r, s, m) for (r, s), m in zip(self.indecs(), self.mults))
 
 
 def stalk(q, root, shift=0):
@@ -201,7 +188,7 @@ def k0_unimodular(t):
 def k0_inverse(t):
     """Integral inverse of the class matrix of T's distinct summands, or None.
 
-    Column j is the class of summand j of t.indecs(), so row j of the inverse
+    Column j is the class of summand j of t.pairs, so row j of the inverse
     gives that summand's coefficient in the basis [T]: the T-coordinates of
     mutation's exchange filter.  None unless T has n distinct summands whose
     classes span the lattice.  Memoized on the basic T moved to least shift
@@ -243,7 +230,7 @@ def _k0_inverse(t):
 
 def k0_coords(t):
     """T-coordinates of every M(r_a)[0], by root index a, each a tuple by
-    summand of t.indecs(): k0_inverse applied to the class r_a; M(r_a)[s]
+    summand of t.pairs: k0_inverse applied to the class r_a; M(r_a)[s]
     has (-1)^s times them.  None when k0_inverse is.
     """
     inv = k0_inverse(t)
@@ -269,23 +256,18 @@ def _is_tilting(tb):
 
 
 def rigidity_failure(t):
-    """A witness (i, (root,shift), (root,shift)) with Hom(T, T[i]) nonzero, i != 0,
-    or None when T is rigid.
+    """A witness (i, x, y), x and y summands of T as (root index, shift)
+    pairs, with Hom(x, y[i]) nonzero, i != 0, or None when T is rigid.
 
     Each ordered summand pair is tested at its one live shift only
-    (nonzero_shift).  The witness is the least (i, index of the first
-    summand, index of the second) in t.basic().indecs() order: the first one
-    a scan over i, then summand pairs, would meet.
+    (nonzero_shift).  The witness is the least (i, position of x, position
+    of y) in t.pairs order: the first one a scan over i, then summand pairs,
+    would meet.
     """
-    c = qv.roots_of(t.quiver)
-    pairs = t.pairs
+    c, pairs = qv.roots_of(t.quiver), t.pairs
     found = min(((i, a, b) for a, x in enumerate(pairs) for b, y in enumerate(pairs)
                  if (i := nonzero_shift(c, x, y))), default=None)
-    if found is None:
-        return None
-    i, a, b = found
-    indecs = t.indecs()
-    return i, indecs[a], indecs[b]
+    return None if found is None else (found[0], pairs[found[1]], pairs[found[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +276,8 @@ def rigidity_failure(t):
 
 def format_object(x):
     """Canonical object-file text: one summand per line, shift then root order."""
-    return "".join("summand dim=[%s] shift=%d mult=%d\n" % (",".join(map(str, s.root)), s.shift,
-                                                            s.mult) for s in x.summands)
+    return "".join("summand dim=[%s] shift=%d mult=%d\n" % (",".join(map(str, r)), s, m)
+                   for (r, s), m in zip(x.indecs(), x.mults))
 
 
 def parse_object(q, text):

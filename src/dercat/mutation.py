@@ -11,20 +11,23 @@ Y is read off K0 in integers.  The summand classes of T are a basis
 (derived.k0_inverse), and [Y] = [B] - [x], so Y has T-coordinates -1 at x, 0
 at the other t2 summands and its multiplicity in B at each t1 summand.  Once
 per basic T, `_candidates` files each root (derived.k0_coords) under the
-summand j where its coordinates, or their negatives at odd shift, read -1
-at j and >= 0 elsewhere.  `_survivors` places each root filed under x at
-the shift of x or the next one with the right parity, and keeps a candidate
-whose coordinates vanish at the other t2 summands, whose connecting map
-with x is nonzero and which is rigid against t1.  All of it runs on
-(root index, shift) pairs over quiver.roots_of, each Hom read at its live
-shift (derived.nonzero_shift); no candidate object is built, and the
-admissible splits are bitmasks (_admissible_masks), made into Split objects
-only when used.  The true Y always survives, so a unique survivor is Y; any
-other count is an InternalInconsistencyError, except that no survivor on a
-co-mutation split with Hom(t1, t2) != 0, which need not invert any
-mutation, is a ValueError.  Every output is re-checked for tilting-ness.
-verify_length_table checks the length table of a mutation once per root,
-since the table of X[k] is the table of X.
+summand j where its coordinates, or their negatives at odd shift, read -1 at
+j and >= 0 elsewhere.  `_survivors` places each root filed under x at the
+shift of x or the next one with the right parity, and keeps a candidate
+whose coordinates vanish at the other t2 summands, whose connecting map with
+x is nonzero and which is rigid against t1.  All of it runs on (root index,
+shift) pairs over quiver.roots_of, as in derived, each Hom read at its live
+shift (derived.nonzero_shift): split picks, exchange triangles and window
+levels are pairs, and roots appear only in error messages and in the log of
+random_tilting_walk, which is read as roots (DerivedObject.indecs).  No
+candidate object is built, and the admissible splits are bitmasks
+(_admissible_masks), made into Split objects only when used.  The true Y
+always survives, so a unique survivor is Y; any other count is an
+InternalInconsistencyError, except that no survivor on a co-mutation split
+with Hom(t1, t2) != 0, which need not invert any mutation, is a ValueError.
+Every output is re-checked for tilting-ness.  verify_length_table checks the
+length table of a mutation once per root, since the table of X[k] is the
+table of X.
 """
 
 import random as _random
@@ -39,23 +42,22 @@ Split = namedtuple("Split", "t1 t2")
 
 # One exchange triangle: replacement -> approx -> summand -> replacement[1]
 # (co-mutation: summand -> approx -> replacement -> summand[1]).  x is the
-# (root, shift) summand being exchanged, approx_copies the (root, shift)
-# summands of the approximation, replacement the resulting (root, shift).
+# summand being exchanged, approx_copies the summands of the approximation,
+# replacement the resulting summand, all (root index, shift) pairs.
 ApproxTriangle = namedtuple("ApproxTriangle", "x approx_copies replacement")
 
 
 def partition(t, t2_picks):
-    """Split T as (rest, chosen summands), with no condition on Hom between them.
+    """Split T as (rest, chosen summands), the picks being (root index,
+    shift) pairs of T, with no condition on Hom between the parts.
 
     This is all co_mutate needs: the split that inverts a mutation has the new
     summands as t2, and Hom(t2, t1) need not vanish for it.
     """
-    tb = t.basic()
-    picks = set((tuple(r), int(s)) for r, s in t2_picks)
-    all_indecs = set(tb.indecs())
-    if not picks or not picks <= all_indecs:
+    tb, picks = t.basic(), set(t2_picks)
+    if not picks or not picks <= set(tb.pairs):
         raise ValueError("t2 must be a nonempty subset of the summands")
-    return Split(tb.restrict(all_indecs - picks), tb.restrict(picks))
+    return _split(tb, sum(1 << i for i, x in enumerate(tb.pairs) if x in picks))
 
 
 def make_split(t, t2_picks):
@@ -153,27 +155,20 @@ def _exchange(t, split, left):
     if not left and dv.hom_dim(split.t2, split.t1) != 0:
         raise ValueError("split is not admissible")
     c = qv.roots_of(tb.quiver)
-
-    def obj(p):   # (root index, shift) -> (root, shift)
-        return c.roots[p[0]], p[1]
-
     index = {p: j for j, p in enumerate(tb.pairs)}
-    t1 = [(index[p], p) for p in split.t1.pairs]
-    t2 = split.t2.pairs
+    t1, t2 = split.t1.pairs, split.t2.pairs
     cands = _candidates(tb)
-    triangles = []
-    new = list(split.t1.pairs)
+    triangles, new = [], list(t1)
     for x in t2:
         zero = [index[p] for p in t2 if p != x]
-        found = _survivors(c, cands[index[x]], split.t1.pairs, zero, x, left)
+        found = _survivors(c, cands[index[x]], t1, zero, x, left)
         if len(found) != 1:
             if left and not found and dv.hom_dim(split.t1, split.t2) != 0:
                 raise _not_an_inverse(split.t2.indecs())
             raise InternalInconsistencyError(
-                "%d exchange candidates for %r, not one" % (len(found), obj(x)))
+                "%d exchange candidates for %r, not one" % (len(found), (c.roots[x[0]], x[1])))
         ((repl, co),) = found
-        triangles.append(ApproxTriangle(
-            obj(x), tuple(obj(p) for k, p in t1 for _ in range(co[k])), obj(repl)))
+        triangles.append(ApproxTriangle(x, tuple(p for p in t1 for _ in range(co[index[p]])), repl))
         new.append(repl)
     out = dv.DerivedObject.of_pairs(tb.quiver, tuple(sorted(new, key=lambda p: (p[1], p[0]))))
     if not dv.is_tilting(out):
@@ -276,7 +271,7 @@ def theoremB_sequence(t):
         if hw.ell != dc - 2:
             raise InternalInconsistencyError(
                 "canonical window %d does not match s.gl.dim %d" % (hw.ell, dc))
-        top = [o for o, l in hw.levels if l == hw.ell]
+        top = [x for x, l in hw.levels if l == hw.ell]
         split = make_split(cur, top)
         nxt = mutate(cur, split)
         if sgd.sgldim(nxt).value != dc - 1:

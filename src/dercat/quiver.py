@@ -17,6 +17,7 @@ through one per-quiver context, roots_of(q) (Roots): the positive roots
 numbered once, and Euler-form rows and columns by root index.
 """
 
+import heapq
 from collections import namedtuple
 from functools import lru_cache
 
@@ -39,21 +40,21 @@ class InternalInconsistencyError(RuntimeError):
 
 def _sinks_first(n, arrows):
     """Kahn's topological sort, least-numbered sink first: every arrow points
-    from a later to an earlier vertex.  Raises QuiverError on a cycle."""
-    outdeg = [0] * n
-    for s, _ in arrows:
+    from a later to an earlier vertex, in O(arrows + n log n): a heap of the
+    ready sinks, and each vertex's in-arrows.  Raises QuiverError on a cycle."""
+    outdeg, into = [0] * n, {}
+    for s, t in arrows:
         outdeg[s] += 1
+        into.setdefault(t, []).append(s)
     ready = [v for v in range(n) if not outdeg[v]]
     order = []
     while ready:
-        v = min(ready)
-        ready.remove(v)
+        v = heapq.heappop(ready)
         order.append(v)
-        for s, t in arrows:
-            if t == v:
-                outdeg[s] -= 1
-                if not outdeg[s]:
-                    ready.append(s)
+        for s in into.get(v, ()):
+            outdeg[s] -= 1
+            if not outdeg[s]:
+                heapq.heappush(ready, s)
     if len(order) != n:
         raise QuiverError("cycle detected")
     return tuple(order)
@@ -74,16 +75,17 @@ class Quiver:
         arrows = tuple((int(s), int(t)) for s, t in arrows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
+        adj = {}   # a vertex with no arrow costs nothing here
         for s, t in arrows:
             if not (0 <= s < n and 0 <= t < n):
                 raise QuiverError("arrow endpoint out of range: %d -> %d" % (s + 1, t + 1))
             if s == t:
                 raise QuiverError("loop at vertex %d" % (s + 1))
+            adj.setdefault(s, set()).add(t)
+            adj.setdefault(t, set()).add(s)
         _sinks_first(n, arrows)  # the cycle check
         object.__setattr__(self, "_hash", hash((n, arrows)))
-        object.__setattr__(self, "_adj", tuple(
-            tuple(sorted({t for s, t in arrows if s == v} | {s for s, t in arrows if t == v}))
-            for v in range(n)))
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(adj.get(v, ()))) for v in range(n)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
@@ -181,15 +183,12 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
 NOT_DYNKIN = DynkinType(None, 0)
 
 
-def _classify_component(q, comp):
+def _classify_component(q, comp, arrows):
     n = len(comp)
-    edges = [(s, t) for s, t in q.arrows if s in comp]
-    if len(edges) != n - 1:
+    if arrows != n - 1:
         return NOT_DYNKIN  # connected with n-1 edges iff tree; multi-edges land here too
-    deg = {v: 0 for v in comp}
-    for s, t in edges:
-        deg[s] += 1
-        deg[t] += 1
+    # a tree has no multi-edge, so a degree is a neighbour count
+    deg = {v: len(q.neighbors(v)) for v in comp}
     degs = sorted(deg.values(), reverse=True)
     if n == 1:
         return DynkinType("A", 1)
@@ -222,8 +221,14 @@ def _classify_component(q, comp):
 
 
 def classify_components(q):
-    """Per-component Dynkin types, in component order."""
-    return tuple(_classify_component(q, set(c)) for c in q.components())
+    """Per-component Dynkin types, in component order; one pass counts each
+    component's arrows."""
+    comps = q.components()
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    arrows = [0] * len(comps)
+    for s, _ in q.arrows:
+        arrows[where[s]] += 1
+    return tuple(_classify_component(q, c, a) for c, a in zip(comps, arrows))
 
 
 def is_dynkin(q):

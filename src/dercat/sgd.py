@@ -6,12 +6,14 @@ summand M(r)[s] of T, X = M(x)[k] has one live shift each way
 <x,r> > 0 and n = k + 1 - s when it is < 0; Hom(M(r)[s + n], X) != 0 only at
 n = k - s when <r,x> > 0 and n = k - s - 1 when it is < 0.  ell_plus(X) is
 the largest n of the first kind over T's summands, ell_minus(X) the least of
-the second.  The Euler values are read by root index from quiver.roots_of:
-one row and one column per summand of T serve every X, so no roots x roots
-table is built.  The scan over shifts is the oracle's own code,
-complexes.sgldim_scan, fed chain-map Hom dimensions by sgldim_ringel and
-derived.pair_hom_dim by the test suite.  Like the other product modules,
-this one imports neither reps, complexes, linalg nor fractions.
+the second.  Summands and the witness are (root index, shift) pairs over
+quiver.roots_of, as in derived, and the Euler values are read by index: one
+row and one column per summand of T serve every X, so no roots x roots table
+is built; roots appear only in an error message.  The scan over shifts is
+the oracle's own code, complexes.sgldim_scan, fed chain-map Hom dimensions
+by sgldim_ringel and derived.pair_hom_dim by the test suite.  Like the other
+product modules, this one imports neither reps, complexes, linalg nor
+fractions.
 """
 
 from collections import namedtuple
@@ -68,4 +70,4 @@ def _sgldim(tb):
     profs = [profile(c, tb.pairs, a, 0) for a in range(len(c.roots))]
     neg_ell, shift, a = min((p.ell_minus - p.ell_plus, -p.ell_minus, a)
                             for a, p in enumerate(profs))
-    return SgdReport(-neg_ell, dv.stalk(tb.quiver, c.roots[a], shift))
+    return SgdReport(-neg_ell, dv.DerivedObject.of_pairs(tb.quiver, ((a, shift),)))

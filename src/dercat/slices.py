@@ -3,19 +3,21 @@
 For a Dynkin quiver the whole derived category is a single transjective
 component of shape ZQ, so slices are sections of ZQ: one vertex per tau-orbit,
 adjacent choices differing by the mesh relations.  ZQ coordinates are
-lookups in zq's tau-orbit table (zq_object, zq_vertex), and the arrows of
+lookups in zq's tau-orbit table (zq_pair, zq_vertex), and the arrows of
 ZQ are read off one memoized table, step(q): each edge i - j of Q gives the
 arrows (m, i) -> (m + step[i, j], j), with step 1 along the Q-arrow i -> j
 and 0 against it.  A tilting object determines a canonical slice, the
 pointwise least of the single-source sections of its Hom-minimal summands,
 whose window reproduces the strong global dimension exactly (minus two).
 
-The hereditary window of a slice is read by root index (quiver.roots_of):
-each summand's level is the live shift of the slice objects into it
-(derived.nonzero_shift), with no scan over shifts and no objects built.
-enumerate_slices gives sections as position vectors, which theoremA_verify
-reads as (root index, shift) pairs (zq.zq_pair); a Slice is built only where
-one is returned or printed (find_slice, `slice --all-slices`).
+Slice objects, summands and window levels are (root index, shift) pairs over
+quiver.roots_of, as in derived: no function here takes or returns a root
+vector, which only an error message spells out.  Each summand's level is the
+live shift of the slice objects into it (derived.nonzero_shift), with no
+scan over shifts and no objects built.  enumerate_slices gives sections as
+position vectors, which theoremA_verify reads as pairs (zq.zq_pair); a Slice
+is built only where one is returned or printed (find_slice, `slice
+--all-slices`).
 """
 
 from collections import namedtuple
@@ -45,19 +47,19 @@ def step(q):
 
 
 # A section of ZQ: one vertex per tau-orbit, mesh-adjacent choices.  vertices
-# are (m, i), one per orbit i; objects the matching (root, shift) pairs;
+# are (m, i), one per orbit i; pairs the matching (root index, shift) pairs;
 # sources the vertices with no in-arrow inside the slice.
-Slice = namedtuple("Slice", "quiver vertices objects sources")
+Slice = namedtuple("Slice", "quiver vertices pairs sources")
 
 
 def slice_from_positions(q, pos):
     """The Slice at the positions pos[i] of a section, one per tau-orbit i."""
     st = step(q)
     verts = tuple(sorted((pos[i], i) for i in range(q.n)))
-    objs = tuple(zq.zq_object(q, m, i) for m, i in verts)
+    pairs = tuple(zq.zq_pair(q, m, i) for m, i in verts)
     srcs = tuple((m, i) for m, i in verts
                  if not any(pos[j] == m - st[j, i] for j in q.neighbors(i)))
-    return Slice(q, verts, objs, srcs)
+    return Slice(q, verts, pairs, srcs)
 
 
 def is_section(q, pos):
@@ -94,8 +96,7 @@ def find_slice(t):
     if not dv.is_tilting(t):
         raise ValueError("slices are extracted from tilting objects")
     c = qv.roots_of(q)
-    indecs = t.basic().indecs()
-    sources = [zq.zq_vertex(q, *o) for o, x in zip(indecs, t.pairs)
+    sources = [zq.zq_vertex(q, x) for x in t.pairs
                if not any(dv.nonzero_shift(c, y, x) == 0 for y in t.pairs if y != x)]
     if not sources:
         raise InternalInconsistencyError("tilting object with no Hom-minimal summand")
@@ -104,7 +105,7 @@ def find_slice(t):
     if not is_section(q, pos):
         raise InternalInconsistencyError("pointwise minimum is not a section: %r" % (pos,))
     sl = slice_from_positions(q, pos)
-    summand_verts = set(zq.zq_vertex(q, *x) for x in indecs)
+    summand_verts = set(zq.zq_vertex(q, x) for x in t.pairs)
     if not set(sl.sources) <= summand_verts:
         raise InternalInconsistencyError("slice sources are not all summands of T")
     if any(m < pos[i] for m, i in summand_verts):
@@ -134,14 +135,13 @@ def _levels(t, slice_pairs):
     return [l - base for l in levels]
 
 
-# levels: ((root, shift), level) pairs, normalized to start at 0
+# levels: (summand pair, level) pairs in t.pairs order, normalized to start at 0
 HeredWindow = namedtuple("HeredWindow", "slice ell levels")
 
 
 def shift_window(t, sl):
     """Minimal window of slice-shift levels containing every summand of T."""
-    index = qv.roots_of(t.quiver).index
-    levels = tuple(zip(t.indecs(), _levels(t, [(index[r], s) for r, s in sl.objects])))
+    levels = tuple(zip(t.pairs, _levels(t, sl.pairs)))
     return HeredWindow(sl, max(l for _, l in levels), levels)
 
 
@@ -183,7 +183,7 @@ def window_slices(t, pad):
     """enumerate_slices from the least ZQ position of T's summands to the
     greatest, each widened by pad."""
     q = t.quiver
-    verts = [zq.zq_vertex(q, *o) for o in t.basic().indecs()]
+    verts = [zq.zq_vertex(q, x) for x in t.pairs]
     if not verts:
         raise SliceError("the zero object has no summands to place on ZQ")
     return enumerate_slices(q, min(m for m, _ in verts) - pad, max(m for m, _ in verts) + pad)

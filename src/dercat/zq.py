@@ -3,10 +3,12 @@
 D^b(kQ) of a Dynkin quiver is the mesh category of ZQ (Happel 1988), and
 this layer, between derived and slices, places objects on it.  One table per
 quiver, orbits(q), holds every tau-orbit over one period as (root index,
-shift) pairs; tau^-h = [2] on each orbit, h the Coxeter number (tau_period),
-so the ZQ coordinates (zq_pair, zq_object, zq_vertex) and the translate
+shift) pairs; tau^-h = [2] on each orbit, h the Coxeter number of its
+component, so the ZQ coordinates (zq_pair, zq_vertex) and the translate
 (tau_pair) are lookups in it plus one divmod, however far out an object
-lies.  `dercat ind list` prints the roots in the order of their ZQ
+lies.  Every summand here is a (root index, shift) pair, as in derived;
+orbits is the one function that looks roots up by vector, while it builds
+the table.  `dercat ind list` prints the roots in the order of their ZQ
 coordinates (knitting_order), read off the same table, and so runs only
 quiver and this module.
 """
@@ -51,53 +53,40 @@ def orbits(q):
     return Orbits(tuple(walks), at)
 
 
-def tau_pair(q, root, shift, k=1):
-    """tau^k of M(root)[shift] as a (root, shift) pair; k < 0 walks with
-    tau^-1.  tau^k takes the ZQ vertex (m, i) to (m - k, i)."""
-    m, i = zq_vertex(q, root, shift)
-    return zq_object(q, m - k, i)
+def tau_pair(q, x, k=1):
+    """tau^k of the (root index, shift) pair x; k < 0 walks with tau^-1.
+    tau^k takes the ZQ vertex (m, i) to (m - k, i)."""
+    m, i = zq_vertex(q, x)
+    return zq_pair(q, m - k, i)
 
 
 def tau_derived(x):
-    """AR translate, summand-wise (tau_pair)."""
+    """AR translate, summand-wise (tau_pair), multiplicities kept."""
     if x.is_zero():
         raise ValueError("tau of the zero object")
-    q = x.quiver
-    return dv.DerivedObject(q, [tau_pair(q, s.root, s.shift) + (s.mult,) for s in x.summands])
-
-
-def tau_period(q, i):
-    """The h with tau^-h P_i = P_i[2], the Coxeter number of i's component
-    (Happel 1988); tau commutes with the shift, so tau^-h = [2] on the whole
-    tau-orbit of P_i."""
-    return len(orbits(q).walks[i])
+    pairs, mults = zip(*sorted(((tau_pair(x.quiver, p), m) for p, m in zip(x.pairs, x.mults)),
+                               key=lambda e: (e[0][1], e[0][0])))
+    return dv.DerivedObject.of_pairs(x.quiver, pairs, mults)
 
 
 def zq_pair(q, m, i):
     """(root index, shift) at the ZQ vertex (m, i), that is tau^-m P_i[0]:
     m = 0 is the projective slice at suspension 0, and shift >= 0 exactly
-    when m >= 0.  Each h = tau_period(q, i) steps add 2 to the shift."""
+    when m >= 0.  Each period of the orbit, len(walks[i]), adds 2 to the shift."""
     walk = orbits(q).walks[i]
     k, m = divmod(m, len(walk))
     a, shift = walk[m]
     return a, shift + 2 * k
 
 
-def zq_object(q, m, i):
-    """zq_pair with the root itself in place of its index."""
-    a, shift = zq_pair(q, m, i)
-    return qv.roots_of(q).roots[a], shift
-
-
-def zq_vertex(q, root, shift):
-    """ZQ vertex (m, i) of M(root)[shift]: M(root)[shift mod 2] is in the
-    table, and each 2 taken off the shift adds tau_period(q, i) to m."""
-    a = qv.roots_of(q).index.get(root)
-    if a is None:
-        raise qv.InternalInconsistencyError("object %r not found in ZQ" % ((root, shift),))
-    k, shift = divmod(shift, 2)
-    m, i = orbits(q).at[a, shift]
-    return m + k * tau_period(q, i), i
+def zq_vertex(q, x):
+    """ZQ vertex (m, i) of the (root index, shift) pair x: x at its shift
+    mod 2 is in the table, and each 2 taken off the shift adds the period of
+    i's orbit to m."""
+    o = orbits(q)
+    k, shift = divmod(x[1], 2)
+    m, i = o.at[x[0], shift]
+    return m + k * len(o.walks[i]), i
 
 
 @lru_cache(maxsize=None)

@@ -46,6 +46,22 @@ def tau_reference(q, root, shift):
     return apply(coxeter_matrix(q), root), shift
 
 
+def pair_of(q, root, shift=0):
+    """The (root index, shift) pair of M(root)[shift], read off the input
+    boundary: assertions written in roots compare with pairs through it."""
+    return dv.stalk(q, root, shift).pairs[0]
+
+
+def root_of(q, x):
+    """The (root, shift) pair of the (root index, shift) pair x."""
+    return qv.roots_of(q).roots[x[0]], x[1]
+
+
+def stalk_at(q, x):
+    """The indecomposable object on the (root index, shift) pair x."""
+    return dv.DerivedObject.of_pairs(q, (x,))
+
+
 def ell_profile(t, x):
     """Length profile of the indecomposable X against the tilting object T:
     sgd.profile on X's one (root index, shift) pair."""

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -658,3 +659,19 @@ def test_whatever_the_fast_parse_takes_argparse_takes_alike():
     check()
     # the property holds on many plain command lines, not on a few
     assert len(taken) >= 200, len(taken)
+
+
+@pytest.mark.parametrize("arrows", [
+    lambda n: [],
+    lambda n: [(v + 1, v) for v in range(1, n)],
+    lambda n: [(v, v + 1) for v in range(1, n, 2)],
+], ids=["arrowless", "path", "disjoint-A2"])
+def test_quiver_validate_is_linear_in_the_file(tmp_path, capsys, arrows):
+    # 20,000 vertices: the checks scanned every arrow once per vertex or per
+    # component, which took tens of seconds here
+    path = tmp_path / "big.q"
+    path.write_text("vertices 20000\n" + "".join("arrow %d %d\n" % a for a in arrows(20000)))
+    start = time.perf_counter()
+    assert cli.main(["quiver", "validate", "--quiver", str(path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.endswith("\ndynkin: yes\n")

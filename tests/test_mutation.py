@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import INPUTS, ell_profile, homk_basis
+from conftest import INPUTS, ell_profile, homk_basis, pair_of, root_of
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
@@ -26,7 +26,7 @@ def test_admissible_splits_a2(a2):
 
 def test_canonical_split_is_top_shift(a2):
     t = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), -1, 1)])
-    split = mu.make_split(t, [p for p in t.indecs() if p[1] == t.max_shift])
+    split = mu.make_split(t, [p for p in t.pairs if p[1] == t.max_shift])
     assert split.t2.indecs() == (((0, 1), 0),)
     assert split.t1.indecs() == (((1, 0), -1),)
 
@@ -38,15 +38,15 @@ def test_single_summand_has_no_split(a1):
 def test_make_split_rejects_inadmissible(a2):
     t = free_t(a2)
     with pytest.raises(ValueError):
-        mu.make_split(t, [((0, 1), 0)])  # Hom(P2 -> P1) != 0
+        mu.make_split(t, [pair_of(a2, (0, 1), 0)])  # Hom(P2 -> P1) != 0
 
 
 def test_exchange_rejects_a_split_that_is_not_a_partition(a3):
     t = free_t(a3)
-    x = t.restrict([((1, 1, 1), 0)])
+    x = dv.stalk(a3, (1, 1, 1), 0)
     # t1 = T overlaps t2 = x; the parts cover T but share x.  The two parts
     # must also cover T: x alone leaves P2 and P3 out
-    for split in (mu.Split(t, x), mu.Split(x, t.restrict([((0, 0, 1), 0)]))):
+    for split in (mu.Split(t, x), mu.Split(x, dv.stalk(a3, (0, 0, 1), 0))):
         for exchange in (mu.mutate, mu.co_mutate):
             with pytest.raises(ValueError, match="split does not partition the summands of T"):
                 exchange(t, split)
@@ -54,42 +54,42 @@ def test_exchange_rejects_a_split_that_is_not_a_partition(a3):
 
 def test_minimal_right_approx_socle(a2):
     t = free_t(a2)
-    tri = mu.mutate_with_data(t, mu.make_split(t, [((1, 1), 0)]))[1][0]
-    assert tri.approx_copies == (((0, 1), 0),)
+    tri = mu.mutate_with_data(t, mu.make_split(t, [pair_of(a2, (1, 1), 0)]))[1][0]
+    assert tri.approx_copies == (pair_of(a2, (0, 1), 0),)
 
 
 def test_minimal_right_approx_zero(a2):
     # over connected A2, End(T) is connected, so between the two summands of
     # a tilting T the approximation never vanishes; with t1 = 0 it does
     t = free_t(a2)
-    tri = mu.mutate_with_data(t, mu.make_split(t, t.indecs()))[1][0]
-    assert tri.x == ((0, 1), 0)
-    assert tri.approx_copies == () and tri.replacement == ((0, 1), -1)
+    tri = mu.mutate_with_data(t, mu.make_split(t, t.pairs))[1][0]
+    assert tri.x == pair_of(a2, (0, 1), 0)
+    assert tri.approx_copies == () and tri.replacement == pair_of(a2, (0, 1), -1)
 
 
 def test_minimal_right_approx_ext_class(a2):
     t = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), -1, 1)])
-    tri = mu.mutate_with_data(t, mu.make_split(t, [((0, 1), 0)]))[1][0]
-    assert tri.approx_copies == (((1, 0), -1),)
+    tri = mu.mutate_with_data(t, mu.make_split(t, [pair_of(a2, (0, 1), 0)]))[1][0]
+    assert tri.approx_copies == (pair_of(a2, (1, 0), -1),)
 
 
 def test_mutate_projectives_a2(a2):
     t = free_t(a2)
-    split = mu.make_split(t, [((1, 1), 0)])
+    split = mu.make_split(t, [pair_of(a2, (1, 1), 0)])
     out = mu.mutate(t, split)
     assert out.indecs() == (((1, 0), -1), ((0, 1), 0))
 
 
 def test_mutate_second_step_a2(a2):
     t = dv.DerivedObject(a2, [((0, 1), 0, 1), ((1, 0), -1, 1)])
-    out = mu.mutate(t, mu.make_split(t, [((0, 1), 0)]))
+    out = mu.mutate(t, mu.make_split(t, [pair_of(a2, (0, 1), 0)]))
     assert out.indecs() == (((1, 0), -1), ((1, 1), -1))
 
 
 def test_mutate_disconnected_zero_approx():
     q = qv.Quiver(2, ())
     t = free_t(q)
-    out = mu.mutate(t, mu.make_split(t, [((0, 1), 0)]))
+    out = mu.mutate(t, mu.make_split(t, [pair_of(q, (0, 1), 0)]))
     assert out.indecs() == (((0, 1), -1), ((1, 0), 0))
 
 
@@ -103,10 +103,9 @@ def test_mutate_output_always_tilting(a3, a4, d4):
 
 def test_comutate_round_trip_examples(a2):
     t = free_t(a2)
-    split = mu.make_split(t, [((1, 1), 0)])
+    split = mu.make_split(t, [pair_of(a2, (1, 1), 0)])
     t1 = mu.mutate(t, split)
-    back = mu.co_mutate(t1, mu.Split(t1.restrict([((0, 1), 0)]),
-                                     t1.restrict([((1, 0), -1)])))
+    back = mu.co_mutate(t1, mu.Split(dv.stalk(a2, (0, 1), 0), dv.stalk(a2, (1, 0), -1)))
     assert back == t
 
 
@@ -117,8 +116,8 @@ def test_comutate_round_trip_batch(a3, d4, e6_alt):
             splits = mu.admissible_splits(t)
             for split in splits[:3]:
                 t_new = mu.mutate(t, split)
-                mutated = set(t_new.indecs()) - set(split.t1.indecs())
-                back = mu.co_mutate(t_new, mu.Split(split.t1, t_new.restrict(sorted(mutated))))
+                mutated = set(t_new.pairs) - set(split.t1.pairs)
+                back = mu.co_mutate(t_new, mu.partition(t_new, mutated))
                 assert back == t.basic()
 
 
@@ -297,15 +296,17 @@ def homk_coords(sp, f):
 
 @lru_cache(maxsize=None)
 def homk_space_cached(q, src, tgt):
-    """HomKSpace between cached stalk complexes; src and tgt are (root, shift)."""
-    return cx.HomKSpace(cx.stalk_complex_cached(q, *src), cx.stalk_complex_cached(q, *tgt))
+    """HomKSpace between cached stalk complexes; src and tgt are (root index,
+    shift) pairs."""
+    return cx.HomKSpace(cx.stalk_complex_cached(q, *root_of(q, src)),
+                        cx.stalk_complex_cached(q, *root_of(q, tgt)))
 
 
 def approx_multiplicities(q, t1, x, left):
     """Chain-map reference for the minimal approximation of x by add(t1): for
     each t1 summand s, dim Hom_K(s, x) (Hom_K(x, s) when `left`) less the
     dimension of the span of the maps that factor through the other t1
-    summands."""
+    summands.  Summands are (root index, shift) pairs."""
     out = Counter()
     for s in t1:
         src, tgt = (x, s) if left else (s, x)
@@ -337,13 +338,13 @@ def test_approx_copies_match_chain_map_reference(text):
         for split in mu.admissible_splits(t):
             t_new, right = mu.mutate_with_data(t, split)
             swapped = mu.co_mutate_with_data(t, mu.Split(split.t2, split.t1))[1]
-            new = sorted(set(t_new.indecs()) - set(split.t1.indecs()))
-            back, inverse = mu.co_mutate_with_data(t_new, mu.Split(split.t1, t_new.restrict(new)))
+            new = set(t_new.pairs) - set(split.t1.pairs)
+            back, inverse = mu.co_mutate_with_data(t_new, mu.partition(t_new, new))
             assert back == t.basic()
             for kind, t1, triangles in (("right", split.t1, right), ("swapped", split.t2, swapped),
                                         ("inverse", split.t1, inverse)):
                 for tri in triangles:
-                    want = approx_multiplicities(q, t1.indecs(), tri.x, kind != "right")
+                    want = approx_multiplicities(q, t1.pairs, tri.x, kind != "right")
                     assert Counter(tri.approx_copies) == want, (kind, seed, tri)
                     checked[kind] += 1
     assert all(checked[k] for k in ("right", "swapped", "inverse"))
@@ -353,7 +354,8 @@ def reference_exchange(t, split, left):
     """The exchange as first written: a {summand: coordinate} dict per root
     for each split, both shifts tried for every root, and rigidity against t1
     by the full shift scan on a fresh t1 + Y object.  Returns (object,
-    triangles); asserts one survivor per summand and a tilting result."""
+    triangles), the triangles on (root index, shift) pairs; asserts one
+    survivor per summand and a tilting result."""
     q = t.quiver
     tb = t.basic()
     t1, t2 = split.t1.indecs(), split.t2.indecs()
@@ -378,7 +380,8 @@ def reference_exchange(t, split, left):
                     found.append(((r, s), {o: sign * v for o, v in base.items()}))
         assert len(found) == 1, (t, split, x, found)
         ((repl, c),) = found
-        triangles.append(mu.ApproxTriangle(x, tuple(o for o in t1 for _ in range(c[o])), repl))
+        triangles.append(mu.ApproxTriangle(pair_of(q, *x), tuple(
+            pair_of(q, *o) for o in t1 for _ in range(c[o])), pair_of(q, *repl)))
         new.append(repl)
     out = dv.DerivedObject(q, [(r, s, 1) for r, s in new])
     assert dv.is_tilting(out)
@@ -409,8 +412,8 @@ def test_exchange_matches_the_reference(a3, a4, a4_alt, d4, e6_alt, census):
             assert got == reference_exchange(t, split, False)
             swapped = mu.Split(split.t2, split.t1)
             assert mu.co_mutate_with_data(t, swapped) == reference_exchange(t, swapped, True)
-            new = sorted(set(got[0].indecs()) - set(split.t1.indecs()))
-            inverse = mu.Split(split.t1, got[0].restrict(new))
+            new = set(got[0].pairs) - set(split.t1.pairs)
+            inverse = mu.partition(got[0], new)
             back = mu.co_mutate_with_data(got[0], inverse)
             assert back == reference_exchange(got[0], inverse, True) and back[0] == t
             checked[q.n] += 1
@@ -419,13 +422,14 @@ def test_exchange_matches_the_reference(a3, a4, a4_alt, d4, e6_alt, census):
     fat = dv.DerivedObject(a3, [((0, 0, 1), 0, 2), ((1, 1, 1), 0, 1), ((0, 0, 1), 0, 1),
                                 ((0, 1, 1), 0, 1)])
     # equal summands still merge, and basic drops the multiplicity
-    assert fat.summands == (((0, 0, 1), 0, 3), ((0, 1, 1), 0, 1), ((1, 1, 1), 0, 1))
+    assert tuple((r, s, m) for (r, s), m in zip(fat.indecs(), fat.mults)) == (
+        ((0, 0, 1), 0, 3), ((0, 1, 1), 0, 1), ((1, 1, 1), 0, 1))
     assert fat.basic() == t and hash(fat.basic()) == hash(t) and fat.basic() is not fat
     # the same summands with other multiplicities are another object
     assert fat != t and fat.shift(1) != t.shift(1) and fat.shift(1).basic() == t.shift(1)
-    assert fat.restrict([((0, 0, 1), 0)]) == dv.stalk(a3, (0, 0, 1))
-    with pytest.raises(ValueError, match="not summands"):
-        t.restrict([((0, 0, 1), 1)])
+    assert mu.partition(fat, [pair_of(a3, (0, 0, 1), 0)]).t2 == dv.stalk(a3, (0, 0, 1))
+    with pytest.raises(ValueError, match="nonempty subset of the summands"):
+        mu.partition(t, [pair_of(a3, (0, 0, 1), 1)])
 
 
 @pytest.mark.parametrize("name, objects, edges, hist", [
@@ -467,7 +471,7 @@ def test_two_exchange_survivors_are_a_breach(a2, monkeypatch):
     found = mu._survivors
     monkeypatch.setattr(mu, "_survivors", lambda *args: found(*args) * 2)
     t = free_t(a2)
-    split = mu.make_split(t, [((1, 1), 0)])
+    split = mu.make_split(t, [pair_of(a2, (1, 1), 0)])
     with pytest.raises(InternalInconsistencyError):
         mu.mutate(t, split)
     with pytest.raises(InternalInconsistencyError):
@@ -488,6 +492,33 @@ def test_product_modules_do_not_import_oracles():
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
         assert not imported & {"reps", "complexes", "linalg", "fractions"}, name
+
+
+# the readers of the root -> index map quiver.roots_of(q).index: the input
+# boundary, the chain oracle's entry and the build of the tau-orbit table
+INDEX_READERS = {"derived.DerivedObject.__init__", "derived.pair_hom_dim", "zq.orbits"}
+
+
+def test_root_vectors_become_indices_only_at_the_boundary():
+    # every read of an attribute named index under src/dercat, by enclosing
+    # def; a call of a method named index, as tuple.index, is not a read
+    src = pathlib.Path(mu.__file__).parent
+    readers = set()
+
+    def visit(node, scope, calls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], calls)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "index"
+                    and isinstance(child.ctx, ast.Load) and id(child) not in calls):
+                readers.add(".".join(scope))
+            visit(child, scope, calls)
+
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        visit(tree, [path.stem], {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)})
+    assert readers == INDEX_READERS
 
 
 # the s.gl.dim chain-map oracle that tests compare sgd.sgldim against; no verb

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply, coxeter_matrix, inj_dims
+from conftest import apply, coxeter_matrix, inj_dims, pair_of, reference_quivers
 from dercat import quiver as qv, zq
 
 BENCH_QUIVERS = sorted((pathlib.Path(__file__).parents[1] / "bench" / "inputs").glob("*.q"))
@@ -228,6 +228,42 @@ def test_sink_first_order_property(a4, d5):
         assert all(pos[t] < pos[s] for s, t in q.arrows)
 
 
+def sinks_first_reference(n, arrows):
+    """The sink-first order as first written: at each step the least ready
+    sink, found by a scan, then a scan of every arrow into it."""
+    outdeg = [0] * n
+    for s, _ in arrows:
+        outdeg[s] += 1
+    ready = [v for v in range(n) if not outdeg[v]]
+    order = []
+    while ready:
+        v = min(ready)
+        ready.remove(v)
+        order.append(v)
+        for s, t in arrows:
+            if t == v:
+                outdeg[s] -= 1
+                if not outdeg[s]:
+                    ready.append(s)
+    return tuple(order)
+
+
+def test_sink_first_order_is_the_least_ready_sink_each_step():
+    # `ind list --reps` and the slice enumeration follow this order, so the
+    # heap must pick exactly what the scan picked, on Dynkin quivers and on
+    # random acyclic ones with multi-edges
+    rng = random.Random(5)
+    quivers = reference_quivers()
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rank = rng.sample(range(n), n)
+        pairs = [(u, v) for u in range(n) for v in range(n) if rank[u] > rank[v]]
+        quivers.append(qv.Quiver(n, [rng.choice(pairs) for _ in range(rng.randint(0, 2 * n))]
+                                 if pairs else ()))
+    for q in quivers:
+        assert qv.sink_first_order(q) == sinks_first_reference(q.n, q.arrows), q
+
+
 def test_coxeter_swaps_projectives_for_injectives(a3, d4):
     for q in (a3, d4):
         phi = coxeter_matrix(q)
@@ -236,7 +272,7 @@ def test_coxeter_swaps_projectives_for_injectives(a3, d4):
             img = tuple(sum(phi[a][b] * p[b] for b in range(q.n)) for a in range(q.n))
             assert img == tuple(-x for x in inj_dims(q, i))
             # in D^b the class -I_i is I_i[-1] = tau P_i, the one wrap
-            assert zq.tau_pair(q, p, 0) == (inj_dims(q, i), -1)
+            assert zq.tau_pair(q, pair_of(q, p, 0)) == pair_of(q, inj_dims(q, i), -1)
 
 
 @pytest.mark.parametrize("path", BENCH_QUIVERS, ids=lambda p: p.stem)
@@ -255,10 +291,10 @@ def test_root_memos_agree_with_direct_formulas(path):
     phi, phi_inv = coxeter_matrix(q), qv.coxeter_inverse(q)
     for r in roots:
         want = (injs[projs.index(r)], -1) if r in projs else (apply(phi, r), 0)
-        assert zq.tau_pair(q, r, 0) == want
+        assert zq.tau_pair(q, pair_of(q, r, 0)) == pair_of(q, *want)
         want = (projs[injs.index(r)], 1) if r in injs else (apply(phi_inv, r), 0)
-        assert zq.tau_pair(q, r, 0, -1) == want
-        assert zq.tau_pair(same, r, 0) == zq.tau_pair(q, r, 0)
+        assert zq.tau_pair(q, pair_of(q, r, 0), -1) == pair_of(q, *want)
+        assert zq.tau_pair(same, pair_of(q, r, 0)) == zq.tau_pair(q, pair_of(q, r, 0))
     e = qv.euler_matrix(q)
     e_times = {r: apply(e, r) for r in roots}
     for d, f in itertools.product(roots, repeat=2):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import ell_profile, reference_quivers, tau_reference
+from conftest import ell_profile, pair_of, reference_quivers, root_of, stalk_at, tau_reference
 from dercat import (complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd,
                     slices as sls, zq)
 
@@ -25,17 +25,11 @@ def in_hereditary(sl, xr, xs):
     The reference for slices.level_of.
     """
     q = sl.quiver
-    for (sr, ss) in sl.objects:
+    for sr, ss in (root_of(q, x) for x in sl.pairs):
         for i in (ss - xs, ss - xs + 1):
             if i != 0 and dv.pair_hom_dim(q, sr, ss, xr, xs + i):
                 return False
     return True
-
-
-def level(sl, xr, xs):
-    """slices.level_of on a slice and M(xr)[xs], both by roots."""
-    c = qv.roots_of(sl.quiver)
-    return sls.level_of(c, [(c.index[r], s) for r, s in sl.objects], (c.index[xr], xs))
 
 
 def hered_membership(sl, x):
@@ -47,8 +41,8 @@ def hered_membership(sl, x):
 
 def scanned_level(sl, xr, xs):
     """Every shift i with M(xr)[xs] in H[i], over the window where one can lie."""
-    lo = xs - max(s for _, s in sl.objects) - 1
-    hi = xs - min(s for _, s in sl.objects) + 1
+    lo = xs - max(s for _, s in sl.pairs) - 1
+    hi = xs - min(s for _, s in sl.pairs) + 1
     return [i for i in range(lo, hi + 1) if in_hereditary(sl, xr, xs - i)]
 
 
@@ -63,13 +57,13 @@ def lower_bound_witness(t, sl, ell):
         raise ValueError("the lower-bound witness needs ell >= 1")
     q = t.quiver
     hw = sls.shift_window(t, sl)
-    tops = [o for o, l in hw.levels if l == ell]
+    tops = [x for x, l in hw.levels if l == ell]
     assert tops, "no summand at the top of the window"
     src_sum = dv.DerivedObject(
-        q, [(r, s + ell + 2, 1) for r, s in (zq.zq_object(q, *v) for v in sl.sources)])
-    big_l = dv.stalk(q, *tops[0])
-    for (sr, ss) in sl.objects:
-        m_obj = dv.stalk(q, *zq.tau_pair(q, sr, ss, -1)).shift(ell + 1)
+        q, [(r, s + ell + 2, 1) for r, s in (root_of(q, zq.zq_pair(q, *v)) for v in sl.sources)])
+    big_l = stalk_at(q, tops[0])
+    for x in sl.pairs:
+        m_obj = stalk_at(q, zq.tau_pair(q, x, -1)).shift(ell + 1)
         if dv.hom_dim(big_l, m_obj) and dv.hom_dim(m_obj, src_sum):
             assert ell_profile(t, m_obj).ell >= ell + 2, m_obj
             return m_obj
@@ -79,11 +73,12 @@ def lower_bound_witness(t, sl, ell):
 def test_zq_dictionary_round_trip(a3, d4):
     for q in [a3, d4] + reference_quivers():
         for m, i in itertools.product(range(-12, 13), range(q.n)):
-            obj = zq.zq_object(q, m, i)
-            assert zq.zq_vertex(q, *obj) == (m, i), (q, m, i)
+            obj = zq.zq_pair(q, m, i)
+            assert zq.zq_vertex(q, obj) == (m, i), (q, m, i)
             # m = 0 is the projective slice at suspension 0
             assert (obj[1] >= 0) == (m >= 0)
-        assert [zq.zq_object(q, 0, i) for i in range(q.n)] == [(r, 0) for r in qv.proj_roots(q)]
+        assert [zq.zq_pair(q, 0, i) for i in range(q.n)] == [pair_of(q, r, 0)
+                                                              for r in qv.proj_roots(q)]
 
 
 @pytest.mark.parametrize("name", ["E7-alt", "E8-alt"])
@@ -91,9 +86,9 @@ def test_zq_vertex_of_round_trip_on_e_types(name):
     q = qv.parse_quiver((INPUTS / (name + ".q")).read_text())
     shifts = set()
     for m, i in itertools.product(range(-45, 46), range(q.n)):
-        obj = zq.zq_object(q, m, i)
+        obj = zq.zq_pair(q, m, i)
         shifts.add(obj[1])
-        assert zq.zq_vertex(q, *obj) == (m, i)
+        assert zq.zq_vertex(q, obj) == (m, i)
     assert {-3, -1, 0, 3} <= shifts
 
 
@@ -106,44 +101,40 @@ def test_zq_coordinates_fold_by_the_coxeter_number():
             # a root's support is connected, so it lies in one component
             roots = sum(1 for r in qv.positive_roots(q) if any(r[v] for v in comp))
             for i in comp:
-                h = zq.tau_period(q, i)
+                h = len(zq.orbits(q).walks[i])
                 assert h == 2 * roots // len(comp), (q, i)
-                assert zq.zq_object(q, 0, i) == (qv.proj_dims(q, i), 0)
+                assert zq.zq_pair(q, 0, i) == pair_of(q, qv.proj_dims(q, i), 0)
                 for m in range(-3 * h, 3 * h + 1):
-                    obj = zq.zq_object(q, m, i)
-                    assert tau_reference(q, *obj) == zq.zq_object(q, m - 1, i), (q, m, i)
-                    assert zq.tau_pair(q, *obj, m) == (qv.proj_dims(q, i), 0), (q, m, i)
-                    assert zq.zq_vertex(q, *obj) == (m, i), (q, m, i)
+                    obj = zq.zq_pair(q, m, i)
+                    assert (pair_of(q, *tau_reference(q, *root_of(q, obj)))
+                            == zq.zq_pair(q, m - 1, i)), (q, m, i)
+                    assert zq.tau_pair(q, obj, m) == pair_of(q, qv.proj_dims(q, i), 0), (q, m, i)
+                    assert zq.zq_vertex(q, obj) == (m, i), (q, m, i)
                 for m in (-10 ** 6, 10 ** 6):
-                    root, shift = zq.zq_object(q, m, i)
-                    assert zq.zq_vertex(q, root, shift) == (m, i)
-                    assert zq.zq_object(q, m + h, i) == (root, shift + 2)
-
-
-def test_zq_vertex_of_rejects_an_object_off_zq(a3):
-    with pytest.raises(qv.InternalInconsistencyError, match="not found in ZQ"):
-        zq.zq_vertex(a3, (2, 0, 0), 1)
+                    a, shift = zq.zq_pair(q, m, i)
+                    assert zq.zq_vertex(q, (a, shift)) == (m, i)
+                    assert zq.zq_pair(q, m + h, i) == (a, shift + 2)
 
 
 def test_zq_tau_matches_derived(a3):
     for q in [a3] + reference_quivers():
         for m, i in itertools.product(range(-12, 13), range(q.n)):
-            obj = dv.stalk(q, *zq.zq_object(q, m, i))
-            prev = zq.tau_derived(obj).indecs()[0]
-            assert zq.zq_object(q, m - 1, i) == prev
+            obj = stalk_at(q, zq.zq_pair(q, m, i))
+            prev = zq.tau_derived(obj).pairs[0]
+            assert zq.zq_pair(q, m - 1, i) == prev
 
 
 def test_zq_arrows_carry_morphisms():
     for q in (q for q in reference_quivers() if q.is_connected()):
         st = sls.step(q)
-        for m, i in itertools.product(range(zq.tau_period(q, 0)), range(q.n)):
-            src = dv.stalk(q, *zq.zq_object(q, m, i))
+        for m, i in itertools.product(range(len(zq.orbits(q).walks[0])), range(q.n)):
+            src = stalk_at(q, zq.zq_pair(q, m, i))
             for j in q.neighbors(i):
-                mid = dv.stalk(q, *zq.zq_object(q, m + st[i, j], j))
+                mid = stalk_at(q, zq.zq_pair(q, m + st[i, j], j))
                 assert dv.hom_dim(src, mid) >= 1
                 # mesh: each arrow (m, i) -> mid is followed by one mid -> (m + 1, i)
                 assert st[i, j] + st[j, i] == 1
-                assert dv.hom_dim(mid, dv.stalk(q, *zq.zq_object(q, m + 1, i))) >= 1
+                assert dv.hom_dim(mid, stalk_at(q, zq.zq_pair(q, m + 1, i))) >= 1
 
 
 def test_zq_meshes_add_up_in_k0():
@@ -154,9 +145,9 @@ def test_zq_meshes_add_up_in_k0():
         st = sls.step(q)
 
         def k0(m, i):
-            return dv.k0_class(dv.stalk(q, *zq.zq_object(q, m, i)))
+            return dv.k0_class(stalk_at(q, zq.zq_pair(q, m, i)))
 
-        h = zq.tau_period(q, 0)
+        h = len(zq.orbits(q).walks[0])
         for m, i in itertools.product(range(-h - 1, h + 2), range(q.n)):
             want = [0] * q.n
             for j in q.neighbors(i):
@@ -203,15 +194,15 @@ def test_knitting_order_is_upper_triangular(a4):
 def test_find_slice_projective_generator(a2):
     t = dv.projective_generator(a2)
     s = sls.find_slice(t)
-    assert set(s.objects) == {((1, 1), 0), ((0, 1), 0)}
-    assert [zq.zq_object(a2, *v) for v in s.sources] == [((0, 1), 0)]
+    assert set(s.pairs) == {pair_of(a2, (1, 1), 0), pair_of(a2, (0, 1), 0)}
+    assert [zq.zq_pair(a2, *v) for v in s.sources] == [pair_of(a2, (0, 1), 0)]
 
 
 def test_find_slice_apr_tilt(a2):
     t = dv.DerivedObject(a2, [((1, 1), 0, 1), ((1, 0), 0, 1)])
     s = sls.find_slice(t)
-    assert set(s.objects) == {((1, 1), 0), ((1, 0), 0)}
-    assert [zq.zq_object(a2, *v) for v in s.sources] == [((1, 1), 0)]
+    assert set(s.pairs) == {pair_of(a2, (1, 1), 0), pair_of(a2, (1, 0), 0)}
+    assert [zq.zq_pair(a2, *v) for v in s.sources] == [pair_of(a2, (1, 1), 0)]
 
 
 def test_find_slice_shift_equivariance(a3):
@@ -219,7 +210,7 @@ def test_find_slice_shift_equivariance(a3):
     s0 = sls.find_slice(t)
     for k in (-2, 1, 3):
         sk = sls.find_slice(t.shift(k))
-        assert set(sk.objects) == set((r, sh + k) for r, sh in s0.objects)
+        assert set(sk.pairs) == set((a, sh + k) for a, sh in s0.pairs)
 
 
 def test_find_slice_sources_are_summands(a4, d4):
@@ -227,8 +218,8 @@ def test_find_slice_sources_are_summands(a4, d4):
         for seed in range(8):
             t, _ = mu.random_tilting_walk(q, seed, 5)
             s = sls.find_slice(t)
-            summands = set(t.basic().indecs())
-            assert set(zq.zq_object(q, *v) for v in s.sources) <= summands
+            summands = set(t.basic().pairs)
+            assert set(zq.zq_pair(q, *v) for v in s.sources) <= summands
 
 
 def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
@@ -238,7 +229,7 @@ def test_find_slice_is_least_single_source_section(a4, d4, d5_alt):
         for seed in range(4):
             t, _ = mu.random_tilting_walk(q, seed, 2 + seed)
             objs = [dv.stalk(q, r, sh) for r, sh in t.basic().indecs()]
-            minimal = [zq.zq_vertex(q, *x.indecs()[0]) for x in objs
+            minimal = [zq.zq_vertex(q, x.pairs[0]) for x in objs
                        if not any(dv.hom_dim(y, x) for y in objs if y is not x)]
             found, truncated = sls.enumerate_slices(
                 q, min(m for m, _ in minimal), max(m for m, _ in minimal) + q.n)
@@ -258,7 +249,7 @@ def test_slice_is_section_and_rigid(a4):
         s = sls.find_slice(t)
         assert sls.is_section(a4, positions(s))
         # slice objects are pairwise rigid in nonzero shifts
-        for (r1, s1), (r2, s2) in itertools.product(s.objects, repeat=2):
+        for (r1, s1), (r2, s2) in itertools.product([root_of(a4, x) for x in s.pairs], repeat=2):
             for i in (-2, -1, 1, 2):
                 assert dv.pair_hom_dim(a4, r1, s1, r2, s2 + i) == 0 or i == 0
 
@@ -268,8 +259,8 @@ def test_hered_membership_examples(a2):
     s = sls.find_slice(t)
     assert hered_membership(s, dv.stalk(a2, (1, 0), 0))
     assert not hered_membership(s, dv.stalk(a2, (1, 0), 1))
-    for r, sh in s.objects:
-        assert hered_membership(s, dv.stalk(a2, r, sh))
+    for x in s.pairs:
+        assert hered_membership(s, stalk_at(a2, x))
 
 
 def test_membership_partitions_window(a3, d4, census):
@@ -280,25 +271,27 @@ def test_membership_partitions_window(a3, d4, census):
             x = dv.stalk(a3, r, k)
             levels = [i for i in range(-4, 5) if hered_membership(s, x.shift(-i))]
             assert len(levels) == 1
-            assert levels[0] == level(s, r, k)
+            assert levels[0] == sls.level_of(qv.roots_of(a3), s.pairs, pair_of(a3, r, k))
     # the canonical slice of every D4 census object, against the membership scan
     for t in sorted(census(d4), key=dv.format_object):
         s = sls.find_slice(t)
         for r in qv.positive_roots(d4):
             for k in range(-2, 5):
-                assert scanned_level(s, r, k) == [level(s, r, k)], (t, r, k)
+                want = sls.level_of(qv.roots_of(d4), s.pairs, pair_of(d4, r, k))
+                assert scanned_level(s, r, k) == [want], (t, r, k)
 
 
 def test_level_of_refuses_a_set_that_is_not_a_slice(a3):
+    c = qv.roots_of(a3)
     s = sls.find_slice(dv.projective_generator(a3))
-    (r0, s0), (r1, s1), (r2, s2) = s.objects
+    (a0, s0), (a1, s1), (a2, s2) = s.pairs
     # P2 lifted two shifts: P1 and P2[2] fix different levels of M(1,1,1)
-    lifted = s._replace(objects=((r0, s0), (r1, s1 + 2), (r2, s2)))
+    lifted = ((a0, s0), (a1, s1 + 2), (a2, s2))
     with pytest.raises(qv.InternalInconsistencyError, match="fixes 2 hereditary shifts"):
-        level(lifted, (1, 1, 1), 0)
+        sls.level_of(c, lifted, pair_of(a3, (1, 1, 1), 0))
     # S3 alone maps to no shift of S1
     with pytest.raises(qv.InternalInconsistencyError, match="fixes 0 hereditary shifts"):
-        level(s._replace(objects=(((0, 0, 1), 0),)), (1, 0, 0), 0)
+        sls.level_of(c, [pair_of(a3, (0, 0, 1), 0)], pair_of(a3, (1, 0, 0), 0))
 
 
 def test_member_and_its_shift_never_both(a3):
@@ -400,10 +393,10 @@ def test_lower_bound_witness(a4, a4_alt, census):
             m = lower_bound_witness(t, s, hw.ell)
             # the witness lies in the stated translate of the slice
             translate = set()
-            for r, sh in s.objects:
-                tr, trs = zq.tau_pair(q, r, sh, -1)
+            for x in s.pairs:
+                tr, trs = zq.tau_pair(q, x, -1)
                 translate.add((tr, trs + hw.ell + 1))
-            assert m.indecs()[0] in translate
+            assert m.pairs[0] in translate
             checked += 1
     assert checked == 10
 
