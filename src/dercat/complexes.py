@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import derived as dv, linalg, quiver as qv, reps, sgd
-from .linalg import Subspace
 from .reps import RepMap
 
 
@@ -213,12 +212,12 @@ class HomKSpace:
                         f = f.add(p)
                     comps[d] = f
             boundaries.append(_vec_of_maps(self._offs, self._total, comps))
-        bspan = Subspace(self._total)
-        self._bbasis = []
-        for bv in boundaries:
-            if bspan.add(bv):
-                self._bbasis.append(bv)
-        self._rep_vecs = [z_basis[i] for i in bspan.extend_basis(z_basis)]
+        # one elimination picks a basis of the boundaries, then the cycles
+        # that extend it
+        nb = len(boundaries)
+        picked = linalg.independent(boundaries + z_basis)
+        self._bbasis = [boundaries[i] for i in picked if i < nb]
+        self._rep_vecs = [z_basis[i - nb] for i in picked if i >= nb]
         self.dim = len(self._rep_vecs)
 
 

@@ -5,6 +5,10 @@ desk-scale; no attempt at asymptotic cleverness.  Only the oracle modules
 (reps, complexes) import this: the product route (quiver, derived, sgd,
 slices, mutation) is integer arithmetic and imports neither this module nor
 fractions.
+
+rref is the one elimination: nullspace, solve_matrix and inverse read their
+answers off it, and independent reads the pivot columns of the vectors
+stacked as columns for every span choice the oracles make.
 """
 
 from fractions import Fraction
@@ -52,7 +56,8 @@ def mat_add(a, b):
 def mat_mul(a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)
-    assert ca == rb, (shape(a), shape(b))
+    if ca != rb:
+        raise ValueError("cannot multiply %dx%d by %dx%d" % (ra, ca, rb, cb))
     out = zeros(ra, cb)
     for i in range(ra):
         arow = a[i]
@@ -143,7 +148,8 @@ def solve_matrix(a, b):
     """One solution X of a X = b (matrix right-hand side), or None."""
     rows, cols = shape(a)
     rb, cb = shape(b)
-    assert rb == rows
+    if rb != rows:
+        raise ValueError("right-hand side has %d rows, not %d" % (rb, rows))
     aug = [a[i][:] + b[i][:] for i in range(rows)]
     r, pivots = rref(aug)
     if any(p >= cols for p in pivots):
@@ -157,58 +163,19 @@ def solve_matrix(a, b):
 
 def inverse(a):
     n, m = shape(a)
-    assert n == m
+    if n != m:
+        raise ValueError("cannot invert a %dx%d matrix" % (n, m))
     inv = solve_matrix(a, identity(n))
     if inv is None:
         return None
     return inv if mat_eq(mat_mul(a, inv), identity(n)) else None
 
 
-class Subspace:
-    """Row space accumulated in reduced echelon form.
+def independent(vectors, base=()):
+    """Indices i of the vectors outside the span of base and vectors[:i].
 
-    Supports incremental spans: add vectors and pick complements, all exactly
-    over Q.
+    The pivot columns of rref on base and vectors stacked as columns: the
+    greedy choice, so the chosen vectors and base span what all of them span.
     """
-
-    def __init__(self, ambient_dim):
-        self.ambient = ambient_dim
-        self.rows = []      # reduced echelon rows
-        self.pivots = []    # pivot column of each row
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v):
-        """Insert v into the span; returns True if the dimension grew."""
-        v = self._reduce(v)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        pv = v[p]
-        v = [x / pv for x in v]
-        for i, row in enumerate(self.rows):
-            if row[p] != 0:
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-        k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(k, v)
-        self.pivots.insert(k, p)
-        return True
-
-    def extend_basis(self, candidates):
-        """Indices of candidate vectors that extend the span to independence."""
-        chosen = []
-        for i, v in enumerate(candidates):
-            if self.add(v):
-                chosen.append(i)
-        return chosen
+    k = len(base)
+    return [p - k for p in rref(transpose(list(base) + list(vectors)))[1] if p >= k]

@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, quiver as qv
-from .linalg import Subspace
 
 
 class Representation:
@@ -80,7 +79,8 @@ def direct_sum(reps):
     if not reps:
         raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
     q = reps[0].quiver
-    assert all(r.quiver == q for r in reps)
+    if any(r.quiver != q for r in reps):
+        raise ValueError("direct sum of representations of different quivers")
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(q.n))
     mats = []
     for a, (s, t) in enumerate(q.arrows):
@@ -116,7 +116,8 @@ class RepMap:
 
     def compose(self, other):
         """self after other (other first)."""
-        assert other.target.dims == self.source.dims
+        if other.target.dims != self.source.dims:
+            raise ValueError("cannot compose %r after %r" % (self, other))
         mats = [linalg.mat_mul_dims(self._mat(v), other._mat(v),
                                     self.target.dims[v], self.source.dims[v],
                                     other.source.dims[v])
@@ -229,75 +230,58 @@ def _complement_projection(cols, dim):
     """Cokernel projection of the dim x len(cols) matrix with these columns.
 
     The complement of the column span is spanned by the standard vectors that
-    extend its echelon basis; the rows returned project Q^dim onto it."""
+    extend its reduced echelon basis; the rows returned project Q^dim onto it."""
     if not dim:
         return []
-    span = Subspace(dim)
-    for c in cols:
-        span.add(c)
-    im_basis = [list(r) for r in span.rows]
+    r, pivots = linalg.rref(cols)
+    im_basis = r[:len(pivots)]
     std = linalg.identity(dim)
-    chosen = span.extend_basis(std)
-    u = linalg.transpose(im_basis + [std[i] for i in chosen])
+    u = linalg.transpose(im_basis + [std[i] for i in linalg.independent(std, im_basis)])
     return linalg.inverse(u)[len(im_basis):]
 
 
-def _proj_generator_map(q, i, m, gen):
-    """The morphism P_i -> M sending the canonical generator to gen (a column in M_i)."""
-    p = proj_rep(q, i)
-    mats = []
-    images = {}
-    images[i] = [[x] for x in gen]
-    # walk outward: image at w = (composite of arrow maps along the unique path)(gen)
-    order = list(range(q.n))
-    changed = True
-    while changed:
-        changed = False
-        for a, (s, t) in enumerate(q.arrows):
-            if s in images and p.dims[t] and t not in images:
-                if m.dims[t] and m.dims[s]:
-                    images[t] = linalg.mat_mul(m.mats[a], images[s])
-                else:
-                    images[t] = linalg.zeros(m.dims[t], 1)
-                changed = True
-    for v in order:
-        if p.dims[v] and m.dims[v]:
-            mats.append(images[v])
-        else:
-            mats.append(linalg.zeros(m.dims[v], p.dims[v]))
-    return p, RepMap(p, m, mats)
+def _generator_images(m, i, gen):
+    """Per vertex, the image in M of the generator of P_i sent to gen (a vector
+    in M_i), or None off the support of P_i.
+
+    The image at t is the arrow maps along the unique path from i applied to
+    gen; in reversed sink-first order each arrow's source comes first."""
+    q = m.quiver
+    images = [None] * q.n
+    images[i] = gen
+    for s in reversed(qv.sink_first_order(q)):
+        if images[s] is None:
+            continue
+        for a, (src, t) in enumerate(q.arrows):
+            if src == s and images[t] is None:
+                images[t] = ([sum(x * y for x, y in zip(row, images[s])) for row in m.mats[a]]
+                             if m.dims[s] else [linalg.ZERO] * m.dims[t])
+    return images
 
 
 def projective_cover(m):
     """(list of projective vertex indices, epimorphism from their sum onto M)."""
     q = m.quiver
     indices = []
-    maps = []
+    images = []
     for v in range(q.n):
         if m.dims[v] == 0:
             continue
-        span = Subspace(m.dims[v])
-        for a, (s, t) in enumerate(q.arrows):
-            if t != v or m.dims[s] == 0:
-                continue
-            mat = m.mats[a]
-            for c in range(m.dims[s]):
-                span.add([mat[r][c] for r in range(m.dims[v])])
+        # the generators of M's top at v: standard vectors outside the arrows' images
+        arrow_cols = [[mat[r][c] for r in range(m.dims[v])]
+                      for mat, (s, t) in zip(m.mats, q.arrows) if t == v
+                      for c in range(m.dims[s])]
         std = linalg.identity(m.dims[v])
-        for i in span.extend_basis(std):
+        for i in linalg.independent(std, arrow_cols):
             indices.append(v)
-            maps.append(_proj_generator_map(q, v, m, std[i])[1])
+            images.append(_generator_images(m, v, std[i]))
     if not indices:
         z = zero_rep(q)
         return [], zero_map(z, m)
     p0 = proj_sum_rep(q, indices)
     mats = []
     for v in range(q.n):
-        cols = []
-        for idx, f in zip(indices, maps):
-            pd = qv.proj_dims(q, idx)[v]
-            if pd:
-                cols.append([f._mat(v)[r][0] for r in range(m.dims[v])] if m.dims[v] else [])
+        cols = [im[v] for idx, im in zip(indices, images) if qv.proj_dims(q, idx)[v]]
         if m.dims[v] and cols:
             mats.append(linalg.transpose(cols))
         else:

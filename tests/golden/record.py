@@ -69,8 +69,9 @@ def _cases():
 
         case("quiver", "validate", *q)
         case("ind", "list", *q)
-        # the reflection functors over the rationals: seconds on E7 and E8
-        if not name.startswith(("E7", "E8")):
+        # the reflection functors over the rationals: about 3 s on E8, which
+        # CI checks against a recorded digest instead
+        if not name.startswith("E8"):
             case("ind", "list", "--reps", *q)
         case("random-tilting", *q, "--seed", "0", save=obj("P"))
         for seed, steps in ((1, 6), (5, 10)):

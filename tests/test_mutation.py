@@ -8,7 +8,6 @@ from conftest import INPUTS, ell_profile, homk_basis, pair_of, root_of
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
-from dercat.linalg import Subspace
 from dercat.quiver import InternalInconsistencyError
 
 
@@ -313,16 +312,17 @@ def approx_multiplicities(q, t1, x, left):
         sp = homk_space_cached(q, src, tgt)
         if sp.dim == 0:
             continue
-        span = Subspace(sp.dim)
+        through = []
         for mid in t1:
             if mid == s:
                 continue
             for f in homk_basis(homk_space_cached(q, src, mid)):
                 for g in homk_basis(homk_space_cached(q, mid, tgt)):
                     gf = {d: g[d].compose(f[d]) for d in g if d in f}
-                    span.add(list(homk_coords(sp, gf)))
-        if sp.dim > span.dim:
-            out[s] = sp.dim - span.dim
+                    through.append(homk_coords(sp, gf))
+        rank = len(linalg.independent(through))
+        if sp.dim > rank:
+            out[s] = sp.dim - rank
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import apply, coxeter_matrix, inj_dims, pair_of, root_of
 from dercat import complexes as cx, linalg, quiver as qv, reps, zq
@@ -165,3 +166,27 @@ def test_kernel_cokernel_induced_maps_commute(d4):
         # exact: eps has the image of d as its kernel, and d is injective
         assert reps.kernel(res.eps)[0].dims == res.p1.dims
         assert reps.kernel(res.d)[0].is_zero()
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    # a raise, not an assert, so the check holds under python -O
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
+        linalg.mat_mul(linalg.zeros(2, 3), linalg.zeros(2, 3))
+
+
+def _rank(vectors):
+    return len(linalg.rref(vectors)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=6)), st.integers(0, 6))
+def test_independent_picks_where_the_prefix_rank_grows(rows, k):
+    vecs = linalg.mat_from_rows(rows)
+    grows = [i for i in range(len(vecs)) if _rank(vecs[:i + 1]) > _rank(vecs[:i])]
+    chosen = linalg.independent(vecs)
+    assert chosen == grows
+    # independent, and spanning every vector of the list
+    assert _rank([vecs[i] for i in chosen] + vecs) == len(chosen)
+    # after a base: the same choice, counted from the end of the base
+    assert linalg.independent(vecs[k:], vecs[:k]) == [i - k for i in grows if i >= k]
