@@ -32,10 +32,11 @@ table|delta` run quiver, derived, sgd, mutation and verify, `slice` runs
 quiver, derived, zq and slices, and `theoremb` and `verify a|b` reach all
 seven.  `ind list` runs quiver and zq alone, `ind list --reps` adds reps
 and linalg, and `verify homagree` runs quiver, derived, verify, complexes,
-reps and linalg.  LazyLoader rather than imports inside
-each command, because a tool that wraps functions in place (the benchmark's
-tracer, bench/traced.py) looks every layer up in sys.modules right after
-importing this module: all ten are there, and each runs when it is read.
+reps and linalg; `verify ringel` adds sgd and mutation.  LazyLoader rather
+than imports inside each command, because a tool that wraps functions in
+place (the benchmark's tracer, bench/traced.py) looks every layer up in
+sys.modules right after importing this module: all ten are there, and each
+runs when it is read.
 """
 
 import importlib.util
@@ -262,7 +263,8 @@ VERBS = (
     _verb("random-tilting", cmd_random_tilting, QUIVER, ("--seed", {"type": int, "required": True}),
           ("--steps", {"type": non_negative_int, "default": 0})),
     _verb("verify", cmd_verify,
-          ("which", {"choices": ["a", "b", "table", "delta", "serre", "homagree"]}), QUIVER,
+          ("which", {"choices": ["a", "b", "table", "delta", "serre", "homagree", "ringel"]}),
+          QUIVER,
           ("--seed", {"type": int, "default": 0}),
           ("--samples", {"type": non_negative_int, "default": 20}),
           ("--window-pad", {"type": non_negative_int, "default": 2}),

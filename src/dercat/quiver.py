@@ -83,7 +83,11 @@ class Quiver:
                 raise QuiverError("loop at vertex %d" % (s + 1))
             adj.setdefault(s, set()).add(t)
             adj.setdefault(t, set()).add(s)
-        _sinks_first(n, arrows)  # the cycle check
+        try:
+            _sinks_first(n, arrows)  # the cycle check
+        except (MemoryError, OverflowError):
+            # [0] * n, refused at once: no memory holds this many vertices
+            raise QuiverError("too many vertices: %d" % n) from None
         object.__setattr__(self, "_hash", hash((n, arrows)))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(adj.get(v, ()))) for v in range(n)))
 
@@ -145,7 +149,7 @@ def parse_quiver(text):
             continue
         parts = line.split()
         if parts[0] == "vertices":
-            if n is not None or len(parts) != 2 or not parts[1].isdigit():
+            if n is not None or len(parts) != 2 or not parts[1].isdecimal():
                 raise QuiverFormatError("malformed line %d: %r" % (lineno, raw))
             n = int(parts[1])
         elif parts[0] == "arrow":

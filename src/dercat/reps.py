@@ -14,9 +14,13 @@ Beyond the chain oracle this module serves only `dercat ind list --reps`
 integer route (quiver, derived, zq, sgd, slices, mutation) imports reps,
 nor linalg, on which it runs.
 
-All functions are pure; the memoized tables (indecomposables) are
-functools.lru_cache entries keyed by (quiver, roots), so results are
-identical under any evaluation order.
+All functions are pure.  The memoized tables are functools.lru_cache
+entries keyed on the quiver: the indecomposable projectives (proj_rep, one
+per vertex) and the indecomposables (indec_of_root, one per root), so
+results are identical under any evaluation order.  Those tables hand every
+caller the same Representation, so no representation is written after
+construction: whatever is built from one (a direct sum, a RepMap, a kernel)
+copies its entries.
 """
 
 from collections import namedtuple
@@ -29,7 +33,8 @@ from . import linalg, quiver as qv
 class Representation:
     """Vertexwise vector spaces and one exact-rational matrix per arrow.
 
-    Matrix for an arrow i -> j has shape (dims[j], dims[i]).
+    Matrix for an arrow i -> j has shape (dims[j], dims[i]).  Never written
+    after construction: the memoized tables share one instance among callers.
     """
 
     def __init__(self, q, dims, mats=None):
@@ -63,8 +68,10 @@ def simple_rep(q, i):
     return Representation(q, qv.simple_root(q, i))
 
 
+@lru_cache(maxsize=None)
 def proj_rep(q, i):
-    """Indecomposable projective at i; valid when paths between vertices are unique."""
+    """Indecomposable projective at i (memoized); valid when paths between
+    vertices are unique."""
     dims = qv.proj_dims(q, i)
     mats = []
     for s, t in q.arrows:

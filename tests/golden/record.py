@@ -104,6 +104,9 @@ def _cases():
     case("theoremb", "--quiver", "{I}/D5-alt.q", "--object", "{I}/D5-alt-sgd3.obj")
     case("verify", "serre", "--quiver", "{I}/D4-alt.q")
     case("verify", "homagree", "--quiver", "{W}/a3.q")
+    # the chain-map s.gl.dim oracle on the corpus of verify a|b
+    case("verify", "ringel", "--quiver", "{W}/a3.q", "--jsonl")
+    case("verify", "ringel", "--quiver", "{I}/D4-alt.q", "--samples", "4", "--min-checked", "1")
     case("verify", "b", "--quiver", "{W}/a3.q", "--min-checked", "50")
     # far out in ZQ: the coordinates fold by the Coxeter number
     for tag in ("far", "near"):

@@ -10,7 +10,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dercat import cli, derived as dv, mutation as mu, quiver as qv, slices as sls, usage
+from dercat import (cli, complexes as cx, derived as dv, mutation as mu, quiver as qv,
+                    slices as sls, usage)
 
 
 @pytest.fixture
@@ -32,6 +33,42 @@ def test_verify_delta_gives_up_after_walk_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mu, "admissible_splits", lambda t: [])
     assert cli.main(["verify", "delta", "--quiver", str(path), "--samples", "2"]) == 1
     assert "only 0 of 2 instances" in capsys.readouterr().err
+
+
+def test_verify_ringel_fails_the_rows_where_the_oracles_disagree(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    argv = ["verify", "ringel", "--quiver", str(path), "--samples", "3", "--min-checked", "3"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    # hereditary instances too: the oracle checks the value, not a theorem on it
+    assert len(rows) == 3 and all(r.endswith("status=pass  detail=sgd=1") for r in rows)
+    assert err == "# checked=3 skipped=0 failed=0\n"
+
+    def disagree(t):
+        raise qv.InternalInconsistencyError("dual strong-global-dimension algorithms disagree")
+
+    monkeypatch.setattr(cx, "sgldim_ringel", disagree)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert all(r.endswith("status=FAIL  detail=dual strong-global-dimension algorithms "
+                          "disagree") for r in out.splitlines())
+    assert err.count("# replay object:") == 3 and "# checked=3 skipped=0 failed=3" in err
+    monkeypatch.undo()
+    assert cli.main(argv[:-1] + ["4"]) == 1
+    assert "fewer than --min-checked 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [10 ** 18, 10 ** 20], ids=["MemoryError", "OverflowError"])
+def test_a_vertex_count_past_the_address_space_is_one_error(tmp_path, capsys, count):
+    # only these two counts: [0] * count is refused at once, by the allocator
+    # at 10^18 and before it at 10^20; a count the OS might grant is never run
+    path = tmp_path / "huge.q"
+    path.write_text("vertices %d\n" % count)
+    assert cli.main(["quiver", "validate", "--quiver", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: too many vertices: %d\n" % count
 
 
 def test_comutate_inverts_mutate(tmp_path):
@@ -387,6 +424,8 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     oracle = sorted(base + ["complexes", "linalg", "reps", "verify"])
     ran = _run_fresh(LAYER_PROBE, "verify", "homagree", *q)
     assert ran == ["0"] + oracle + ["|", "fractions"], ran
+    ran = _run_fresh(LAYER_PROBE, "verify", "ringel", "--samples", "1", *q)
+    assert ran == ["0"] + sorted(oracle + ["mutation", "sgd"]) + ["|", "fractions"], ran
     # knitting order reads the ZQ coordinates off zq's table; with no
     # --object, derived never runs, and only --reps builds modules
     assert _run_fresh(LAYER_PROBE, "ind", "list", *q) == ["0", "cli", "quiver", "zq", "|"]

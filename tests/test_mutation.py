@@ -521,9 +521,9 @@ def test_root_vectors_become_indices_only_at_the_boundary():
     assert readers == INDEX_READERS
 
 
-# the s.gl.dim chain-map oracle that tests compare sgd.sgldim against; no verb
-# runs it yet
-UNREFERENCED_ALLOWED = {"sgldim_ringel"}
+# every definition is named in src: the chain-map oracle sgldim_ringel too,
+# which `verify ringel` runs
+UNREFERENCED_ALLOWED = set()
 
 
 def test_every_definition_is_referenced_in_src():

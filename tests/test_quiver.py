@@ -56,6 +56,12 @@ def test_parse_malformed_rejected():
         qv.parse_quiver("arrow 1 2\n")
 
 
+def test_parse_names_the_line_of_a_count_that_is_not_decimal():
+    # "²".isdigit() holds; int() then failed with no line number
+    with pytest.raises(qv.QuiverFormatError, match="malformed line 1: 'vertices ²'"):
+        qv.parse_quiver("vertices ²\n")
+
+
 def test_print_parse_round_trip(a3, d4):
     for q in (a3, d4):
         text = format_quiver(q)

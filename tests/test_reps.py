@@ -1,10 +1,13 @@
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import apply, coxeter_matrix, inj_dims, pair_of, root_of
-from dercat import complexes as cx, linalg, quiver as qv, reps, zq
+from dercat import cli, complexes as cx, linalg, quiver as qv, reps, zq
+
+D4_ALT = pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "D4-alt.q"
 
 
 def identity_map(m):
@@ -190,3 +193,21 @@ def test_independent_picks_where_the_prefix_rank_grows(rows, k):
     assert _rank([vecs[i] for i in chosen] + vecs) == len(chosen)
     # after a base: the same choice, counted from the end of the base
     assert linalg.independent(vecs[k:], vecs[:k]) == [i - k for i in grows if i >= k]
+
+
+def test_the_chain_oracle_builds_each_projective_once_and_never_writes_it(capsys):
+    # every complex shares the one proj_rep of each vertex, so a write into it
+    # would reach every Hom computed after; emptied first, so that the
+    # stalk complexes are built again, the table fills during the run
+    q = qv.parse_quiver(D4_ALT.read_text())
+    for memo in (reps.proj_rep, cx.stalk_complex_cached, cx.homk_pair_dim):
+        memo.cache_clear()
+    assert cli.main(["verify", "homagree", "--quiver", str(D4_ALT)]) == 0
+    capsys.readouterr()
+    misses = reps.proj_rep.cache_info().misses
+    assert misses <= q.n
+    for i in range(q.n):
+        shared, fresh = reps.proj_rep(q, i), reps.proj_rep.__wrapped__(q, i)
+        assert shared.dims == fresh.dims and shared.mats == fresh.mats, i
+    # each of those reads was a hit: every compared projective is the shared one
+    assert reps.proj_rep.cache_info().misses == misses
