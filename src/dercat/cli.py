@@ -10,12 +10,12 @@ input files and --seed.  Every `verify` mode ends by writing
 `# checked=N skipped=M failed=K` to stderr, so a run that checked nothing
 shows as such, and exits 1 below `--min-checked`.
 
-Every verb is declared once, in VERBS: its handler, its number of --object
-files and its options.  main parses a plain command line itself
-(parse_plain): the verb path, verify's `which`, then flags and `--name
-value` pairs with exact names.  Anything else, --help and usage errors among
-it, goes to argparse, whose parser dercat.usage builds from the same table;
-argparse, and with it gettext and locale, is imported only then.
+Every verb, and each `verify` mode, is declared once, in VERBS: its handler,
+its number of --object files and the options it reads, and no other.  main
+parses a plain command line itself (parse_plain): the verb path, then flags
+and `--name value` pairs with exact names.  Anything else, --help and usage
+errors among it, goes to argparse, whose parser dercat.usage builds from the
+same table; argparse, and with it gettext and locale, is imported only then.
 
 A process runs only the layers its verb uses, and imports argparse only
 off the plain path.  quiver is imported here and is all that `quiver
@@ -144,7 +144,7 @@ def _parse_t2(t, spec_str, dual):
     # tilting first: an object with no summands would otherwise read as a bad index
     pairs = mu.require_tilting(t).pairs
     try:
-        idx = [int(i) for i in spec_str.split(",")]
+        idx = [qv.integer(i) for i in spec_str.split(",")]
     except ValueError:
         idx = None
     # a negative index would silently pick from the end of the list, and a
@@ -177,9 +177,12 @@ def cmd_comutate(args, q, t):
 
 
 def cmd_slice(args, q, t):
+    if args.window_pad is not None and not args.all_slices:
+        raise ValueError("--window-pad applies only with --all-slices")
     dims = [",".join(map(str, r)) for r in qv.roots_of(q).roots]
     if args.all_slices:
-        found, truncated = sls.window_slices(t, args.window_pad)
+        pad = WINDOW_PAD if args.window_pad is None else args.window_pad
+        found, truncated = sls.window_slices(t, pad)
         for pos in found:
             print("slice: " + " ".join("[%s]@%d" % (dims[a], sh)
                                        for a, sh in sls.slice_from_positions(q, pos).pairs))
@@ -213,7 +216,7 @@ def cmd_verify(args, q):
 
 def non_negative_int(text):
     """Type of the count options: a negative count is a usage error (exit 2)."""
-    n = int(text)
+    n = qv.integer(text)
     if n < 0:
         import argparse   # here, not at the top: only a usage error needs it
         raise argparse.ArgumentTypeError("must be a non-negative integer, got %d" % n)
@@ -228,9 +231,9 @@ Verb = namedtuple("Verb", "path fn objects options exclusive help")
 
 
 def _verb(path, fn, *options, objects=0, exclusive=(), help=None):
-    """A row of VERBS.  The keywords of an option are type (int or
+    """A row of VERBS.  The keywords of an option are type (quiver.integer or
     non_negative_int; none for a string), required, default, action
-    ("append" or "store_true"), help and choices.  A verb with object files
+    ("append" or "store_true") and help.  A verb with object files
     takes --quiver and --object before its own options."""
     if objects:
         options = (("--quiver", {"required": True, "help": "quiver file"}),
@@ -240,10 +243,22 @@ def _verb(path, fn, *options, objects=0, exclusive=(), help=None):
     return Verb(tuple(path.split()), fn, objects, options, exclusive, help)
 
 
+WINDOW_PAD = 2   # the default --window-pad of `slice --all-slices` and `verify a`
 QUIVER = ("--quiver", {"required": True})
 CSV = ("--csv", {"action": "store_true"})
 T2 = ("--t2", {"required": True, "help": "comma-separated summand indices"})
 OUT = ("--out", {"help": "output object file"})
+SEED = ("--seed", {"type": qv.integer, "default": 0})
+SAMPLES = ("--samples", {"type": non_negative_int, "default": 20})
+MIN_CHECKED = ("--min-checked", {"type": non_negative_int, "default": 0,
+                                 "help": "exit 1 when fewer instances were checked"})
+
+
+def _verify(mode, *options):
+    """`verify <mode>`: --quiver, the options its rows read, --min-checked, --csv|--jsonl."""
+    return _verb("verify " + mode, cmd_verify, QUIVER, *options, MIN_CHECKED,
+                 exclusive=(CSV, ("--jsonl", {"action": "store_true"})))
+
 
 # every verb, in the order `dercat --help` lists them
 VERBS = (
@@ -256,40 +271,38 @@ VERBS = (
     _verb("mutate", cmd_mutate, T2, OUT, objects=1),
     _verb("comutate", cmd_comutate, T2, OUT, objects=1),
     _verb("slice", cmd_slice, ("--all-slices", {"action": "store_true"}),
-          ("--window-pad", {"type": non_negative_int, "default": 2}), objects=1),
+          ("--window-pad", {"type": non_negative_int}), objects=1),
     _verb("theoremb", cmd_theoremb,
           ("--out-prefix", {"help": "write numbered object files with this prefix"}), CSV,
           objects=1),
-    _verb("random-tilting", cmd_random_tilting, QUIVER, ("--seed", {"type": int, "required": True}),
+    _verb("random-tilting", cmd_random_tilting, QUIVER,
+          ("--seed", {"type": qv.integer, "required": True}),
           ("--steps", {"type": non_negative_int, "default": 0})),
-    _verb("verify", cmd_verify,
-          ("which", {"choices": ["a", "b", "table", "delta", "serre", "homagree", "ringel"]}),
-          QUIVER,
-          ("--seed", {"type": int, "default": 0}),
-          ("--samples", {"type": non_negative_int, "default": 20}),
-          ("--window-pad", {"type": non_negative_int, "default": 2}),
-          ("--min-checked", {"type": non_negative_int, "default": 0,
-                             "help": "exit 1 when fewer instances were checked"}),
-          exclusive=(CSV, ("--jsonl", {"action": "store_true"}))),
+    _verify("a", SEED, SAMPLES,
+            ("--window-pad", {"type": non_negative_int, "default": WINDOW_PAD})),
+    _verify("b", SEED, SAMPLES),
+    _verify("table", SEED, SAMPLES),
+    _verify("delta", SEED, SAMPLES),
+    _verify("serre"),
+    _verify("homagree"),
+    _verify("ringel", SEED, SAMPLES),
 )
 
 
 def _value(kw, argv, i):
-    """argv[i] as the option or positional takes it, or None where argparse
-    might read it otherwise or refuse it: no word, a word starting with "-",
-    a type or choices failure."""
+    """argv[i] as the option takes it, or None where argparse might read it
+    otherwise or refuse it: no word, a word starting with "-", a type failure."""
     if i >= len(argv) or argv[i].startswith("-"):
         return None
     try:
-        value = kw.get("type", str)(argv[i])
+        return kw.get("type", str)(argv[i])
     except Exception:   # ValueError or non_negative_int's: argparse repeats the call, reports it
         return None
-    return value if value in kw.get("choices", (value,)) else None
 
 
 def parse_plain(argv):
     """The namespace argparse gives a plain command line, or None.  Plain
-    means the verb's words, its positional, then `--name value` pairs and
+    means the verb's words, then `--name value` pairs and
     flags with exact names, every option it requires, and at most one of an
     exclusive pair.  None (abbreviated or unknown names, `--name=value`, -h,
     --, a value starting with "-" or failing its type) sends argv to argparse."""
@@ -305,15 +318,9 @@ def parse_plain(argv):
     i = len(verb.path)
     named = {}   # option name -> (dest, keywords)
     for name, kw in verb.options + verb.exclusive:
-        if name.startswith("-"):
-            dest = name.lstrip("-").replace("-", "_")
-            named[name] = dest, kw
-            ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
-        else:
-            ns[name] = _value(kw, argv, i)
-            if ns[name] is None:
-                return None
-            i += 1
+        dest = name.lstrip("-").replace("-", "_")
+        named[name] = dest, kw
+        ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
     seen = set()
     while i < len(argv):
         if argv[i] not in named:

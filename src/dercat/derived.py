@@ -303,9 +303,9 @@ def parse_object(q, text):
             # exactly one bracket pair: `1,1,1` and `[[1,1,1]]` are not vectors
             if not (dim.startswith("[") and dim.endswith("]")):
                 raise ValueError
-            root = tuple(int(x) for x in dim[1:-1].split(","))
-            shift = int(fields.get("shift", "0"))
-            mult = int(fields.get("mult", "1"))
+            root = tuple(qv.integer(x) for x in dim[1:-1].split(","))
+            shift = qv.integer(fields.get("shift", "0"))
+            mult = qv.integer(fields.get("mult", "1"))
         except (KeyError, ValueError):
             raise ValueError("malformed object line %d: %r" % (lineno, raw))
         # DerivedObject checks multiplicities only after equal summands merge,

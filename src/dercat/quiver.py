@@ -4,8 +4,9 @@ Vertices are 1-based in files and 0-based everywhere in code; the parser and
 printer do the translation.  All values are immutable after construction.
 
 This is the bottom layer every other module imports, so it also holds the
-package's error class InternalInconsistencyError.  All of it is integer
-arithmetic with no matrix inversion: the inverse of the Euler matrix is the
+package's error class InternalInconsistencyError, and integer, the one reader
+of the integers in files and options.  All of it is integer arithmetic with
+no matrix inversion: the inverse of the Euler matrix is the
 path-count matrix (path_counts), which gives the projective dimension
 vectors and the inverse Coxeter matrix.  The AR translate that it drives
 lives in zq, as one tau-orbit table per quiver.  One topological sort
@@ -139,6 +140,16 @@ class Quiver:
         return len(self.components()) == 1
 
 
+def integer(text):
+    """The integer that text spells in ASCII digits with an optional leading
+    "-": the one reader of every number from outside, in files and options.
+    int() alone also takes "+1", "1_0", " 5" and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def parse_quiver(text):
     """Parse the line-based quiver file format: `vertices <n>`, `arrow <i> <j>`."""
     n = None
@@ -148,19 +159,20 @@ def parse_quiver(text):
         if not line:
             continue
         parts = line.split()
+        try:
+            values = [integer(p) for p in parts[1:]]
+        except ValueError:
+            values = None
         if parts[0] == "vertices":
-            if n is not None or len(parts) != 2 or not parts[1].isdecimal():
+            if n is not None or values is None or len(values) != 1 or values[0] < 0:
                 raise QuiverFormatError("malformed line %d: %r" % (lineno, raw))
-            n = int(parts[1])
+            n = values[0]
         elif parts[0] == "arrow":
             if n is None:
                 raise QuiverFormatError("malformed line %d: arrow before vertices" % lineno)
-            if len(parts) != 3:
+            if values is None or len(values) != 2:
                 raise QuiverFormatError("malformed line %d: %r" % (lineno, raw))
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise QuiverFormatError("malformed line %d: %r" % (lineno, raw))
+            i, j = values
             if not (1 <= i <= n and 1 <= j <= n):
                 raise QuiverFormatError("vertex out of range on line %d: %r" % (lineno, raw))
             arrows.append((i - 1, j - 1))

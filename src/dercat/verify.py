@@ -9,6 +9,9 @@ checks each root once (mutation.verify_length_table), and its cells= counts
 each root at every shift of the window min_shift - 1 .. max_shift + 1 of T'.
 `verify ringel` runs the chain-map oracle complexes.sgldim_ringel on the
 corpus of `verify a|b`, and a row fails where it disagrees with sgd.sgldim.
+Each mode is one of three row generators, _pair_rows (serre, homagree),
+_mutation_rows (delta, table) and _walk_rows (a, b, ringel), whose rows
+cmd_verify counts, prints and judges.
 """
 
 import sys
@@ -54,110 +57,103 @@ def cmd_theoremb(args, q, t):
 MAX_WALKS_PER_SAMPLE = 10
 
 
-def _corpus(q, seed, samples):
-    return [mu.random_tilting_walk(q, seed + k, 4 + (seed + k) % 7)[0] for k in range(samples)]
+def _pair_rows(args, q):
+    """`serre` and `homagree`: a row for each pair of indecomposables at shifts 0..3."""
+    pairs = [(r, s, "%s@%d" % (".".join(str(d) for d in r), s))
+             for r in qv.positive_roots(q) for s in range(4)]
+    for r1, s1, x in pairs:
+        for r2, s2, y in pairs:
+            if args.sub == "homagree":
+                a = dv.pair_hom_dim(q, r1, s1, r2, s2)
+                b = cx.homk_pair_dim(q, r1, r2, s2 - s1)
+                ok, detail = a == b, "%d/%d" % (a, b)
+            else:
+                ok = zq.serre_dual_check(dv.stalk(q, r1, s1), dv.stalk(q, r2, s2))
+                detail = ""
+            yield {"check": args.sub, "x": x, "y": y,
+                   "status": "pass" if ok else "FAIL", "detail": detail}, None
+
+
+def _mutation_rows(args, q):
+    """`delta` and `table`: a row for each of --samples mutations T -> T' at
+    an admissible split, T drawn by seeded walks."""
+    if q.n < 2:
+        raise ValueError("verify %s needs at least two vertices: a tilting object with one "
+                         "summand has no admissible split to mutate at" % args.sub)
+    done = k = 0
+    while done < args.samples:
+        if k >= MAX_WALKS_PER_SAMPLE * args.samples:
+            print("error: only %d of %d instances had an admissible split after %d walks"
+                  % (done, args.samples, k), file=sys.stderr)
+            yield None, None
+            return
+        t, _ = mu.random_tilting_walk(q, args.seed + k, 3 + k % 6)
+        k += 1
+        splits = mu.admissible_splits(t)
+        if not splits:
+            continue
+        split = splits[(args.seed + k) % len(splits)]
+        tp = mu.mutate(t, split)
+        row = {"check": args.sub, "instance": object_hash(t), "status": "pass"}
+        try:
+            if args.sub == "delta":
+                row["detail"] = "delta=%d" % mu.sgd_delta(t, tp)
+            else:
+                checks = mu.verify_length_table(t, tp, split)
+                row["detail"] = "cells=%d" % (len(checks) * (tp.spread + 3))
+        except qv.InternalInconsistencyError as e:
+            row.update(status="FAIL", detail=str(e))
+        yield row, t
+        done += 1
+
+
+def _walk_rows(args, q):
+    """`a`, `b` and `ringel`: a row for each of --samples seeded walks."""
+    for seed in range(args.seed, args.seed + args.samples):
+        t = mu.random_tilting_walk(q, seed, 4 + seed % 7)[0]
+        value = sgd.sgldim(t).value
+        row = {"check": args.sub, "instance": object_hash(t), "status": "pass"}
+        # Theorems A and B are about s.gl.dim >= 2; the chain-map oracle
+        # checks the value itself, so it runs on every instance
+        if value < 2 and args.sub != "ringel":
+            yield dict(row, status="skip", detail="hereditary"), t
+            continue
+        try:
+            if args.sub == "ringel":
+                row["detail"] = "sgd=%d" % cx.sgldim_ringel(t).value
+            elif args.sub == "a":
+                rep = sls.theoremA_verify(t, window_pad=args.window_pad)
+                row["detail"] = "ell=%d sgd=%d slices=%d%s" % (
+                    rep.ell, rep.sgd, rep.slices_checked, " truncated" if rep.truncated else "")
+            else:
+                seq = mu.theoremB_sequence(t)
+                row["detail"] = "length=%d" % (len(seq) - 1)
+                if len(seq) - 1 != value - 2 or any(
+                        sgd.sgldim(obj).value != 2 + i for i, (obj, _) in enumerate(seq)):
+                    row["status"] = "FAIL"
+        except qv.InternalInconsistencyError as e:
+            row.update(status="FAIL", detail=str(e))
+        yield row, t
 
 
 def cmd_verify(args, q):
-    fmt = "csv" if args.csv else ("jsonl" if args.jsonl else "text")
-    rows = []
-    failures = 0
-    which = args.which
-
-    def fail_row(row, obj=None):
-        nonlocal failures
-        failures += 1
-        rows.append(row)
-        if obj is not None:
-            print("# replay object:", file=sys.stderr)
-            sys.stderr.write(dv.format_object(obj))
-
-    if which in ("homagree", "serre"):
-        pairs = [(r, s) for r in qv.positive_roots(q) for s in range(4)]
-
-        def tag(r, s):
-            return "%s@%d" % (".".join(str(d) for d in r), s)
-
-        for r1, s1 in pairs:
-            for r2, s2 in pairs:
-                if which == "homagree":
-                    a = dv.pair_hom_dim(q, r1, s1, r2, s2)
-                    b = cx.homk_pair_dim(q, r1, r2, s2 - s1)
-                    ok = a == b
-                    detail = "%d/%d" % (a, b)
-                else:
-                    ok = zq.serre_dual_check(dv.stalk(q, r1, s1), dv.stalk(q, r2, s2))
-                    detail = ""
-                row = {"check": which, "x": tag(r1, s1), "y": tag(r2, s2),
-                       "status": "pass" if ok else "FAIL", "detail": detail}
-                if ok:
-                    rows.append(row)
-                else:
-                    fail_row(row)
-        emit_rows(rows, ["check", "x", "y", "status", "detail"], fmt)
-    elif which in ("delta", "table"):
-        if q.n < 2:
-            print("error: verify %s needs at least two vertices: a tilting object with one "
-                  "summand has no admissible split to mutate at" % which, file=sys.stderr)
-            return 2
-        count = args.samples
-        done = 0
-        k = 0
-        while done < count:
-            if k >= MAX_WALKS_PER_SAMPLE * count:
-                print("error: only %d of %d instances had an admissible split after %d walks"
-                      % (done, count, k), file=sys.stderr)
-                failures += 1
-                break
-            t, _ = mu.random_tilting_walk(q, args.seed + k, 3 + k % 6)
-            k += 1
-            splits = mu.admissible_splits(t)
-            if not splits:
-                continue
-            split = splits[(args.seed + k) % len(splits)]
-            tp = mu.mutate(t, split)
-            try:
-                if which == "delta":
-                    detail = "delta=%d" % mu.sgd_delta(t, tp)
-                else:
-                    checks = mu.verify_length_table(t, tp, split)
-                    detail = "cells=%d" % (len(checks) * (tp.spread + 3))
-                rows.append({"check": which, "instance": object_hash(t),
-                             "status": "pass", "detail": detail})
-            except qv.InternalInconsistencyError as e:
-                fail_row({"check": which, "instance": object_hash(t),
-                          "status": "FAIL", "detail": str(e)}, t)
-            done += 1
-        emit_rows(rows, ["check", "instance", "status", "detail"], fmt)
-    elif which in ("a", "b", "ringel"):
-        for t in _corpus(q, args.seed, args.samples):
-            value = sgd.sgldim(t).value
-            row = {"check": which, "instance": object_hash(t), "status": "pass"}
-            # Theorems A and B are about s.gl.dim >= 2; the chain-map oracle
-            # checks the value itself, so it runs on every instance
-            if value < 2 and which != "ringel":
-                rows.append(dict(row, status="skip", detail="hereditary"))
-                continue
-            try:
-                if which == "ringel":
-                    row["detail"] = "sgd=%d" % cx.sgldim_ringel(t).value
-                elif which == "a":
-                    rep = sls.theoremA_verify(t, window_pad=args.window_pad)
-                    row["detail"] = "ell=%d sgd=%d slices=%d%s" % (
-                        rep.ell, rep.sgd, rep.slices_checked, " truncated" if rep.truncated else "")
-                else:
-                    seq = mu.theoremB_sequence(t)
-                    row["detail"] = "length=%d" % (len(seq) - 1)
-                    if len(seq) - 1 != value - 2 or any(
-                            sgd.sgldim(obj).value != 2 + i for i, (obj, _) in enumerate(seq)):
-                        row["status"] = "FAIL"
-            except qv.InternalInconsistencyError as e:
-                row.update(status="FAIL", detail=str(e))
-            if row["status"] == "pass":
-                rows.append(row)
-            else:
-                fail_row(row, t)
-        emit_rows(rows, ["check", "instance", "status", "detail"], fmt)
+    """The mode's rows, each with the object it checked or None, then the counts
+    and the verdict.  A FAIL row's object is printed for replay; a None row is a
+    failure that the generator reported itself (the walk cap of delta and table)."""
+    if args.sub in ("serre", "homagree"):
+        rows_of, header = _pair_rows, ["check", "x", "y", "status", "detail"]
+    else:
+        rows_of = _mutation_rows if args.sub in ("delta", "table") else _walk_rows
+        header = ["check", "instance", "status", "detail"]
+    rows, failures = [], 0
+    for row, t in rows_of(args, q):
+        if row is None or row["status"] == "FAIL":
+            failures += 1
+            if t is not None:
+                sys.stderr.write("# replay object:\n" + dv.format_object(t))
+        if row is not None:
+            rows.append(row)
+    emit_rows(rows, header, "csv" if args.csv else ("jsonl" if args.jsonl else "text"))
     # pass and FAIL rows were checked; stdout stays the rows alone
     checked = sum(1 for r in rows if r["status"] != "skip")
     print("# checked=%d skipped=%d failed=%d" % (checked, len(rows) - checked, failures),

@@ -40,6 +40,8 @@ FILES = {
     "a3.q": "vertices 3\narrow 1 2\narrow 2 3\n",
     "a1a2.q": "vertices 3\narrow 1 2\n",
     "cycle.q": "vertices 2\narrow 1 2\narrow 2 1\n",
+    # int() would read 1_0 as 10: the arrow 10 -> 2
+    "underscore.q": "vertices 12\narrow 1_0 2\n",
     "zero.obj": "",
     "bad.obj": "summand dim=[1,0,0,0,0,0]\n",
 }
@@ -127,6 +129,8 @@ def _cases():
     case("quiver", "validate", "--quiver", "{W}/cycle.q")
     case("sgd", "--quiver", "{W}/cycle.q", "--object", "{W}/zero.obj")
     case("quiver", "validate", "--quiver", "{W}/missing.q")
+    case("quiver", "validate", "--quiver", "{W}/underscore.q")
+    case("slice", *e6, "--object", "{W}/E6-alt.P.obj", "--window-pad", "3")
     case("verify", "a", *a5, "--samples", "1", "--min-checked", "5")
     # usage errors, which argparse reports
     case("sgd", *e6)
@@ -135,6 +139,10 @@ def _cases():
     case("slice", *e6, "--object", "{W}/E6-alt.P.obj", "--window-pad", "-1")
     case("verify", "a", *a5, "--csv", "--jsonl")
     case("random-tilting", *e6, "--seed", "x")
+    # an option that another verify mode reads and this one does not
+    case("verify", "homagree", "--quiver", "{I}/D4-alt.q", "--samples", "3")
+    case("verify", "serre", "--quiver", "{W}/a3.q", "--seed", "1")
+    case("verify", "delta", *a5, "--window-pad", "1")
     # argparse's spellings of a plain command line
     case("sgd", "--quiv", "{I}/E6-alt.q", "--obj={W}/E6-alt.w1.obj")
     return out

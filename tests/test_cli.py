@@ -359,6 +359,99 @@ def test_verify_csv_and_jsonl_are_exclusive(tmp_path, capsys):
     assert out == "" and "not allowed with argument" in err
 
 
+VERIFY_ROWS = [v for v in cli.VERBS if v.path[0] == "verify"]
+
+
+def _names(verb):
+    return {name for name, _ in verb.options + verb.exclusive}
+
+
+# (mode, option): an option of some verify mode that this mode's rows do not read
+FOREIGN_OPTIONS = [(v.path[1], name) for v in VERIFY_ROWS
+                   for name in sorted(set().union(*map(_names, VERIFY_ROWS)) - _names(v))]
+
+
+def test_a_verify_mode_refuses_the_options_it_does_not_read(tmp_path, capsys):
+    # --window-pad on the six modes other than `a`, --seed and --samples on
+    # serre and homagree: each was accepted and ignored
+    assert len(FOREIGN_OPTIONS) == 10
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    for mode, name in FOREIGN_OPTIONS:
+        argv = ["verify", mode, "--quiver", str(path), name, "1"]
+        assert cli.parse_plain(argv) is None, argv
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: %s 1" % name in err
+
+
+def test_slice_refuses_a_window_pad_without_all_slices(tmp_path, capsys):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text(dv.format_object(dv.projective_generator(q)))
+    argv = ["slice", "--quiver", str(quiver), "--object", str(obj), "--window-pad", "3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --window-pad applies only with --all-slices\n")
+    assert cli.main(argv + ["--all-slices"]) == 0
+
+
+# int() alone reads each of these: "1_0" as 10, "+1" as 1, " 5" as 5, and the
+# Arabic-Indic digits U+0661 and U+0663 as 1 and 3
+@pytest.mark.parametrize("text, line", [
+    ("vertices \u0663\n", 1),
+    ("vertices 12\narrow 1_0 2\n", 2),
+    ("vertices 3\narrow +2 3\n", 2),
+])
+def test_a_quiver_file_spells_its_integers_in_ascii_digits(tmp_path, capsys, text, line):
+    path = tmp_path / "x.q"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["quiver", "validate", "--quiver", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed line %d:" % line in err
+
+
+@pytest.mark.parametrize("line", [
+    "summand dim=[1,1] shift=1_0 mult=+1",
+    "summand dim=[1,1] mult=+1",
+    "summand dim=[\u0661,0]",
+])
+def test_an_object_file_spells_its_integers_in_ascii_digits(tmp_path, capsys, line):
+    quiver, obj = tmp_path / "a2.q", tmp_path / "t.obj"
+    quiver.write_text("vertices 2\narrow 1 2\n")
+    obj.write_text("summand dim=[0,1]\n" + line + "\n", encoding="utf-8")
+    assert cli.main(["sgd", "--quiver", str(quiver), "--object", str(obj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed object line 2:" in err
+
+
+@pytest.mark.parametrize("t2", ["+1", " 1", "\u0661"])
+def test_t2_spells_its_indices_in_ascii_digits(tmp_path, capsys, t2):
+    q = qv.Quiver(3, ((0, 1), (1, 2)))
+    quiver, obj = tmp_path / "a3.q", tmp_path / "p.obj"
+    quiver.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    obj.write_text(dv.format_object(dv.projective_generator(q)))
+    assert cli.main(["mutate", "--quiver", str(quiver), "--object", str(obj), "--t2", t2]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad --t2" in err
+
+
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys):
+    types = {kw["type"] for v in cli.VERBS for _, kw in v.options if "type" in kw}
+    assert types == {qv.integer, cli.non_negative_int}
+    for value in ("1_0", "+1", " 5", "5 ", "\u0663", "", "-", "--1"):
+        for read in types:
+            with pytest.raises(ValueError):
+                read(value)
+    assert qv.integer("-12") == -12 and cli.non_negative_int("012") == 12
+    path = tmp_path / "a3.q"
+    path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    argv = ["random-tilting", "--quiver", str(path), "--seed", "1_0", "--steps", "+2"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid integer value: '1_0'" in err
+
+
 # Run in a fresh interpreter: its last stdout line is the exit code, then the
 # dercat modules whose code has run, then "|" and which of dataclasses, inspect
 # and fractions (with the modules they pull in, the costliest standard imports a
@@ -602,9 +695,9 @@ def _argparse_vars(argv):
     (["sgd", "--quiver", "x.q", "--object", "a.obj", "--csv", "--csv"], True),
     (["mutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "0,2", "--out", "m.obj"], True),
     (["comutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "1"], True),
-    (["slice", "--all-slices", "--window-pad", " 5", "--quiver", "x.q", "--object", "a.obj"], True),
+    (["slice", "--all-slices", "--window-pad", "5", "--quiver", "x.q", "--object", "a.obj"], True),
     (["theoremb", "--quiver", "x.q", "--object", "a.obj", "--out-prefix", "p", "--csv"], True),
-    (["random-tilting", "--quiver", "x.q", "--seed", "5_0", "--steps", "8"], True),
+    (["random-tilting", "--quiver", "x.q", "--seed", "50", "--steps", "8"], True),
     (["verify", "a", "--quiver", "x.q", "--seed", "0", "--samples", "4", "--jsonl"], True),
     # an abbreviated name, an unknown one, --name=value, -h and --
     (["sgd", "--quiv", "x.q", "--object", "a.obj"], False),
@@ -612,13 +705,17 @@ def _argparse_vars(argv):
     (["sgd", "--quiver=x.q", "--object", "a.obj"], False),
     (["sgd", "-h"], False),
     (["sgd", "--quiver", "x.q", "--", "--object", "a.obj"], False),
-    # a value starting with "-", a type and a choices failure
+    # a value starting with "-", type failures (int() alone reads " 5" and
+    # "5_0"), an unknown verify mode
     (["random-tilting", "--quiver", "x.q", "--seed", "-1"], False),
     (["slice", "--quiver", "x.q", "--object", "a.obj", "--window-pad", "x"], False),
     (["random-tilting", "--quiver", "x.q", "--seed", "0", "--steps", " -1"], False),
+    (["slice", "--all-slices", "--window-pad", " 5", "--quiver", "x.q", "--object", "a.obj"],
+     False),
+    (["random-tilting", "--quiver", "x.q", "--seed", "5_0", "--steps", "8"], False),
     (["verify", "c", "--quiver", "x.q"], False),
-    # a missing required option, both of the exclusive pair, `which` after the
-    # options, a verb path cut short, no verb
+    # a missing required option, both of the exclusive pair, the verify mode
+    # after the options, a verb path cut short, no verb
     (["sgd", "--quiver", "x.q"], False),
     (["verify", "a", "--quiver", "x.q", "--csv", "--jsonl"], False),
     (["verify", "--quiver", "x.q", "a"], False),
@@ -633,24 +730,20 @@ def test_the_fast_parse_takes_plain_command_lines_only(argv, plain):
         assert fast is None
 
 
-OPTION_NAMES = sorted({name for v in cli.VERBS for name, _ in v.options + v.exclusive
-                       if name.startswith("-")})
+OPTION_NAMES = sorted({name for v in cli.VERBS for name, _ in v.options + v.exclusive})
 STRAY = ["-h", "--help", "--", "--nosuch", "extra"] + OPTION_NAMES
-ODD_VALUES = ["-1", "", " 5", "5_0", "a,b", "x.q", " -1", "-"]
+ODD_VALUES = ["-1", "", " 5", "5_0", "+1", "\u0663", "a,b", "x.q", " -1", "-"]
 
 
 @st.composite
 def _command_lines(draw):
     """A plain command line of a verb, its options in any order, some
     repeated, then up to three edits that may or may not leave it plain: an
-    abbreviated name, --name=value, an odd value, a stray word, `which`
-    after the options, a verb path cut short, a dropped option."""
+    abbreviated name, --name=value, an odd value, a stray word, a verb path
+    cut short, a dropped option."""
     verb = draw(st.sampled_from(cli.VERBS))
-    path, which, pieces = list(verb.path), [], []
+    path, pieces = list(verb.path), []
     for name, kw in verb.options + verb.exclusive:
-        if not name.startswith("-"):
-            which = [draw(st.sampled_from(kw["choices"]))]
-            continue
         if not (kw.get("required") or draw(st.booleans())):
             continue
         for _ in range(draw(st.integers(1, 2))):
@@ -658,12 +751,10 @@ def _command_lines(draw):
                 pieces.append([name])
             else:
                 pieces.append([name, draw(st.sampled_from(["x.q", "a,b"] if "type" not in kw
-                                                          else ["0", "3", "5_0", " 5"]))])
+                                                          else ["0", "3"]))])
     pieces = draw(st.permutations(pieces))
-    which_last = False
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["abbreviate", "equals", "value", "stray", "which", "cut",
-                                     "drop"]))
+        edit = draw(st.sampled_from(["abbreviate", "equals", "value", "stray", "cut", "drop"]))
         i = draw(st.integers(0, len(pieces) - 1)) if pieces else None
         if edit == "abbreviate" and i is not None and len(pieces[i][0]) > 3:
             name = pieces[i][0]
@@ -674,14 +765,11 @@ def _command_lines(draw):
             pieces[i] = [pieces[i][0], draw(st.sampled_from(ODD_VALUES))]
         elif edit == "stray":
             pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(STRAY))])
-        elif edit == "which":
-            which_last = True
         elif edit == "cut":
             path = path[:1]
         elif edit == "drop" and i is not None:
             del pieces[i]
-    argv = [w for piece in pieces for w in piece]
-    return path + (argv + which if which_last else which + argv)
+    return path + [w for piece in pieces for w in piece]
 
 
 def test_whatever_the_fast_parse_takes_argparse_takes_alike():
