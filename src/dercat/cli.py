@@ -11,26 +11,23 @@ input files and --seed.  Every `verify` mode ends by writing
 shows as such, and exits 1 below `--min-checked`.
 
 Every verb, and each `verify` mode, is declared once, in VERBS: its handler,
-its number of --object files and the options it reads, and no other.  main
-parses a plain command line itself (parse_plain): the verb path, then flags
-and `--name value` pairs with exact names.  Anything else, --help and usage
-errors among it, goes to argparse, whose parser dercat.usage builds from the
-same table; argparse, and with it gettext and locale, is imported only then.
+its help line, its number of --object files and the options it reads, and no
+other.  parse reads every command line from that table alone, and writes the
+help text and the usage errors from it too: it imports nothing.
 
-A process runs only the layers its verb uses, and imports argparse only
-off the plain path.  quiver is imported here and is all that `quiver
-validate` runs; the other modules are bound through _lazy, in sys.modules
-from start-up but run on first attribute access.  main reads --quiver, and
-each --object through derived, before it hands them to the verb.  `tilting
-check` and `hom` run quiver and derived, and `sgd` adds sgd: integer
-arithmetic, with neither linalg nor fractions.  `mutate`, `comutate` and
-`random-tilting` run quiver, derived and mutation.  The `verify` and
-`theoremb` verbs live in verify, which `sgd --csv` reads for its row
-output; zq (tau, the ZQ coordinates and the knitting order) runs under
-`slice`, `verify serre` and `ind list` and wherever slices runs.  `verify
-table|delta` run quiver, derived, sgd, mutation and verify, `slice` runs
-quiver, derived, zq and slices, and `theoremb` and `verify a|b` reach all
-seven.  `ind list` runs quiver and zq alone, `ind list --reps` adds reps
+A process runs only the layers its verb uses.  quiver is imported here and
+is all that `quiver validate` runs; the other modules are bound through
+_lazy, in sys.modules from start-up but run on first attribute access.  main
+reads --quiver, and each --object through derived, before it hands them to
+the verb.  `tilting check` and `hom` run quiver and derived, and `sgd` adds
+sgd: integer arithmetic, with neither linalg nor fractions.  `mutate`,
+`comutate` and `random-tilting` run quiver, derived and mutation.  The
+`verify` and `theoremb` verbs live in verify, which `sgd --csv` reads for
+its row output; zq (tau, the ZQ coordinates and the knitting order) runs
+under `slice`, `verify serre` and `ind list` and wherever slices runs.
+`verify table|delta` run quiver, derived, sgd, mutation and verify, `slice`
+runs quiver, derived, zq and slices, and `theoremb` and `verify a|b` reach
+all seven.  `ind list` runs quiver and zq alone, `ind list --reps` adds reps
 and linalg, and `verify homagree` runs quiver, derived, verify, complexes,
 reps and linalg; `verify ringel` adds sgd and mutation.  LazyLoader rather
 than imports inside each command, because a tool that wraps functions in
@@ -215,131 +212,197 @@ def cmd_verify(args, q):
 
 
 def non_negative_int(text):
-    """Type of the count options: a negative count is a usage error (exit 2)."""
+    """Type of the count options: quiver.integer, and not negative.  Either
+    failure is a ValueError, which parse reports as a usage error (exit 2)."""
     n = qv.integer(text)
     if n < 0:
-        import argparse   # here, not at the top: only a usage error needs it
-        raise argparse.ArgumentTypeError("must be a non-negative integer, got %d" % n)
+        raise ValueError("must be a non-negative integer, got %d" % n)
     return n
 
 
-# path: the verb's words; objects: how many --object files it takes (main
-# checks the count: `append` alone would take extra files and ignore them);
-# options and exclusive: (name, add_argument keywords) pairs, exclusive being
-# one mutually exclusive group; help: the first word's line in `dercat --help`
-Verb = namedtuple("Verb", "path fn objects options exclusive help")
+Verb = namedtuple("Verb", "path fn help objects options exclusive")
 
 
-def _verb(path, fn, *options, objects=0, exclusive=(), help=None):
-    """A row of VERBS.  The keywords of an option are type (quiver.integer or
-    non_negative_int; none for a string), required, default, action
-    ("append" or "store_true") and help.  A verb with object files
-    takes --quiver and --object before its own options."""
+def _verb(path, fn, help, *options, objects=0, exclusive=()):
+    """A row of VERBS: its words, handler and help line, how many --object
+    files it takes (parse checks the count: `append` alone would take extra
+    files), and its options as (name, keywords) pairs, exclusive being a group
+    of which a line gives at most one.  The keywords are type (quiver.integer
+    or non_negative_int; none for a string), required, default, action
+    ("append" or "store_true") and help.  A verb with object files takes
+    --quiver and --object before its own options."""
     if objects:
-        options = (("--quiver", {"required": True, "help": "quiver file"}),
-                   ("--object", {"action": "append", "required": True,
-                                 "help": "object file" if objects == 1
-                                 else "object file, twice: X then Y"})) + options
-    return Verb(tuple(path.split()), fn, objects, options, exclusive, help)
+        options = (QUIVER, ("--object", {"action": "append", "required": True,
+                                         "help": "object file" if objects == 1
+                                         else "object file, twice: X then Y"})) + options
+    return Verb(tuple(path.split()), fn, help, objects, options, exclusive)
 
 
 WINDOW_PAD = 2   # the default --window-pad of `slice --all-slices` and `verify a`
-QUIVER = ("--quiver", {"required": True})
-CSV = ("--csv", {"action": "store_true"})
+QUIVER = ("--quiver", {"required": True, "help": "quiver file"})
+CSV = ("--csv", {"action": "store_true", "help": "print rows as CSV"})
 T2 = ("--t2", {"required": True, "help": "comma-separated summand indices"})
 OUT = ("--out", {"help": "output object file"})
-SEED = ("--seed", {"type": qv.integer, "default": 0})
-SAMPLES = ("--samples", {"type": non_negative_int, "default": 20})
+SEED = ("--seed", {"type": qv.integer, "default": 0, "help": "seed of the first walk"})
+SAMPLES = ("--samples", {"type": non_negative_int, "default": 20, "help": "instances to check"})
 MIN_CHECKED = ("--min-checked", {"type": non_negative_int, "default": 0,
                                  "help": "exit 1 when fewer instances were checked"})
 
 
-def _verify(mode, *options):
+def _verify(mode, help, *options):
     """`verify <mode>`: --quiver, the options its rows read, --min-checked, --csv|--jsonl."""
-    return _verb("verify " + mode, cmd_verify, QUIVER, *options, MIN_CHECKED,
-                 exclusive=(CSV, ("--jsonl", {"action": "store_true"})))
+    return _verb("verify " + mode, cmd_verify, help, QUIVER, *options, MIN_CHECKED, exclusive=(
+        CSV, ("--jsonl", {"action": "store_true", "help": "print rows as JSON lines"})))
 
 
 # every verb, in the order `dercat --help` lists them
 VERBS = (
-    _verb("quiver validate", cmd_quiver_validate, QUIVER, help="quiver utilities"),
-    _verb("ind list", cmd_ind_list, QUIVER, ("--reps", {"action": "store_true"}),
-          help="indecomposables"),
-    _verb("hom", cmd_hom, objects=2),
-    _verb("tilting check", cmd_tilting_check, objects=1, help="tilting checks"),
-    _verb("sgd", cmd_sgd, CSV, objects=1),
-    _verb("mutate", cmd_mutate, T2, OUT, objects=1),
-    _verb("comutate", cmd_comutate, T2, OUT, objects=1),
-    _verb("slice", cmd_slice, ("--all-slices", {"action": "store_true"}),
+    _verb("quiver validate", cmd_quiver_validate, "check a quiver file and name its components",
+          QUIVER),
+    _verb("ind list", cmd_ind_list, "list the indecomposables in knitting order", QUIVER,
+          ("--reps", {"action": "store_true", "help": "print each as a representation"})),
+    _verb("hom", cmd_hom, "dim Hom(X, Y) in the derived category", objects=2),
+    _verb("tilting check", cmd_tilting_check, "check that T is tilting", objects=1),
+    _verb("sgd", cmd_sgd, "strong global dimension of End(T), with a witness", CSV, objects=1),
+    _verb("mutate", cmd_mutate, "mutate T at the summands --t2", T2, OUT, objects=1),
+    _verb("comutate", cmd_comutate, "co-mutate T at the summands --t2", T2, OUT, objects=1),
+    _verb("slice", cmd_slice, "the slice of T, or with --all-slices every slice near it",
+          ("--all-slices", {"action": "store_true"}),
           ("--window-pad", {"type": non_negative_int}), objects=1),
-    _verb("theoremb", cmd_theoremb,
+    _verb("theoremb", cmd_theoremb, "the Theorem B mutation chain from T",
           ("--out-prefix", {"help": "write numbered object files with this prefix"}), CSV,
           objects=1),
-    _verb("random-tilting", cmd_random_tilting, QUIVER,
-          ("--seed", {"type": qv.integer, "required": True}),
+    _verb("random-tilting", cmd_random_tilting, "a tilting object from a seeded mutation walk",
+          QUIVER, ("--seed", {"type": qv.integer, "required": True}),
           ("--steps", {"type": non_negative_int, "default": 0})),
-    _verify("a", SEED, SAMPLES,
+    _verify("a", "Theorem A, s.gl.dim = ell + 2, on seeded walks", SEED, SAMPLES,
             ("--window-pad", {"type": non_negative_int, "default": WINDOW_PAD})),
-    _verify("b", SEED, SAMPLES),
-    _verify("table", SEED, SAMPLES),
-    _verify("delta", SEED, SAMPLES),
-    _verify("serre"),
-    _verify("homagree"),
-    _verify("ringel", SEED, SAMPLES),
+    _verify("b", "the Theorem B chain on seeded walks", SEED, SAMPLES),
+    _verify("table", "the length table of seeded mutations", SEED, SAMPLES),
+    _verify("delta", "s.gl.dim moves by at most 1 under seeded mutations", SEED, SAMPLES),
+    _verify("serre", "Serre duality on indecomposables at shifts 0 to 3"),
+    _verify("homagree", "Hom by Happel's rule against the chain-map oracle"),
+    _verify("ringel", "s.gl.dim against the chain-map oracle on seeded walks", SEED, SAMPLES),
 )
 
 
-def _value(kw, argv, i):
-    """argv[i] as the option takes it, or None where argparse might read it
-    otherwise or refuse it: no word, a word starting with "-", a type failure."""
-    if i >= len(argv) or argv[i].startswith("-"):
-        return None
-    try:
-        return kw.get("type", str)(argv[i])
-    except Exception:   # ValueError or non_negative_int's: argparse repeats the call, reports it
-        return None
+class UsageError(ValueError):
+    """A command line that no row of VERBS takes: the usage line of the verb or
+    command group that it names, then the error.  main prints it and exits 2."""
+
+    def __init__(self, path, message):
+        super().__init__("%s\n%s: error: %s" % (_usage(path), " ".join(("dercat",) + path),
+                                                 message))
 
 
-def parse_plain(argv):
-    """The namespace argparse gives a plain command line, or None.  Plain
-    means the verb's words, then `--name value` pairs and
-    flags with exact names, every option it requires, and at most one of an
-    exclusive pair.  None (abbreviated or unknown names, `--name=value`, -h,
-    --, a value starting with "-" or failing its type) sends argv to argparse."""
+def _dest(name):
+    return name[2:].replace("-", "_")
+
+
+def _spell(name, kw):
+    return name if kw.get("action") == "store_true" else name + " " + _dest(name).upper()
+
+
+def _under(path):
+    """The rows under path: [the verb] where path is a verb's, else its group's."""
+    return [v for v in VERBS if v.path[:len(path)] == path]
+
+
+def _usage(path):
+    verb = _under(path)[0]
+    if verb.path != path:   # a command group
+        tail = ["{%s} ..." % ",".join(dict.fromkeys(v.path[len(path)] for v in _under(path)))]
+    else:
+        tail = [_spell(n, kw) if kw.get("required") else "[%s]" % _spell(n, kw)
+                for n, kw in verb.options]
+        if verb.exclusive:
+            tail.append("[%s]" % " | ".join(_spell(n, kw) for n, kw in verb.exclusive))
+    return " ".join(("usage: dercat",) + path + ("[-h]",) + tuple(tail))
+
+
+def _help(path):
+    """What -h prints: the usage line, then the verb's options or the group's commands."""
+    verb = _under(path)[0]
+    if verb.path == path:
+        head = [verb.help, "", "options:"]
+        table = [("-h, --help", "show this help and exit")] + [
+            (_spell(n, kw), kw.get("help", "")) for n, kw in verb.options + verb.exclusive]
+    else:
+        head = ([] if path else ["Exact derived-category computations for Dynkin quivers", ""])
+        head, table = head + ["commands:"], [(" ".join(v.path), v.help) for v in _under(path)]
+    width = max(len(left) for left, _ in table) + 2
+    lines = [("  " + left.ljust(width) + right).rstrip() for left, right in table]
+    return "\n".join([_usage(path), ""] + head + lines) + "\n"
+
+
+def _is_value(word):
+    """A word an option takes as its value: not "-..." unless "-" or a negative integer."""
+    return not word.startswith("-") or word == "-" or word[1:].isdecimal()
+
+
+def _is_help(word):
+    return word == "-h" or len(word) > 2 and "--help".startswith(word)
+
+
+def parse(argv):
+    """The namespace of argv's verb, or the help text that -h or --help asks
+    for; a line that no row takes raises UsageError.  argv is the verb's
+    words, then its options in any order: a name is the option's, or a prefix
+    of it and of no other, and a value follows "=" in the same word or is the
+    next word (_is_value).  -h after the command's words wins over any error."""
     verb = next((v for v in VERBS if tuple(argv[:len(v.path)]) == v.path), None)
+    # no verb: the command group that argv starts with, whose help and usage
+    # list its commands, else the top level
+    path = verb.path if verb else tuple(argv[:1])
+    if not _under(path):
+        path = ()
+    words = argv[len(path):]
+    if any(_is_help(w) for w in words):
+        return _help(path)
     if verb is None:
-        return None
-    ns = {"cmd": verb.path[0], "fn": verb.fn}
-    if len(verb.path) > 1:
-        ns["sub"] = verb.path[1]
-    if verb.objects:
-        # argparse's prog of the verb's subparser
-        ns["objects_needed"] = ("dercat " + " ".join(verb.path), verb.objects)
-    i = len(verb.path)
-    named = {}   # option name -> (dest, keywords)
-    for name, kw in verb.options + verb.exclusive:
-        dest = name.lstrip("-").replace("-", "_")
-        named[name] = dest, kw
-        ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
-    seen = set()
-    while i < len(argv):
-        if argv[i] not in named:
-            return None
-        dest, kw = named[argv[i]]
-        seen.add(argv[i])
-        if kw.get("action") == "store_true":
-            ns[dest] = True
-            i += 1
+        raise UsageError(path, "invalid choice: %r" % words[0] if words else "missing command")
+    options = dict(verb.options + verb.exclusive)
+    ns = dict(zip(("cmd", "sub"), path), fn=verb.fn)
+    ns.update((_dest(n), kw.get("default", False if kw.get("action") == "store_true" else None))
+              for n, kw in options.items())
+    extras, i = [], 0
+    while i < len(words):
+        word, i = words[i], i + 1
+        name, eq, value = word.partition("=")
+        found = [name] if name in options else [n for n in options if n.startswith(name)]
+        if word == "--" or _is_value(word) or not found:   # no verb takes positionals
+            extras.append(word)
             continue
-        value = _value(kw, argv, i + 1)
-        if value is None:
-            return None
+        if len(found) > 1:
+            raise UsageError(path, "ambiguous option: %s could match %s"
+                             % (name, ", ".join(found)))
+        name, kw = found[0], options[found[0]]
+        if kw.get("action") == "store_true":
+            if eq:
+                raise UsageError(path, "argument %s: ignored explicit argument %r" % (name, value))
+            value = True
+        else:
+            if not eq:
+                if i == len(words) or not _is_value(words[i]):
+                    raise UsageError(path, "argument %s: expected one argument" % name)
+                value, i = words[i], i + 1
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError as e:
+                raise UsageError(path, "argument %s: %s" % (name, e)) from None
+        dest = _dest(name)
         ns[dest] = (ns[dest] or []) + [value] if kw.get("action") == "append" else value
-        i += 2
-    if any(kw.get("required") and name not in seen for name, (_, kw) in named.items()):
-        return None
-    if len(seen & {name for name, _ in verb.exclusive}) > 1:
-        return None
+    both = [n for n, _ in verb.exclusive if ns[_dest(n)]]
+    if len(both) > 1:
+        raise UsageError(path, "argument %s: not allowed with argument %s" % tuple(both[::-1]))
+    missing = [n for n, kw in verb.options if kw.get("required") and ns[_dest(n)] is None]
+    if missing:
+        raise UsageError(path, "the following arguments are required: %s" % ", ".join(missing))
+    if extras:
+        raise UsageError(path, "unrecognized arguments: %s" % " ".join(extras))
+    if verb.objects and len(ns["object"]) != verb.objects:
+        raise ValueError("dercat %s takes exactly %d --object file%s, got %d" % (
+            " ".join(path), verb.objects, "s" if verb.objects > 1 else "", len(ns["object"])))
     return types.SimpleNamespace(**ns)
 
 
@@ -352,23 +415,20 @@ def _discard_stdout():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parse_plain(argv)
-        if args is None:
-            from . import usage   # argparse: --help, usage errors and every other spelling
-            args = usage.build_parser(VERBS, argv).parse_args(argv)
-        prog, needed = getattr(args, "objects_needed", (None, 0))
-        if needed and len(args.object) != needed:
-            print("error: %s takes exactly %d --object file%s, got %d"
-                  % (prog, needed, "s" if needed > 1 else "", len(args.object)), file=sys.stderr)
-            return 2
-        # every verb reads --quiver, then its --object files over that quiver
-        q = qv.parse_quiver(_read(args.quiver))
-        objects = [dv.parse_object(q, _read(path)) for path in getattr(args, "object", ())]
-        code = args.fn(args, q, *objects)
+        args = parse(argv)
+        if isinstance(args, str):   # the help text, on stdout like any output
+            sys.stdout.write(args)
+            code = 0
+        else:
+            # every verb reads --quiver, then its --object files over that quiver
+            q = qv.parse_quiver(_read(args.quiver))
+            objects = [dv.parse_object(q, _read(path)) for path in getattr(args, "object", ())]
+            code = args.fn(args, q, *objects)
         sys.stdout.flush()   # a closed pipe must show here, not at exit
         return code
-    except SystemExit as e:   # argparse's, after --help or a usage error it printed
-        return 2 if e.code not in (0, None) else 0
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # `dercat ... | head`: quiet; devnull stops a second failure at exit
         _discard_stdout()
@@ -394,8 +454,8 @@ def run():
     no atexit handler, starts no thread, and closes every file it writes
     before main returns.  An exception escaping main propagates as usual."""
     code = main()
-    # main flushes only after a verb returns or fails: --help and usage
-    # errors reach this flush with stdout unwritten
+    # main flushes only after a verb or the help text is written: a usage
+    # error reaches this flush with stdout unwritten
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -146,7 +146,7 @@ def integer(text):
     int() alone also takes "+1", "1_0", " 5" and other scripts' digits."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("invalid integer %r" % text)
+        raise ValueError("invalid integer value: %r" % text)
     return int(text)
 
 

@@ -9,9 +9,8 @@ anywhere.  A case with "save" also writes its stdout to that {W} path, for the
 cases after it to read: the seeded walks make the objects that the other
 verbs run on.
 
-A command line that cli.parse_plain does not take goes to argparse, whose
-wording varies across Python versions; such a case keeps its exit code and
-stdout, and its stderr digest is null.  Help texts are left out altogether.
+Usage errors and help texts are cases like any other: cli.parse writes them
+from the verb table alone, so they read alike on every Python version.
 
 Re-record after a change that alters output on purpose, and name every argv
 whose digests changed where the change is described:
@@ -132,7 +131,7 @@ def _cases():
     case("quiver", "validate", "--quiver", "{W}/underscore.q")
     case("slice", *e6, "--object", "{W}/E6-alt.P.obj", "--window-pad", "3")
     case("verify", "a", *a5, "--samples", "1", "--min-checked", "5")
-    # usage errors, which argparse reports
+    # usage errors, each under the usage line of the command it names
     case("sgd", *e6)
     case("frobnicate", *e6)
     case("verify", "c", *e6)
@@ -143,8 +142,16 @@ def _cases():
     case("verify", "homagree", "--quiver", "{I}/D4-alt.q", "--samples", "3")
     case("verify", "serre", "--quiver", "{W}/a3.q", "--seed", "1")
     case("verify", "delta", *a5, "--window-pad", "1")
-    # argparse's spellings of a plain command line
+    case("random-tilting", *e6, "--s", "1")
+    case("sgd", *e6, "--object", "{W}/E6-alt.P.obj", "--")
+    case("sgd", "--csv=1", *e6, "--object", "{W}/E6-alt.P.obj")
+    # other spellings of a plain command line
     case("sgd", "--quiv", "{I}/E6-alt.q", "--obj={W}/E6-alt.w1.obj")
+    case("random-tilting", *e6, "--seed=-1")
+    # help: the top level, each command group and each verb
+    case("-h")
+    for path in dict.fromkeys(v.path[:i] for v in cli.VERBS for i in (1, 2)):
+        case(*path, "-h")
     return out
 
 
@@ -165,8 +172,8 @@ def run_case(entry, work):
     def placeholders(text):
         return text.replace(str(work), "{W}").replace(str(INPUTS), "{I}")
 
-    stderr = _digest(placeholders(err.getvalue())) if cli.parse_plain(argv) else None
-    return {"stdout": _digest(placeholders(out.getvalue())), "stderr": stderr, "code": code}
+    return {"stdout": _digest(placeholders(out.getvalue())),
+            "stderr": _digest(placeholders(err.getvalue())), "code": code}
 
 
 def dump(entries):

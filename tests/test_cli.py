@@ -1,6 +1,4 @@
-import contextlib
 import csv
-import io
 import os
 import pathlib
 import subprocess
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercat import (cli, complexes as cx, derived as dv, mutation as mu, quiver as qv,
-                    slices as sls, usage)
+                    slices as sls)
 
 
 @pytest.fixture
@@ -160,24 +158,27 @@ def test_verify_min_checked(tmp_path, capsys):
     assert got.err == err + "error: 3 instances checked, fewer than --min-checked 4\n"
 
 
-# argv whose usage or error text comes from the top-level parser or from the
-# verb's own subparser
-@pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["sgd", "--help"],
-                                  ["sgd", "--quiver", "x.q"],
-                                  ["sgd", "--quiver", "x.q", "--object", "y.obj", "extra"]],
-                         ids=["none", "help", "typo", "sgd-help", "sgd-no-object", "sgd-extra"])
-def test_one_verb_parser_prints_what_the_full_parser_does(argv, capsys):
-    full = usage.build_parser(cli.VERBS, [])   # no verb to go by: every subparser
-    with pytest.raises(SystemExit) as e:
-        full.parse_args(argv)
-    want = capsys.readouterr()
-    assert cli.main(argv) == (2 if e.value.code else 0)
-    assert capsys.readouterr() == want
-    # the parser for one verb has that verb's subparser and no other
-    with pytest.raises(SystemExit):
-        usage.build_parser(cli.VERBS, ["sgd"]).parse_args(["quiver", "validate", "--quiver",
-                                                            "x.q"])
-    capsys.readouterr()
+# argv whose usage or error text comes from the top level or from the verb's
+# own row: main prints what parse gives, help on stdout (exit 0) or the usage
+# error on stderr (exit 2), headed by the usage line of the command named
+@pytest.mark.parametrize("argv, path", [
+    ([], ()), (["--help"], ()), (["nosuch"], ()), (["sgd", "--help"], ("sgd",)),
+    (["sgd", "--quiver", "x.q"], ("sgd",)),
+    (["sgd", "--quiver", "x.q", "--object", "y.obj", "extra"], ("sgd",))],
+    ids=["none", "help", "typo", "sgd-help", "sgd-no-object", "sgd-extra"])
+def test_one_verb_parser_prints_what_the_full_parser_does(argv, path, capsys):
+    try:
+        out, err, code = cli.parse(argv), "", 0
+    except cli.UsageError as e:
+        out, err, code = "", str(e) + "\n", 2
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    usage = (out or err).splitlines()[0]
+    assert usage.startswith(" ".join(("usage: dercat",) + path + ("[-h] ",)))
+    # a verb's usage line names its options, and the top level's every command
+    rows = [v for v in cli.VERBS if v.path[:len(path)] == path]
+    names = [n for n, _ in rows[0].options] if path else [v.path[0] for v in rows]
+    assert all(n in usage for n in names), usage
 
 
 def test_mutate_rejects_an_out_of_range_summand_index(tmp_path, capsys):
@@ -379,10 +380,31 @@ def test_a_verify_mode_refuses_the_options_it_does_not_read(tmp_path, capsys):
     path.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
     for mode, name in FOREIGN_OPTIONS:
         argv = ["verify", mode, "--quiver", str(path), name, "1"]
-        assert cli.parse_plain(argv) is None, argv
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments: %s 1" % name in err
+
+
+@pytest.mark.parametrize("verb", cli.VERBS, ids=lambda v: " ".join(v.path))
+def test_an_option_the_verb_does_not_take_prints_the_verbs_own_usage(verb, capsys):
+    # an option of another row, and one of none: not a prefix of the verb's
+    # own names, which would read it as that option
+    own = _names(verb)
+    foreign = [n for n in sorted(set().union(*map(_names, cli.VERBS))) + ["--nosuch"]
+               if not any(o.startswith(n) for o in own)]
+    assert len(foreign) >= 2
+    given = [w for name, kw in verb.options if kw.get("required")
+             for w in (name, "1") * (verb.objects if name == "--object" else 1)]
+    for name in (foreign[0], foreign[-1]):
+        assert cli.main(list(verb.path) + given + [name, "1"]) == 2
+        out, err = capsys.readouterr()
+        usage = err.splitlines()[0]
+        # the line that -h prints first
+        assert out == "" and usage == cli.parse(list(verb.path) + ["-h"]).splitlines()[0]
+        assert usage.startswith("usage: dercat %s [-h]" % " ".join(verb.path))
+        assert all(n in usage for n in own) and name not in usage
+        assert err.splitlines()[1:] == ["dercat %s: error: unrecognized arguments: %s 1"
+                                        % (" ".join(verb.path), name)]
 
 
 def test_slice_refuses_a_window_pad_without_all_slices(tmp_path, capsys):
@@ -455,8 +477,8 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys):
 # Run in a fresh interpreter: its last stdout line is the exit code, then the
 # dercat modules whose code has run, then "|" and which of dataclasses, inspect
 # and fractions (with the modules they pull in, the costliest standard imports a
-# layer could add) and of argparse, gettext and locale (what parsing through
-# argparse loads) are loaded.  A LazyLoader module that has not run yet is an
+# layer could add) and of argparse, gettext and locale (what a parser built on
+# argparse would load) are loaded.  A LazyLoader module that has not run yet is an
 # instance of a ModuleType subclass, so `type(m) is ModuleType` tells them apart.
 LAYER_PROBE = """
 import sys, types
@@ -498,8 +520,8 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     d5 = ["--quiver", str(INPUTS / "D5-alt.q"), "--object", str(INPUTS / "D5-alt-sgd3.obj")]
     # verify (the verify and theoremb verbs, and sgd --csv's rows) and zq (tau
     # and the ZQ coordinates) run only where they are used; no product verb
-    # imports dataclasses, inspect or fractions, and no plain command line
-    # argparse, gettext or locale: the part after "|" is empty
+    # imports dataclasses, inspect or fractions, and no command line argparse,
+    # gettext or locale: the part after "|" is empty
     for argv, layers in (
             # the set-up probe of every benchmark workload: neither derived nor sgd
             (["quiver", "validate"] + q, ["cli", "quiver"]), (["sgd"] + q + o, product),
@@ -524,24 +546,28 @@ def test_a_verb_runs_only_the_layers_it_uses(tmp_path):
     assert _run_fresh(LAYER_PROBE, "ind", "list", *q) == ["0", "cli", "quiver", "zq", "|"]
     ran = _run_fresh(LAYER_PROBE, "ind", "list", "--reps", *q)
     assert ran == ["0"] + ["cli", "linalg", "quiver", "reps", "zq"] + ["|", "fractions"], ran
-    # an abbreviated option name is argparse's to read, and still runs the verb
-    ran = _run_fresh(LAYER_PROBE, "quiver", "validate", "--quiv", str(quiver))
-    assert ran[:5] == ["0", "cli", "quiver", "usage", "|"] and "argparse" in ran[5:], ran
+    # an abbreviated option name runs the verb; help and usage errors load no layer
+    assert _run_fresh(LAYER_PROBE, "quiver", "validate", "--quiv", str(quiver)) == [
+        "0", "cli", "quiver", "|"]
+    for argv, code in ((["--help"], "0"), (["sgd", "-h"], "0"),
+                       (["verify", "homagree", "--samples", "3"] + q, "2")):
+        assert _run_fresh(LAYER_PROBE, *argv) == [code, "cli", "quiver", "|"], argv
 
 
 def test_verify_never_imports_the_cli_module(tmp_path):
     # under -m the CLI runs as __main__; an import of dercat.cli from a layer
     # would compile cli.py a second time, as a module of that name.  The
-    # abbreviated --samp goes through usage, argparse's half of the CLI.
+    # abbreviated --samp is read by the same parse, with no module of its own.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    for samples, loaded in (("--samples", "dercat"), ("--samp", "dercat.usage")):
+    for samples in ("--samples", "--samp"):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dercat.cli", "verify",
                                "delta", samples, "1", "--quiver", str(INPUTS / "A5-alt.q")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")]
-        assert loaded in imported and "dercat.cli" not in imported, imported
+        assert "dercat" in imported and "dercat.cli" not in imported, imported
+        assert "dercat.usage" not in imported and "argparse" not in imported, imported
 
 
 def test_lazy_layer_reuses_an_imported_module():
@@ -564,12 +590,10 @@ E6_ALT_FILE, D4_ALT_FILE = str(INPUTS / "E6-alt.q"), str(INPUTS / "D4-alt.q")
     # 152,064 bytes: many times the child's stdout buffer
     (["verify", "homagree", "--quiver", D4_ALT_FILE], 0, "# checked=2304 "),
 ])
-def test_process_entry_prints_and_exits_what_main_does(tmp_path, capsys, monkeypatch,
-                                                       argv, code, expect):
+def test_process_entry_prints_and_exits_what_main_does(tmp_path, capsys, argv, code, expect):
     e6 = qv.parse_quiver((INPUTS / "E6-alt.q").read_text())
     (tmp_path / "s.obj").write_text("summand dim=[1,0,0,0,0,0]\n")
     (tmp_path / "p.obj").write_text(dv.format_object(dv.projective_generator(e6)))
-    monkeypatch.setenv("COLUMNS", "80")   # the --help layout, on both sides
 
     def args(side):
         return [a.replace("{T}", str(tmp_path)).replace("{OUT}", str(tmp_path / side))
@@ -676,58 +700,77 @@ def test_mutation_of_an_object_with_no_summands_is_refused(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: mutation starts from a tilting object\n")
 
 
-def _argparse_vars(argv):
-    """vars() of what argparse makes of argv, None where it refuses it."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(usage.build_parser(cli.VERBS, argv).parse_args(argv))
-        except SystemExit:
-            return None
+def _namespace(argv, given):
+    """What parse should make of argv: the row's defaults, then the given values."""
+    verb = next(v for v in cli.VERBS if tuple(argv[:len(v.path)]) == v.path)
+    ns = dict(zip(("cmd", "sub"), verb.path), fn=verb.fn)
+    for name, kw in verb.options + verb.exclusive:
+        flag = kw.get("action") == "store_true"
+        ns[name[2:].replace("-", "_")] = kw.get("default", False if flag else None)
+    return dict(ns, **given)
 
 
-# (argv, plain): a plain command line parses as argparse parses it; any other
-# goes to argparse
-@pytest.mark.parametrize("argv, plain", [
-    (["quiver", "validate", "--quiver", "x.q"], True),
-    (["ind", "list", "--reps", "--quiver", "x.q"], True),
-    (["hom", "--quiver", "x.q", "--object", "a.obj", "--object", "b.obj"], True),
-    (["tilting", "check", "--object", "a.obj", "--quiver", "x.q"], True),
-    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--csv", "--csv"], True),
-    (["mutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "0,2", "--out", "m.obj"], True),
-    (["comutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "1"], True),
-    (["slice", "--all-slices", "--window-pad", "5", "--quiver", "x.q", "--object", "a.obj"], True),
-    (["theoremb", "--quiver", "x.q", "--object", "a.obj", "--out-prefix", "p", "--csv"], True),
-    (["random-tilting", "--quiver", "x.q", "--seed", "50", "--steps", "8"], True),
-    (["verify", "a", "--quiver", "x.q", "--seed", "0", "--samples", "4", "--jsonl"], True),
+# (argv, plain, outcome): plain is the verb's words, then `--name value` pairs
+# and flags with exact names and values that do not start with "-"; outcome
+# is the values parse sets over the row's defaults, 2 for a usage error, or
+# "help".  Every plain line parses.
+PARSE_CASES = [
+    (["quiver", "validate", "--quiver", "x.q"], True, {"quiver": "x.q"}),
+    (["ind", "list", "--reps", "--quiver", "x.q"], True, {"reps": True, "quiver": "x.q"}),
+    (["hom", "--quiver", "x.q", "--object", "a.obj", "--object", "b.obj"], True,
+     {"quiver": "x.q", "object": ["a.obj", "b.obj"]}),
+    (["tilting", "check", "--object", "a.obj", "--quiver", "x.q"], True,
+     {"quiver": "x.q", "object": ["a.obj"]}),
+    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--csv", "--csv"], True,
+     {"quiver": "x.q", "object": ["a.obj"], "csv": True}),
+    (["mutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "0,2", "--out", "m.obj"], True,
+     {"quiver": "x.q", "object": ["a.obj"], "t2": "0,2", "out": "m.obj"}),
+    (["comutate", "--quiver", "x.q", "--object", "a.obj", "--t2", "1"], True,
+     {"quiver": "x.q", "object": ["a.obj"], "t2": "1"}),
+    (["slice", "--all-slices", "--window-pad", "5", "--quiver", "x.q", "--object", "a.obj"], True,
+     {"all_slices": True, "window_pad": 5, "quiver": "x.q", "object": ["a.obj"]}),
+    (["theoremb", "--quiver", "x.q", "--object", "a.obj", "--out-prefix", "p", "--csv"], True,
+     {"quiver": "x.q", "object": ["a.obj"], "out_prefix": "p", "csv": True}),
+    (["random-tilting", "--quiver", "x.q", "--seed", "50", "--steps", "8"], True,
+     {"quiver": "x.q", "seed": 50, "steps": 8}),
+    (["verify", "a", "--quiver", "x.q", "--seed", "0", "--samples", "4", "--jsonl"], True,
+     {"quiver": "x.q", "seed": 0, "samples": 4, "jsonl": True}),
     # an abbreviated name, an unknown one, --name=value, -h and --
-    (["sgd", "--quiv", "x.q", "--object", "a.obj"], False),
-    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--nosuch"], False),
-    (["sgd", "--quiver=x.q", "--object", "a.obj"], False),
-    (["sgd", "-h"], False),
-    (["sgd", "--quiver", "x.q", "--", "--object", "a.obj"], False),
+    (["sgd", "--quiv", "x.q", "--object", "a.obj"], False, {"quiver": "x.q", "object": ["a.obj"]}),
+    (["sgd", "--quiver", "x.q", "--object", "a.obj", "--nosuch"], False, 2),
+    (["sgd", "--quiver=x.q", "--object", "a.obj"], False, {"quiver": "x.q", "object": ["a.obj"]}),
+    (["sgd", "-h"], False, "help"),
+    (["sgd", "--quiver", "x.q", "--", "--object", "a.obj"], False, 2),
     # a value starting with "-", type failures (int() alone reads " 5" and
     # "5_0"), an unknown verify mode
-    (["random-tilting", "--quiver", "x.q", "--seed", "-1"], False),
-    (["slice", "--quiver", "x.q", "--object", "a.obj", "--window-pad", "x"], False),
-    (["random-tilting", "--quiver", "x.q", "--seed", "0", "--steps", " -1"], False),
+    (["random-tilting", "--quiver", "x.q", "--seed", "-1"], False, {"quiver": "x.q", "seed": -1}),
+    (["slice", "--quiver", "x.q", "--object", "a.obj", "--window-pad", "x"], False, 2),
+    (["random-tilting", "--quiver", "x.q", "--seed", "0", "--steps", " -1"], False, 2),
     (["slice", "--all-slices", "--window-pad", " 5", "--quiver", "x.q", "--object", "a.obj"],
-     False),
-    (["random-tilting", "--quiver", "x.q", "--seed", "5_0", "--steps", "8"], False),
-    (["verify", "c", "--quiver", "x.q"], False),
+     False, 2),
+    (["random-tilting", "--quiver", "x.q", "--seed", "5_0", "--steps", "8"], False, 2),
+    (["verify", "c", "--quiver", "x.q"], False, 2),
     # a missing required option, both of the exclusive pair, the verify mode
     # after the options, a verb path cut short, no verb
-    (["sgd", "--quiver", "x.q"], False),
-    (["verify", "a", "--quiver", "x.q", "--csv", "--jsonl"], False),
-    (["verify", "--quiver", "x.q", "a"], False),
-    (["tilting", "--quiver", "x.q", "--object", "a.obj"], False),
-    ([], False),
-])
+    (["sgd", "--quiver", "x.q"], False, 2),
+    (["verify", "a", "--quiver", "x.q", "--csv", "--jsonl"], False, 2),
+    (["verify", "--quiver", "x.q", "a"], False, 2),
+    (["tilting", "--quiver", "x.q", "--object", "a.obj"], False, 2),
+    ([], False, 2),
+]
+
+
+@pytest.mark.parametrize("argv, plain", [case[:2] for case in PARSE_CASES])
 def test_the_fast_parse_takes_plain_command_lines_only(argv, plain):
-    fast = cli.parse_plain(argv)
-    if plain:
-        assert fast is not None and vars(fast) == _argparse_vars(argv)
+    outcome = next(o for a, _, o in PARSE_CASES if a == argv)
+    assert not plain or isinstance(outcome, dict)
+    if outcome == 2:
+        with pytest.raises(cli.UsageError):
+            cli.parse(argv)
+    elif outcome == "help":
+        assert cli.parse(argv).startswith("usage: dercat %s [-h]" % argv[0])
     else:
-        assert fast is None
+        assert vars(cli.parse(argv)) == _namespace(argv, outcome)
 
 
 OPTION_NAMES = sorted({name for v in cli.VERBS for name, _ in v.options + v.exclusive})
@@ -738,7 +781,7 @@ ODD_VALUES = ["-1", "", " 5", "5_0", "+1", "\u0663", "a,b", "x.q", " -1", "-"]
 @st.composite
 def _command_lines(draw):
     """A plain command line of a verb, its options in any order, some
-    repeated, then up to three edits that may or may not leave it plain: an
+    repeated, then up to three edits that may or may not leave it valid: an
     abbreviated name, --name=value, an odd value, a stray word, a verb path
     cut short, a dropped option."""
     verb = draw(st.sampled_from(cli.VERBS))
@@ -772,20 +815,63 @@ def _command_lines(draw):
     return path + [w for piece in pieces for w in piece]
 
 
-def test_whatever_the_fast_parse_takes_argparse_takes_alike():
-    taken = set()
+def test_any_command_line_parses_is_help_or_is_a_usage_error():
+    outcomes = set()
 
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(_command_lines())
     def check(argv):
-        fast = cli.parse_plain(argv)
-        if fast is not None:
-            taken.add(tuple(argv))
-            assert vars(fast) == _argparse_vars(argv), argv
+        try:
+            got = cli.parse(argv)
+        except ValueError as e:   # UsageError, or a wrong count of --object files
+            got = e
+        # -h, --help or a prefix of it (an edit may cut it) wins over any error
+        helps = [w for w in argv if w == "-h" or len(w) > 2 and "--help".startswith(w)]
+        assert isinstance(got, str) == bool(helps), argv
+        outcomes.add(type(got).__name__)
 
     check()
-    # the property holds on many plain command lines, not on a few
-    assert len(taken) >= 200, len(taken)
+    assert outcomes == {"SimpleNamespace", "str", "UsageError", "ValueError"}, outcomes
+
+
+# values a string option takes as written, "-" and a negative integer among them
+VALUES = {str: ["x.q", "a,b", "-", "-1", ""], qv.integer: ["0", "3", "-1"],
+          cli.non_negative_int: ["0", "3"]}
+
+
+@st.composite
+def _spellings(draw):
+    """One command line of a verb spelt two ways: the second reorders the
+    option pairs (the --object files keep their order), writes some values as
+    --name=value and cuts some names to a prefix that no other name shares."""
+    verb = draw(st.sampled_from(cli.VERBS))
+    names = [n for n, _ in verb.options + verb.exclusive] + ["--help"]
+    chosen = list(verb.options)
+    if verb.exclusive and draw(st.booleans()):
+        chosen.append(draw(st.sampled_from(verb.exclusive)))
+    pieces = []
+    for name, kw in chosen:
+        if name == "--object":
+            pieces += [[name, "t%d.obj" % k] for k in range(verb.objects)]
+        elif kw.get("action") == "store_true":
+            pieces += [[name]] * draw(st.integers(0, 1))
+        elif kw.get("required") or draw(st.booleans()):
+            pieces.append([name, draw(st.sampled_from(VALUES[kw.get("type", str)]))])
+    objects = iter([p for p in pieces if p[0] == "--object"])
+    respelt = []
+    for j in draw(st.permutations(range(len(pieces)))):
+        name, *value = next(objects) if pieces[j][0] == "--object" else pieces[j]
+        name = draw(st.sampled_from([name[:k] for k in range(3, len(name) + 1) if k == len(name)
+                                     or sum(n.startswith(name[:k]) for n in names) == 1]))
+        respelt += ["%s=%s" % (name, value[0])] if value and draw(st.booleans()) else [name] + value
+    return list(verb.path) + [w for piece in pieces for w in piece], list(verb.path) + respelt
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_spellings())
+def test_a_line_parses_alike_however_its_options_are_spelt(lines):
+    plain, respelt = lines
+    assert vars(cli.parse(respelt)) == vars(cli.parse(plain)), respelt
 
 
 @pytest.mark.parametrize("arrows", [
