@@ -1,13 +1,17 @@
 """Bounded complexes of projectives: the homotopy-category oracle.
 
 What remains here: stalk_complex, the minimal projective resolution of an
-indecomposable stalk; HomKSpace, Hom in the homotopy category, solved exactly
-as the chain-map system modulo the image of the homotopy system; and
-sgldim_ringel, the chain-map oracle of sgd.sgldim.  The oracle evaluates
-length profiles by a scan over shifts (sgldim_scan, _profile), asking a Hom
-function at each shift, where sgd reads them off in closed form; it runs the
-scan on homk_pair_dim, and the test suite also on derived.pair_hom_dim.
-This module imports the product modules (derived, sgd), never the reverse.
+indecomposable stalk (memoized); HomKSpace, Hom in the homotopy category,
+solved exactly as the chain-map system modulo the image of the homotopy
+system; and sgldim_ringel, the chain-map oracle of sgd.sgldim.  HomKSpace
+builds all three of its linear systems, the intertwiners, the chain condition
+and the boundary map of the homotopies, from reps.commute_rows over unknown
+vectors: no chain map or homotopy is ever built as a RepMap.  The oracle
+evaluates length profiles by a scan over shifts (sgldim_scan, _profile),
+asking a Hom function at each shift, where sgd reads them off in closed form;
+it runs the scan on homk_pair_dim, and the test suite also on
+derived.pair_hom_dim.  This module imports the product modules (derived,
+sgd), never the reverse.
 
 Every complex built here is minimal: a stalk complex is a minimal projective
 resolution P1 -> P0, and P1 and P0 even share no indecomposable summand (a
@@ -23,7 +27,6 @@ degree d to degree d-1 and negates the differentials; stalks of modules sit
 in degrees (-1-k, -k) for an object placed at suspension k.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import derived as dv, linalg, quiver as qv, reps, sgd
@@ -54,7 +57,7 @@ def _slice_blocks(q, src_indices, tgt_indices, f):
             mats = []
             for v in range(q.n):
                 if tdims[v] and sdims[v]:
-                    big = f._mat(v)
+                    big = f.mats[v]
                     mats.append([[big[toffs[b][v] + r][soffs[a][v] + c]
                                   for c in range(sdims[v])] for r in range(tdims[v])])
                 else:
@@ -77,7 +80,7 @@ def _assemble_blocks(q, src_indices, tgt_indices, blocks):
             sd = qv.proj_dims(q, sa)
             for v in range(q.n):
                 if td[v] and sd[v]:
-                    bm = blk._mat(v)
+                    bm = blk.mats[v]
                     for r in range(td[v]):
                         for c in range(sd[v]):
                             mats[v][toffs[b][v] + r][soffs[a][v] + c] = bm[r][c]
@@ -123,8 +126,10 @@ class ProjComplex:
         return "ProjComplex(%r)" % ({d: self.term(d) for d in self.degrees()},)
 
 
-def stalk_complex(q, root, shift=0):
-    """Minimal complex of the indecomposable stalk M[shift] for a positive root."""
+@lru_cache(maxsize=None)
+def stalk_complex(q, root, shift):
+    """Minimal complex of the indecomposable stalk M[shift] for a positive root
+    (memoized per quiver)."""
     m = reps.indec_of_root(q, root)
     res = reps.proj_resolution(m)
     if not res.p1_indices:
@@ -136,20 +141,6 @@ def stalk_complex(q, root, shift=0):
 
 # ---------------------------------------------------------------------------
 # Hom in the homotopy category
-
-
-def _vec_of_maps(offs, total, maps):
-    """Inverse of reps.vector_to_map for degreewise maps laid out by intertwiner_system."""
-    vec = [Fraction(0)] * total
-    for d, f in maps.items():
-        m, n = f.source, f.target
-        for v in range(len(m.dims)):
-            if m.dims[v] and n.dims[v]:
-                fm = f._mat(v)
-                for r in range(n.dims[v]):
-                    for c in range(m.dims[v]):
-                        vec[offs[d][v] + r * m.dims[v] + c] = fm[r][c]
-    return vec
 
 
 class HomKSpace:
@@ -164,54 +155,41 @@ class HomKSpace:
         q = x.quiver
         degrees = sorted(set(x.terms) & set(y.terms))
         self._pairs = {d: (x.term_rep(d), y.term_rep(d)) for d in degrees}
-        self._offs, self._total, rows = reps.intertwiner_system(self._pairs)
-        # chain condition: phi^{d+1} dX^d - dY^d phi^d = 0, expressed on the unknowns
-        for d in sorted(x.terms):
-            dx = x.diff(d)
-            dy = y.diff(d)
-            src, nxt = x.term_rep(d), x.term_rep(d + 1)
-            tgt = y.term_rep(d + 1)
+        offs, total, rows = reps.intertwiner_system(self._pairs)
+        self._offs, self._total = offs, total
+        # each differential of X and Y, assembled once from its block grid
+        dx = {d: x.diff(d).mats for d in x.diffs}
+        dy = {d: y.diff(d).mats for d in y.diffs}
+
+        def commute(uoffs, utotal, sign, d, e):
+            """Rows, at every vertex, of u^{d+1} dX^d + sign dY^e u^d: maps
+            X^d -> Y^{e+1} in the unknown maps u laid out by uoffs."""
+            f = dx.get(d) if d + 1 in uoffs else None
+            g = dy.get(e) if d in uoffs else None
+            src, tgt = x.term_rep(d), y.term_rep(e + 1)
+            out = []
             for v in range(q.n):
-                if src.dims[v] == 0 or tgt.dims[v] == 0:
-                    continue
-                for r in range(tgt.dims[v]):
-                    for c in range(src.dims[v]):
-                        row = [Fraction(0)] * self._total
-                        nontrivial = False
-                        if (d + 1) in self._pairs:
-                            dxm = dx._mat(v)
-                            for k in range(nxt.dims[v]):
-                                if dxm[k][c] != 0:
-                                    row[self._offs[d + 1][v] + r * nxt.dims[v] + k] += dxm[k][c]
-                                    nontrivial = True
-                        if d in self._pairs:
-                            dym = dy._mat(v)
-                            for k in range(y.term_rep(d).dims[v]):
-                                if dym[r][k] != 0:
-                                    row[self._offs[d][v] + k * src.dims[v] + c] -= dym[r][k]
-                                    nontrivial = True
-                        if nontrivial:
-                            rows.append(row)
-        z_basis = linalg.solutions(rows, self._total)
-        # homotopies: maps X^d -> Y^{d-1} with no chain condition
+                ut = (uoffs[d + 1][v], x.term_rep(d + 1).dims[v]) if f else None
+                us = (uoffs[d][v], src.dims[v]) if g else None
+                out += reps.commute_rows(utotal, sign, ut, f and f[v], us, g and g[v],
+                                         tgt.dims[v], src.dims[v])
+            return out
+
+        # chain condition: phi^{d+1} dX^d - dY^d phi^d = 0
+        rows += [row for d in sorted(x.terms) for row in commute(offs, total, -1, d, d)
+                 if any(row)]
+        z_basis = linalg.nullspace(rows, total)
+        # homotopies: maps h^d: X^d -> Y^{d-1} with no chain condition.  The
+        # boundary of h is L h, where the row of L at a chain coordinate of
+        # degree d is that of h^{d+1} dX^d + dY^{d-1} h^d
         hpairs = {d: (x.term_rep(d), y.term_rep(d - 1)) for d in x.terms if y.term(d - 1)}
         hoffs, htotal, hrows = reps.intertwiner_system(hpairs)
+        h_basis = linalg.nullspace(hrows, htotal)
         boundaries = []
-        for hv in linalg.solutions(hrows, htotal):
-            hmaps = {d: reps.vector_to_map(m, n, hoffs[d], hv) for d, (m, n) in hpairs.items()}
-            comps = {}
-            for d in degrees:
-                parts = []
-                if (d + 1) in hmaps:
-                    parts.append(hmaps[d + 1].compose(x.diff(d)))
-                if d in hmaps:
-                    parts.append(y.diff(d - 1).compose(hmaps[d]))
-                if parts:
-                    f = parts[0]
-                    for p in parts[1:]:
-                        f = f.add(p)
-                    comps[d] = f
-            boundaries.append(_vec_of_maps(self._offs, self._total, comps))
+        if h_basis:
+            lrows = [row for d in offs for row in commute(hoffs, htotal, 1, d, d - 1)]
+            boundaries = linalg.mat_mul_dims(h_basis, linalg.transpose(lrows),
+                                             len(h_basis), htotal, total)
         # one elimination picks a basis of the boundaries, then the cycles
         # that extend it
         nb = len(boundaries)
@@ -225,14 +203,9 @@ class HomKSpace:
 
 
 @lru_cache(maxsize=None)
-def stalk_complex_cached(q, root, shift):
-    return stalk_complex(q, root, shift)
-
-
-@lru_cache(maxsize=None)
 def homk_pair_dim(q, r1, r2, gap):
     """dim Hom_K(res(M1), res(M2)[gap]); depends on the shift gap only."""
-    return HomKSpace(stalk_complex_cached(q, r1, 0), stalk_complex_cached(q, r2, gap)).dim
+    return HomKSpace(stalk_complex(q, r1, 0), stalk_complex(q, r2, gap)).dim
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +289,7 @@ def _sgldim_ringel(t):
     if _is_projective_slice(t):
         sup_len = 0
         for root in qv.positive_roots(q):
-            c = stalk_complex_cached(q, root, 0)
+            c = stalk_complex(q, root, 0)
             sup_len = max(sup_len, c.hi - c.lo)
         if sup_len != rep.value:
             raise qv.InternalInconsistencyError(

@@ -8,7 +8,9 @@ fractions.
 
 rref is the one elimination: nullspace, solve_matrix and inverse read their
 answers off it, and independent reads the pivot columns of the vectors
-stacked as columns for every span choice the oracles make.
+stacked as columns for every span choice the oracles make.  nullspace takes
+the number of unknowns with the rows, so a system with no rows has every
+vector as a solution.
 """
 
 from fractions import Fraction
@@ -32,10 +34,6 @@ def identity(n):
     return m
 
 
-def copy_mat(a):
-    return [row[:] for row in a]
-
-
 def shape(a):
     return (len(a), len(a[0]) if a else 0)
 
@@ -47,10 +45,6 @@ def mat_from_rows(rows):
 def transpose(a):
     r, c = shape(a)
     return [[a[i][j] for i in range(r)] for j in range(c)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
@@ -86,7 +80,7 @@ def mat_eq(a, b):
 
 def rref(a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = copy_mat(a)
+    m = [row[:] for row in a]
     rows, cols = shape(m)
     pivots = []
     r = 0
@@ -113,13 +107,9 @@ def rref(a):
     return m, pivots
 
 
-def nullspace(a):
-    """Basis of the right kernel {v : a v = 0}, as a list of vectors."""
-    rows, cols = shape(a)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[ONE if j == i else ZERO for j in range(cols)] for i in range(cols)]
+def nullspace(a, cols):
+    """Basis of {v : a v = 0} for the rows a in cols unknowns (the identity
+    when a has no rows)."""
     r, pivots = rref(a)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
@@ -131,17 +121,6 @@ def nullspace(a):
             v[pc] = -r[i][fc]
         basis.append(v)
     return basis
-
-
-def solutions(rows, cols):
-    """Basis of the solutions of the homogeneous system `rows` in `cols` unknowns.
-
-    Unlike nullspace, this knows the width of a system with no rows: then
-    every vector is a solution.
-    """
-    if cols == 0:
-        return []
-    return nullspace(rows) if rows else identity(cols)
 
 
 def solve_matrix(a, b):

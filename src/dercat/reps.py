@@ -2,12 +2,15 @@
 
 Indecomposables come from positive roots via reflection functors
 (indec_of_root).  Minimal projective resolutions (projective_cover, kernel,
-proj_resolution) and the intertwiner systems (intertwiner_rows,
-intertwiner_system, vector_to_map) are what complexes builds its stalk
-complexes and HomKSpace from: complexes.homk_pair_dim is the one oracle for
-the closed Euler-form rule derived.pair_hom_dim, and the test suite compares
-the two on every root pair.  The AR translate is integer arithmetic and
-lives in zq (tau_pair, read off one tau-orbit table per quiver).
+proj_resolution) are what complexes builds its stalk complexes from.
+commute_rows, the rows of U_t A + sign B U_s = 0 in unknown matrices, is the
+one row builder of HomKSpace's systems: intertwiner_system lays out the
+unknowns and reads its intertwiner rows off it, and complexes its chain
+condition and homotopy boundaries.  complexes.homk_pair_dim is the one
+oracle for the closed Euler-form rule derived.pair_hom_dim, and the test
+suite compares the two on every root pair.  The AR translate is integer
+arithmetic and lives in zq (tau_pair, read off one tau-orbit table per
+quiver).
 
 Beyond the chain oracle this module serves only `dercat ind list --reps`
 (format_rep); the listing order is zq.knitting_order.  No module of the
@@ -49,12 +52,8 @@ class Representation:
             if linalg.shape(m) != (self.dims[t], self.dims[s]) and self.dims[t] > 0:
                 raise ValueError("matrix shape mismatch on arrow %d->%d" % (s, t))
 
-    @property
-    def total_dim(self):
-        return sum(self.dims)
-
     def is_zero(self):
-        return self.total_dim == 0
+        return not any(self.dims)
 
     def __repr__(self):
         return "Representation(dims=%r)" % (self.dims,)
@@ -115,26 +114,15 @@ class RepMap:
             if target.dims[v] > 0 and linalg.shape(self.mats[v]) != (target.dims[v], source.dims[v]):
                 raise ValueError("vertex matrix shape mismatch at %d" % v)
 
-    def _mat(self, v):
-        m = self.mats[v]
-        if not m:
-            return linalg.zeros(self.target.dims[v], self.source.dims[v])
-        return m
-
     def compose(self, other):
         """self after other (other first)."""
         if other.target.dims != self.source.dims:
             raise ValueError("cannot compose %r after %r" % (self, other))
-        mats = [linalg.mat_mul_dims(self._mat(v), other._mat(v),
+        mats = [linalg.mat_mul_dims(self.mats[v], other.mats[v],
                                     self.target.dims[v], self.source.dims[v],
                                     other.source.dims[v])
                 for v in range(self.source.quiver.n)]
         return RepMap(other.source, self.target, mats)
-
-    def add(self, other):
-        return RepMap(self.source, self.target,
-                      [linalg.mat_add(self._mat(v), other._mat(v)) if self.target.dims[v] and self.source.dims[v] else self._mat(v)
-                       for v in range(self.source.quiver.n)])
 
     def __repr__(self):
         return "RepMap(%r -> %r)" % (self.source.dims, self.target.dims)
@@ -145,27 +133,28 @@ def zero_map(source, target):
                   [linalg.zeros(target.dims[v], source.dims[v]) for v in range(source.quiver.n)])
 
 
-def intertwiner_rows(m, n, offs, total):
-    """Rows of the system phi_t M_a = N_a phi_s over the arrows a: s -> t.
+def commute_rows(total, sign, ut, a, us, b, nr, nc):
+    """Rows of the nr x nc system U_t A + sign B U_s = 0, one per entry (r, c).
 
-    The unknowns are the vertex matrices phi_v (n.dims[v] x m.dims[v]), stored
-    row by row from offs[v] in a vector of length total.
+    The unknown matrices U_t and U_s are each an (offset, width) block stored
+    row by row in a vector of length total, or None when the term is absent;
+    the width of U_t is the number of rows of A, that of U_s is nc.
     """
     rows = []
-    for a, (s, t) in enumerate(m.quiver.arrows):
-        ma, na = m.mats[a], n.mats[a]
-        for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
-                row = [Fraction(0)] * total
-                # (phi_t . M_a)[r,c] = sum_k phi_t[r,k] M_a[k,c]
-                for k in range(m.dims[t]):
-                    if ma[k][c] != 0:
-                        row[offs[t] + r * m.dims[t] + k] += ma[k][c]
-                # (N_a . phi_s)[r,c] = sum_k N_a[r,k] phi_s[k,c]
-                for k in range(n.dims[s]):
-                    if na[r][k] != 0:
-                        row[offs[s] + k * m.dims[s] + c] -= na[r][k]
-                rows.append(row)
+    for r in range(nr):
+        for c in range(nc):
+            row = [Fraction(0)] * total
+            if ut is not None:
+                off, w = ut
+                for k in range(w):
+                    if a[k][c] != 0:
+                        row[off + r * w + k] += a[k][c]
+            if us is not None:
+                off, w = us
+                for k, x in enumerate(b[r]):
+                    if x != 0:
+                        row[off + k * w + c] += sign * x
+            rows.append(row)
     return rows
 
 
@@ -173,8 +162,10 @@ def intertwiner_system(pairs):
     """Layout and intertwiner rows for the vertex maps of several pairs at once.
 
     pairs[d] = (M, N), e.g. one pair per degree of a chain map.  Returns
-    (offs, total, rows): the maps of pair d start at offs[d][v] in one vector
-    of length total, in the order of pairs.
+    (offs, total, rows): the vertex matrix phi_v (N_v x M_v) of pair d is
+    stored row by row from offs[d][v] in one vector of length total, in the
+    order of pairs, and rows is the system phi_t M_a = N_a phi_s over the
+    arrows a: s -> t.
     """
     offs = {}
     total = 0
@@ -184,20 +175,10 @@ def intertwiner_system(pairs):
             offs[d].append(total)
             total += n.dims[v] * m.dims[v]
     rows = [row for d, (m, n) in pairs.items()
-            for row in intertwiner_rows(m, n, offs[d], total)]
+            for a, (s, t) in enumerate(m.quiver.arrows)
+            for row in commute_rows(total, -1, (offs[d][t], m.dims[t]), m.mats[a],
+                                    (offs[d][s], m.dims[s]), n.mats[a], n.dims[t], m.dims[s])]
     return offs, total, rows
-
-
-def vector_to_map(m, n, offs, vec):
-    """The RepMap M -> N whose vertex matrices sit in vec at offs, as in intertwiner_rows."""
-    mats = []
-    for v in range(m.quiver.n):
-        mat = linalg.zeros(n.dims[v], m.dims[v])
-        for r in range(n.dims[v]):
-            for c in range(m.dims[v]):
-                mat[r][c] = vec[offs[v] + r * m.dims[v] + c]
-        mats.append(mat)
-    return RepMap(m, n, mats)
 
 
 def kernel(f):
@@ -214,7 +195,7 @@ def kernel(f):
             incs.append(linalg.identity(f.source.dims[v]))
             kdims.append(f.source.dims[v])
             continue
-        basis = linalg.nullspace(f._mat(v))
+        basis = linalg.nullspace(f.mats[v], f.source.dims[v])
         kdims.append(len(basis))
         incs.append(linalg.transpose(basis) if basis else [])
     kmats = []

@@ -4,14 +4,33 @@ from functools import lru_cache
 
 import pytest
 
-from dercat import derived as dv, mutation as mu, quiver as qv, reps, sgd
+from dercat import derived as dv, linalg, mutation as mu, quiver as qv, reps, sgd
+
+
+def vector_to_map(m, n, offs, vec):
+    """The RepMap M -> N whose vertex matrices sit in vec from offs, each
+    stored row by row as reps.intertwiner_system lays them out."""
+    return reps.RepMap(m, n, [[[vec[offs[v] + r * m.dims[v] + c] for c in range(m.dims[v])]
+                               for r in range(n.dims[v])] for v in range(m.quiver.n)])
+
+
+def maps_to_vector(sp, maps):
+    """The inverse of vector_to_map for degreewise maps, a {degree: RepMap},
+    laid out as the unknowns of the complexes.HomKSpace sp."""
+    vec = [linalg.ZERO] * sp._total
+    for d, f in maps.items():
+        for v, mat in enumerate(f.mats):
+            for r, row in enumerate(mat):
+                for c, x in enumerate(row):
+                    vec[sp._offs[d][v] + r * f.source.dims[v] + c] = x
+    return vec
 
 
 def homk_basis(sp):
     """Chain maps whose classes form a basis of the complexes.HomKSpace sp,
     each a {degree: RepMap} over the degrees where source and target both
     have terms."""
-    return [{d: reps.vector_to_map(m, n, sp._offs[d], vec) for d, (m, n) in sp._pairs.items()}
+    return [{d: vector_to_map(m, n, sp._offs[d], vec) for d, (m, n) in sp._pairs.items()}
             for vec in sp._rep_vecs]
 
 

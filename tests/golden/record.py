@@ -24,6 +24,7 @@ import io
 import json
 import pathlib
 import sys
+from collections import Counter
 
 from dercat import cli, derived as dv, quiver as qv
 
@@ -122,7 +123,6 @@ def _cases():
     case("hom", *e6, "--object", "{W}/E6-alt.P.obj")
     case("mutate", *e6, "--object", "{W}/E6-alt.P.obj", "--t2", "0,0")
     case("mutate", *e6, "--object", "{W}/E6-alt.P.obj", "--t2", "9")
-    case("mutate", *e6, "--object", "{W}/E6-alt.P.obj", "--t2", "0")
     case("tilting", "check", *e6, "--object", "{W}/bad.obj")
     case("sgd", *e6, "--object", "{W}/bad.obj")
     case("slice", "--all-slices", *e6, "--object", "{W}/zero.obj")
@@ -156,6 +156,9 @@ def _cases():
     case("-h")
     for path in dict.fromkeys(v.path[:i] for v in cli.VERBS for i in (1, 2)):
         case(*path, "-h")
+    repeated = [argv for argv, k in Counter(tuple(e["argv"]) for e in out).items() if k > 1]
+    if repeated:
+        raise ValueError("the corpus repeats %s" % ", ".join(" ".join(a) for a in repeated))
     return out
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import INPUTS, ell_profile, homk_basis, pair_of, root_of
+from conftest import INPUTS, ell_profile, homk_basis, maps_to_vector, pair_of, root_of
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
@@ -283,7 +283,7 @@ def solve(a, b):
 def homk_coords(sp, f):
     """Coordinates of the chain map f, a {degree: RepMap}, in homk_basis(sp),
     modulo the null-homotopic maps."""
-    vec = cx._vec_of_maps(sp._offs, sp._total, f)
+    vec = maps_to_vector(sp, f)
     cols = sp._rep_vecs + sp._bbasis
     if not cols:
         assert not any(vec), "nonzero map in a zero Hom space"
@@ -297,8 +297,8 @@ def homk_coords(sp, f):
 def homk_space_cached(q, src, tgt):
     """HomKSpace between cached stalk complexes; src and tgt are (root index,
     shift) pairs."""
-    return cx.HomKSpace(cx.stalk_complex_cached(q, *root_of(q, src)),
-                        cx.stalk_complex_cached(q, *root_of(q, tgt)))
+    return cx.HomKSpace(cx.stalk_complex(q, *root_of(q, src)),
+                        cx.stalk_complex(q, *root_of(q, tgt)))
 
 
 def approx_multiplicities(q, t1, x, left):
