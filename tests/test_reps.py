@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply, coxeter_matrix, inj_dims, pair_of, root_of
+from conftest import INPUTS, apply, coxeter_matrix, inj_dims, pair_of, root_of
 from dercat import cli, complexes as cx, linalg, quiver as qv, reps, zq
 
 D4_ALT = pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "D4-alt.q"
@@ -104,6 +105,20 @@ def test_proj_resolution_projective_input(a2):
     assert res.p1.is_zero() and res.p0_indices == [0]
     res2 = reps.proj_resolution(reps.simple_rep(a2, 1))
     assert res2.p1.is_zero() and res2.p0_indices == [1]
+
+
+def test_the_resolutions_of_every_bench_root_are_as_recorded():
+    # the cover indices and the differential's matrices of every
+    # indecomposable of the bench quivers, quiver by quiver and root by root
+    # in sorted order, byte for byte as recorded
+    h = hashlib.sha256()
+    for path in sorted(INPUTS.glob("*.q")):
+        q = qv.parse_quiver(path.read_text())
+        for root in sorted(qv.positive_roots(q)):
+            res = reps.proj_resolution(reps.indec_of_root(q, root))
+            mats = [[[str(x) for x in row] for row in m] for m in res.d.mats]
+            h.update(repr((path.stem, root, res.p1_indices, res.p0_indices, mats)).encode())
+    assert h.hexdigest() == "a0718e38a7e071f1ac789ac8114694fa425ba592dc991e518222644776bd56fb"
 
 
 def test_tau_hand_values(a2):
