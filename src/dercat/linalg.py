@@ -6,11 +6,11 @@ desk-scale; no attempt at asymptotic cleverness.  Only the oracle modules
 slices, mutation) is integer arithmetic and imports neither this module nor
 fractions.
 
-rref is the one elimination: nullspace, solve_matrix and inverse read their
-answers off it, and independent reads the pivot columns of the vectors
-stacked as columns for every span choice the oracles make.  nullspace takes
-the number of unknowns with the rows, so a system with no rows has every
-vector as a solution.
+rref is the one elimination: nullspace and solve_matrix read their answers
+off it, and independent reads the pivot columns of the vectors stacked as
+columns for every span choice the oracles make.  nullspace takes the number
+of unknowns with the rows, so a system with no rows has every vector as a
+solution.
 """
 
 from fractions import Fraction
@@ -74,10 +74,6 @@ def mat_mul_dims(a, b, rows, inner, cols):
     return mat_mul(a, b)
 
 
-def mat_eq(a, b):
-    return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def rref(a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [row[:] for row in a]
@@ -138,16 +134,6 @@ def solve_matrix(a, b):
         for j in range(cb):
             x[pc][j] = r[i][cols + j]
     return x
-
-
-def inverse(a):
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("cannot invert a %dx%d matrix" % (n, m))
-    inv = solve_matrix(a, identity(n))
-    if inv is None:
-        return None
-    return inv if mat_eq(mat_mul(a, inv), identity(n)) else None
 
 
 def independent(vectors, base=()):

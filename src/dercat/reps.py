@@ -1,8 +1,9 @@
 """Quiver representations over exact rationals, the module layer of the chain oracle.
 
 Indecomposables come from positive roots via reflection functors
-(indec_of_root).  Minimal projective resolutions (projective_cover, kernel,
-proj_resolution) are what complexes builds its stalk complexes from.
+(indec_of_root).  Minimal projective resolutions (proj_resolution, one
+projective cover of M and one of the first syzygy read off inside P0, both
+from projective_cover) are what complexes builds its stalk complexes from.
 commute_rows, the rows of U_t A + sign B U_s = 0 in unknown matrices, is the
 one row builder of HomKSpace's systems: intertwiner_system lays out the
 unknowns and reads its intertwiner rows off it, and complexes its chain
@@ -22,8 +23,8 @@ entries keyed on the quiver: the indecomposable projectives (proj_rep, one
 per vertex) and the indecomposables (indec_of_root, one per root), so
 results are identical under any evaluation order.  Those tables hand every
 caller the same Representation, so no representation is written after
-construction: whatever is built from one (a direct sum, a RepMap, a kernel)
-copies its entries.
+construction: whatever is built from one (a direct sum, a RepMap, a
+resolution) copies its entries.
 """
 
 from collections import namedtuple
@@ -51,9 +52,6 @@ class Representation:
         for (s, t), m in zip(q.arrows, self.mats):
             if linalg.shape(m) != (self.dims[t], self.dims[s]) and self.dims[t] > 0:
                 raise ValueError("matrix shape mismatch on arrow %d->%d" % (s, t))
-
-    def is_zero(self):
-        return not any(self.dims)
 
     def __repr__(self):
         return "Representation(dims=%r)" % (self.dims,)
@@ -114,16 +112,6 @@ class RepMap:
             if target.dims[v] > 0 and linalg.shape(self.mats[v]) != (target.dims[v], source.dims[v]):
                 raise ValueError("vertex matrix shape mismatch at %d" % v)
 
-    def compose(self, other):
-        """self after other (other first)."""
-        if other.target.dims != self.source.dims:
-            raise ValueError("cannot compose %r after %r" % (self, other))
-        mats = [linalg.mat_mul_dims(self.mats[v], other.mats[v],
-                                    self.target.dims[v], self.source.dims[v],
-                                    other.source.dims[v])
-                for v in range(self.source.quiver.n)]
-        return RepMap(other.source, self.target, mats)
-
     def __repr__(self):
         return "RepMap(%r -> %r)" % (self.source.dims, self.target.dims)
 
@@ -181,39 +169,6 @@ def intertwiner_system(pairs):
     return offs, total, rows
 
 
-def kernel(f):
-    """Kernel of a morphism, with its inclusion map."""
-    q = f.source.quiver
-    incs = []
-    kdims = []
-    for v in range(q.n):
-        if f.source.dims[v] == 0:
-            incs.append([])
-            kdims.append(0)
-            continue
-        if f.target.dims[v] == 0:
-            incs.append(linalg.identity(f.source.dims[v]))
-            kdims.append(f.source.dims[v])
-            continue
-        basis = linalg.nullspace(f.mats[v], f.source.dims[v])
-        kdims.append(len(basis))
-        incs.append(linalg.transpose(basis) if basis else [])
-    kmats = []
-    for a, (s, t) in enumerate(q.arrows):
-        if kdims[s] == 0 or kdims[t] == 0:
-            kmats.append(linalg.zeros(kdims[t], kdims[s]))
-            continue
-        rhs = linalg.mat_mul(f.source.mats[a], incs[s])
-        sol = linalg.solve_matrix(incs[t], rhs)
-        if sol is None:
-            raise qv.InternalInconsistencyError("kernel is not a subrepresentation")
-        kmats.append(sol)
-    k = Representation(q, kdims, kmats)
-    inc = RepMap(k, f.source, [incs[v] if kdims[v] and f.source.dims[v] else
-                               linalg.zeros(f.source.dims[v], kdims[v]) for v in range(q.n)])
-    return k, inc
-
-
 def _complement_projection(cols, dim):
     """Cokernel projection of the dim x len(cols) matrix with these columns.
 
@@ -225,7 +180,8 @@ def _complement_projection(cols, dim):
     im_basis = r[:len(pivots)]
     std = linalg.identity(dim)
     u = linalg.transpose(im_basis + [std[i] for i in linalg.independent(std, im_basis)])
-    return linalg.inverse(u)[len(im_basis):]
+    # u's columns are a basis of Q^dim, so this solve is its inverse
+    return linalg.solve_matrix(u, std)[len(im_basis):]
 
 
 def _generator_images(m, i, gen):
@@ -247,22 +203,24 @@ def _generator_images(m, i, gen):
     return images
 
 
-def projective_cover(m):
-    """(list of projective vertex indices, epimorphism from their sum onto M)."""
+def projective_cover(m, spans):
+    """(list of projective vertex indices, map from their sum into M) for the
+    subrepresentation of M spanned by the vectors spans[v] of M_v at each v.
+
+    The map is written in M's own coordinates and is onto that subrepresentation."""
     q = m.quiver
     indices = []
     images = []
     for v in range(q.n):
-        if m.dims[v] == 0:
+        if not spans[v]:
             continue
-        # the generators of M's top at v: standard vectors outside the arrows' images
-        arrow_cols = [[mat[r][c] for r in range(m.dims[v])]
-                      for mat, (s, t) in zip(m.mats, q.arrows) if t == v
-                      for c in range(m.dims[s])]
-        std = linalg.identity(m.dims[v])
-        for i in linalg.independent(std, arrow_cols):
+        # the generators of the top at v: span vectors outside the arrows' images
+        arrow_images = [[sum(x * y for x, y in zip(row, w)) for row in mat]
+                        for mat, (s, t) in zip(m.mats, q.arrows) if t == v
+                        for w in spans[s]]
+        for i in linalg.independent(spans[v], arrow_images):
             indices.append(v)
-            images.append(_generator_images(m, v, std[i]))
+            images.append(_generator_images(m, v, spans[v][i]))
     if not indices:
         z = zero_rep(q)
         return [], zero_map(z, m)
@@ -288,18 +246,15 @@ ProjResolution = namedtuple("ProjResolution", "p1_indices p0_indices p1 p0 d eps
 
 
 def proj_resolution(m):
-    q = m.quiver
-    p0_indices, eps = projective_cover(m)
+    """The cover eps of M, then the cover d of ker eps read off inside P0:
+    kQ is hereditary, so d is injective and its source is ker eps."""
+    p0_indices, eps = projective_cover(m, [linalg.identity(d) for d in m.dims])
     p0 = eps.source
-    k, inc = kernel(eps)
-    if k.is_zero():
-        z = zero_rep(q)
-        return ProjResolution([], p0_indices, z, p0, zero_map(z, p0), eps)
-    p1_indices, cover = projective_cover(k)
-    p1 = cover.source
-    if p1.dims != k.dims:
+    syz = [linalg.nullspace(eps.mats[v], p0.dims[v]) for v in range(m.quiver.n)]
+    p1_indices, d = projective_cover(p0, syz)
+    p1 = d.source
+    if p1.dims != tuple(map(len, syz)):
         raise qv.InternalInconsistencyError("first syzygy is not projective")
-    d = inc.compose(cover)
     return ProjResolution(p1_indices, p0_indices, p1, p0, d, eps)
 
 

@@ -192,7 +192,7 @@ def window_slices(t, pad):
 TheoremAReport = namedtuple("TheoremAReport", "sgd ell slices_checked truncated")
 
 
-def theoremA_verify(t, window_pad=2):
+def theoremA_verify(t, window_pad):
     """Upper bound over every enumerated slice, equality at the canonical one.
     Each enumerated section is read as its (root index, shift) pairs
     (zq.zq_pair), with no Slice built."""

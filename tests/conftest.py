@@ -14,6 +14,15 @@ def vector_to_map(m, n, offs, vec):
                                for r in range(n.dims[v])] for v in range(m.quiver.n)])
 
 
+def compose(g, f):
+    """The RepMap g after f (f first), vertex by vertex."""
+    if f.target.dims != g.source.dims:
+        raise ValueError("cannot compose %r after %r" % (g, f))
+    return reps.RepMap(f.source, g.target, [
+        linalg.mat_mul_dims(g.mats[v], f.mats[v], g.target.dims[v], g.source.dims[v],
+                            f.source.dims[v]) for v in range(f.source.quiver.n)])
+
+
 def maps_to_vector(sp, maps):
     """The inverse of vector_to_map for degreewise maps, a {degree: RepMap},
     laid out as the unknowns of the complexes.HomKSpace sp."""

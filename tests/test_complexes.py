@@ -1,7 +1,8 @@
 import itertools
 from fractions import Fraction
 
-from conftest import INPUTS, homk_basis, maps_to_vector, reference_quivers, vector_to_map
+from conftest import (INPUTS, compose, homk_basis, maps_to_vector, reference_quivers,
+                      vector_to_map)
 
 from dercat import complexes as cx, derived as dv, linalg, quiver as qv, reps
 
@@ -30,11 +31,10 @@ def is_chain_map(x, y, maps):
     def comp(d):
         return maps[d] if d in maps else reps.zero_map(x.term_rep(d), y.term_rep(d))
     for d in x.terms:
-        lhs = comp(d + 1).compose(x.diff(d))
-        rhs = y.diff(d).compose(comp(d))
-        for v in range(x.quiver.n):
-            if not linalg.mat_eq(lhs.mats[v], rhs.mats[v]):
-                return False
+        lhs = compose(comp(d + 1), x.diff(d))
+        rhs = compose(y.diff(d), comp(d))
+        if lhs.mats != rhs.mats:
+            return False
     return True
 
 
@@ -142,8 +142,8 @@ def composed_boundaries(x, y, sp):
     out = []
     for hv in linalg.nullspace(hrows, htotal):
         h = {d: vector_to_map(m, n, hoffs[d], hv) for d, (m, n) in hpairs.items()}
-        parts = ([{d: h[d + 1].compose(x.diff(d))} for d in sp._pairs if d + 1 in h]
-                 + [{d: y.diff(d - 1).compose(h[d])} for d in sp._pairs if d in h])
+        parts = ([{d: compose(h[d + 1], x.diff(d))} for d in sp._pairs if d + 1 in h]
+                 + [{d: compose(y.diff(d - 1), h[d])} for d in sp._pairs if d in h])
         vecs = [maps_to_vector(sp, part) for part in parts]
         out.append([sum(xs, linalg.ZERO) for xs in zip([linalg.ZERO] * sp._total, *vecs)])
     return out

@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import INPUTS, ell_profile, homk_basis, maps_to_vector, pair_of, root_of
+from conftest import INPUTS, compose, ell_profile, homk_basis, maps_to_vector, pair_of, root_of
 from test_derived import full_scan_rigidity_failure
 
 from dercat import complexes as cx, derived as dv, linalg, mutation as mu, quiver as qv, sgd
@@ -318,7 +318,7 @@ def approx_multiplicities(q, t1, x, left):
                 continue
             for f in homk_basis(homk_space_cached(q, src, mid)):
                 for g in homk_basis(homk_space_cached(q, mid, tgt)):
-                    gf = {d: g[d].compose(f[d]) for d in g if d in f}
+                    gf = {d: compose(g[d], f[d]) for d in g if d in f}
                     through.append(homk_coords(sp, gf))
         rank = len(linalg.independent(through))
         if sp.dim > rank:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import ell_profile, pair_of, reference_quivers, root_of, stalk_at, tau_reference
-from dercat import (complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd,
+from dercat import (cli, complexes as cx, derived as dv, mutation as mu, quiver as qv, sgd,
                     slices as sls, zq)
 
 INPUTS = pathlib.Path(__file__).parents[1] / "bench" / "inputs"
@@ -349,14 +349,14 @@ def test_enumerate_slices_matches_brute_force(d4, e6_alt, window):
 
 def test_theoremA_on_quasi_tilted(a3):
     t = dv.DerivedObject(a3, [((0, 0, 1), 0, 1), ((1, 0, 0), 0, 1), ((1, 1, 1), 0, 1)])
-    rep = sls.theoremA_verify(t)
+    rep = sls.theoremA_verify(t, cli.WINDOW_PAD)
     assert rep.sgd == 2 and rep.ell == 0
 
 
 def test_theoremA_on_sgldim3(a4):
     t = dv.DerivedObject(a4, [((0, 0, 0, 1), 0, 1), ((1, 0, 0, 0), 0, 1),
                               ((1, 1, 1, 1), 0, 1), ((0, 1, 0, 0), 1, 1)])
-    rep = sls.theoremA_verify(t)
+    rep = sls.theoremA_verify(t, cli.WINDOW_PAD)
     assert rep.sgd == 3 and rep.ell == 1
 
 
@@ -370,7 +370,7 @@ def test_theoremA_builds_one_slice_per_call(a3, d4, census, monkeypatch):
     for q in (a3, d4):
         for t in sorted(census(q), key=dv.format_object):
             if sgd.sgldim(t).value >= 2:
-                sections += sls.theoremA_verify(t).slices_checked
+                sections += sls.theoremA_verify(t, cli.WINDOW_PAD).slices_checked
                 verified += 1
                 assert len(calls) == verified
     assert (verified, len(calls)) == (49, 49) and sections > 10 * verified
@@ -378,7 +378,7 @@ def test_theoremA_builds_one_slice_per_call(a3, d4, census, monkeypatch):
 
 def test_theoremA_rejects_hereditary(a2):
     with pytest.raises(ValueError):
-        sls.theoremA_verify(dv.projective_generator(a2))
+        sls.theoremA_verify(dv.projective_generator(a2), cli.WINDOW_PAD)
 
 
 def test_lower_bound_witness(a4, a4_alt, census):
@@ -426,7 +426,7 @@ def test_theorems_a_and_b_on_every_census_object(a3, a4, a4_alt, d4, census):
             d = sgd.sgldim(t).value
             if d < 2:
                 continue
-            rep = sls.theoremA_verify(t)
+            rep = sls.theoremA_verify(t, cli.WINDOW_PAD)
             assert (rep.sgd, rep.ell, rep.truncated) == (d, d - 2, False)
             # T^(0), ..., T^(d-2) = T: d - 2 mutation steps, step i at s.gl.dim 2 + i
             seq = mu.theoremB_sequence(t)
