@@ -5,8 +5,8 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (INPUTS, apply, coxeter_matrix, inj_dims, pair_of, reference_quivers,
-                      root_of)
+from conftest import (INPUTS, apply, compose, coxeter_matrix, inj_dims, pair_of,
+                      reference_quivers, root_of)
 from dercat import cli, complexes as cx, linalg, quiver as qv, reps, zq
 
 D4_ALT = pathlib.Path(__file__).parents[1] / "bench" / "inputs" / "D4-alt.q"
@@ -158,12 +158,58 @@ def test_proj_resolution_is_exact_on_every_reference_root():
                 ed = linalg.mat_mul_dims(res.eps.mats[v], res.d.mats[v], m_v, p0_v, p1_v)
                 assert all(x == 0 for row in ed for x in row), (r, v)
                 assert p0_v == p1_v + m_v, (r, v)
-    # the syzygy is the nullspace of each eps_v, in the width of its system:
-    # with no rows (M_v = 0) or only zero rows every vector solves it, and
-    # width 0 (P0_v = 0) leaves no basis vector
+
+
+def _kernel_cover(f):
+    """(nullspace of f_v at each v, cover of the kernel of f inside f.source)."""
+    spans = [linalg.nullspace(f.mats[v], f.source.dims[v]) for v in range(f.source.quiver.n)]
+    return spans, reps.projective_cover(f.source, spans)[1]
+
+
+def _is_zero_map(f):
+    return all(x == 0 for mat in f.mats for row in mat for x in row)
+
+
+def test_kernel_cokernel_socle_inclusion(a2):
+    # the socle inclusion P2 -> P1 is the resolution's differential of S1; the
+    # augmentation P1 -> S1 has it as kernel
+    res = reps.proj_resolution(reps.simple_rep(a2, 0))
+    spans, _ = _kernel_cover(res.d)
+    assert [len(b) for b in spans] == [0] * a2.n
+    spans, inc = _kernel_cover(res.eps)
+    assert tuple(map(len, spans)) == inc.source.dims == qv.proj_dims(a2, 1)
+    assert is_morphism(inc) and _is_zero_map(compose(res.eps, inc))
+
+
+def test_kernel_cokernel_identity_and_zero(a3):
+    m = reps.indec_of_root(a3, (1, 1, 1))
+    n = reps.indec_of_root(a3, (0, 1, 0))
+    spans, inc = _kernel_cover(reps.RepMap(m, m, [linalg.identity(d) for d in m.dims]))
+    assert [len(b) for b in spans] == [0] * a3.n and inc.source.dims == (0,) * a3.n
+    spans, inc = _kernel_cover(reps.zero_map(m, n))
+    assert tuple(map(len, spans)) == m.dims
+    assert [_rank(inc.mats[v]) for v in range(a3.n)] == list(m.dims)
+    # nullspace takes the width of its system: with no rows or only zero
+    # rows every vector solves it, and width 0 leaves no basis vector
     assert linalg.nullspace([], 3) == linalg.identity(3)
     assert linalg.nullspace(linalg.zeros(2, 3), 3) == linalg.identity(3)
     assert linalg.nullspace([], 0) == linalg.nullspace([[], []], 0) == []
+
+
+def test_kernel_cokernel_induced_maps_commute(d4):
+    # kernels of the two maps of each indecomposable's projective resolution,
+    # covered inside their source
+    for r in qv.positive_roots(d4):
+        res = reps.proj_resolution(reps.indec_of_root(d4, r))
+        for f in (res.eps, res.d):
+            spans, inc = _kernel_cover(f)
+            assert is_morphism(f) and is_morphism(inc)
+            assert _is_zero_map(compose(f, inc))
+            # onto the kernel: f kills the image of inc, which has full width
+            assert [_rank(inc.mats[v]) for v in range(d4.n)] == list(map(len, spans)), r
+        # exact: eps has the image of d as its kernel, and d is injective
+        assert tuple(map(len, _kernel_cover(res.eps)[0])) == res.p1.dims
+        assert not any(_kernel_cover(res.d)[0])
 
 
 def test_mat_mul_rejects_mismatched_shapes():
