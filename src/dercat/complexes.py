@@ -22,9 +22,12 @@ span hi - lo.  The test suite pins both on every reference root.
 
 Terms are multisets of indecomposable projectives (stored as vertex index
 lists); differentials are morphisms of representations, kept as block grids of
-maps between single projectives.  Shift convention: X[1] moves the term of
-degree d to degree d-1 and negates the differentials; stalks of modules sit
-in degrees (-1-k, -k) for an object placed at suspension k.
+maps between single projectives.  A complex memoizes the direct sum of each
+term (term_rep), and diff(d) writes its differential between those same
+memoized sums: only the block entries are copied per call, and no direct sum
+is rebuilt.  Shift convention: X[1] moves the term of degree d to degree d-1
+and negates the differentials; stalks of modules sit in degrees (-1-k, -k)
+for an object placed at suspension k.
 """
 
 from functools import lru_cache
@@ -67,9 +70,10 @@ def _slice_blocks(q, src_indices, tgt_indices, f):
     return blocks
 
 
-def _assemble_blocks(q, src_indices, tgt_indices, blocks):
-    src = reps.proj_sum_rep(q, src_indices)
-    tgt = reps.proj_sum_rep(q, tgt_indices)
+def _assemble_blocks(src, tgt, src_indices, tgt_indices, blocks):
+    """The block grid as one RepMap between src and tgt, the sums of the
+    projectives src_indices and tgt_indices."""
+    q = src.quiver
     soffs, sdims = _proj_offsets(q, src_indices)
     toffs, tdims = _proj_offsets(q, tgt_indices)
     mats = [linalg.zeros(tdims[v], sdims[v]) for v in range(q.n)]
@@ -117,10 +121,13 @@ class ProjComplex:
         return self._term_reps[d]
 
     def diff(self, d):
-        """Assembled differential out of degree d (a zero map on empty terms)."""
+        """Assembled differential out of degree d (a zero map on empty terms),
+        written between the memoized term_rep(d) and term_rep(d + 1); only
+        the block entries are copied per call."""
+        src, tgt = self.term_rep(d), self.term_rep(d + 1)
         if d in self.diffs:
-            return _assemble_blocks(self.quiver, self.term(d), self.term(d + 1), self.diffs[d])
-        return reps.zero_map(self.term_rep(d), self.term_rep(d + 1))
+            return _assemble_blocks(src, tgt, self.term(d), self.term(d + 1), self.diffs[d])
+        return reps.zero_map(src, tgt)
 
     def __repr__(self):
         return "ProjComplex(%r)" % ({d: self.term(d) for d in self.degrees()},)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import _orientations
 
 from dercat import complexes as cx, derived as dv, quiver as qv
 
@@ -29,3 +30,14 @@ def test_pair_hom_dim_matches_module_oracle(name):
         assert hom * ext == 0, (r1, r2)
         for gap in (-1, 2):
             assert dv.pair_hom_dim(q, r1, 3, r2, 3 + gap) == 0
+
+
+# every orientation of A4 and D4 (8 each), all root pairs, gaps -1 to 2
+@pytest.mark.parametrize("n, edges", [(4, ((0, 1), (1, 2), (2, 3))),
+                                      (4, ((0, 3), (1, 3), (2, 3)))], ids=["A4", "D4"])
+def test_chain_oracle_on_every_orientation(n, edges):
+    for q in _orientations(n, edges):
+        roots = qv.positive_roots(q)
+        for r1, r2, gap in itertools.product(roots, roots, range(-1, 3)):
+            want = dv.pair_hom_dim(q, r1, 3, r2, 3 + gap)
+            assert cx.homk_pair_dim(q, r1, r2, gap) == want, (q.arrows, r1, r2, gap)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from conftest import (INPUTS, compose, homk_basis, maps_to_vector, reference_quivers,
                       vector_to_map)
 
-from dercat import complexes as cx, derived as dv, linalg, quiver as qv, reps
+from dercat import cli, complexes as cx, derived as dv, linalg, quiver as qv, reps
 
 
 def res(q, root, shift=0):
@@ -161,3 +161,43 @@ def test_homotopy_boundaries_are_the_composed_maps():
             sp = cx.HomKSpace(x, y)
             ref = composed_boundaries(x, y, sp)
             assert sp._bbasis == [ref[i] for i in linalg.independent(ref)], (name, r1, r2, gap)
+
+
+def test_differentials_are_written_on_the_memoized_terms(monkeypatch, capsys):
+    # direct sums are built by the resolutions' covers and once per
+    # (stalk complex, non-empty term) by term_rep; diff(d) builds none
+    for table in (reps.proj_rep, cx.stalk_complex, cx.homk_pair_dim):
+        table.cache_clear()
+    calls = {"all": 0, "covers": 0}
+    direct_sum, proj_resolution, stalk_complex = (reps.direct_sum, reps.proj_resolution,
+                                                  cx.stalk_complex)
+
+    def counted_sum(parts):
+        calls["all"] += 1
+        return direct_sum(parts)
+
+    def counted_resolution(m):
+        before = calls["all"]
+        out = proj_resolution(m)
+        calls["covers"] += calls["all"] - before
+        return out
+
+    built = {}
+
+    def recorded_stalk(q, root, shift):
+        c = stalk_complex(q, root, shift)
+        built[id(c)] = c
+        return c
+
+    monkeypatch.setattr(reps, "direct_sum", counted_sum)
+    monkeypatch.setattr(reps, "proj_resolution", counted_resolution)
+    monkeypatch.setattr(cx, "stalk_complex", recorded_stalk)
+    assert cli.main(["verify", "homagree", "--quiver", str(INPUTS / "D4-alt.q")]) == 0
+    assert "failed=0" in capsys.readouterr().err
+    assert built and calls["covers"]
+    terms = sum(len(c.terms) for c in built.values())
+    assert calls["all"] - calls["covers"] <= terms, (calls, terms)
+    for c in built.values():
+        for d in c.diffs:
+            f = c.diff(d)
+            assert f.source is c.term_rep(d) and f.target is c.term_rep(d + 1)
