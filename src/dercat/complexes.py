@@ -21,85 +21,38 @@ equal projectives, nothing is contractible, and Ringel's length is the degree
 span hi - lo.  The test suite pins both on every reference root.
 
 Terms are multisets of indecomposable projectives (stored as vertex index
-lists); differentials are morphisms of representations, kept as block grids of
-maps between single projectives.  A complex memoizes the direct sum of each
-term (term_rep), and diff(d) writes its differential between those same
-memoized sums: only the block entries are copied per call, and no direct sum
-is rebuilt.  Shift convention: X[1] moves the term of degree d to degree d-1
-and negates the differentials; stalks of modules sit in degrees (-1-k, -k)
-for an object placed at suspension k.
+lists); differentials are morphisms of representations.  A stalk complex's
+terms and differential are its resolution's own p1, p0 and d, shared by
+reference: projective_cover builds each term as the direct sum of its
+summands in index order, so nothing is assembled or copied per HomKSpace,
+which reads the differentials' matrices as they are.  The stalk of a module
+at suspension k sits in degrees (-1-k, -k) and keeps the unsigned d at every
+k.  The suspension X[k] moves the term of degree d to degree d-k and takes
+the sign (-1)^k on the differentials; negating every other term is an
+isomorphism from that complex to the stalk, so every Hom dimension is the
+same (the test suite compares them on every root pair of D4 and A5).
 """
 
 from functools import lru_cache
 
 from . import derived as dv, linalg, quiver as qv, reps, sgd
-from .reps import RepMap
-
-
-def _proj_offsets(q, indices):
-    """Per-vertex starting offsets of each projective summand inside the sum."""
-    offs = []
-    run = [0] * q.n
-    for i in indices:
-        offs.append(tuple(run))
-        pd = qv.proj_dims(q, i)
-        run = [run[v] + pd[v] for v in range(q.n)]
-    return offs, tuple(run)
-
-
-def _slice_blocks(q, src_indices, tgt_indices, f):
-    """Cut a morphism between sums of projectives into its (target, source) blocks."""
-    soffs, _ = _proj_offsets(q, src_indices)
-    toffs, _ = _proj_offsets(q, tgt_indices)
-    blocks = []
-    for b, tb in enumerate(tgt_indices):
-        row = []
-        tdims = qv.proj_dims(q, tb)
-        for a, sa in enumerate(src_indices):
-            sdims = qv.proj_dims(q, sa)
-            mats = []
-            for v in range(q.n):
-                if tdims[v] and sdims[v]:
-                    big = f.mats[v]
-                    mats.append([[big[toffs[b][v] + r][soffs[a][v] + c]
-                                  for c in range(sdims[v])] for r in range(tdims[v])])
-                else:
-                    mats.append(linalg.zeros(tdims[v], sdims[v]))
-            row.append(RepMap(reps.proj_rep(q, sa), reps.proj_rep(q, tb), mats))
-        blocks.append(row)
-    return blocks
-
-
-def _assemble_blocks(src, tgt, src_indices, tgt_indices, blocks):
-    """The block grid as one RepMap between src and tgt, the sums of the
-    projectives src_indices and tgt_indices."""
-    q = src.quiver
-    soffs, sdims = _proj_offsets(q, src_indices)
-    toffs, tdims = _proj_offsets(q, tgt_indices)
-    mats = [linalg.zeros(tdims[v], sdims[v]) for v in range(q.n)]
-    for b, tb in enumerate(tgt_indices):
-        td = qv.proj_dims(q, tb)
-        for a, sa in enumerate(src_indices):
-            blk = blocks[b][a]
-            sd = qv.proj_dims(q, sa)
-            for v in range(q.n):
-                if td[v] and sd[v]:
-                    bm = blk.mats[v]
-                    for r in range(td[v]):
-                        for c in range(sd[v]):
-                            mats[v][toffs[b][v] + r][soffs[a][v] + c] = bm[r][c]
-    return RepMap(src, tgt, mats)
 
 
 class ProjComplex:
-    """Bounded complex of sums of indecomposable projectives; d o d = 0 is trusted."""
+    """Bounded complex of sums of indecomposable projectives; d o d = 0 is trusted.
 
-    def __init__(self, q, terms, diffs):
+    Three tables, each keyed by degree and holding only the degrees whose
+    term is non-empty: terms[d], the vertex indices of the term's
+    indecomposable summands; term_reps[d], their direct sum in that order;
+    and diffs[d], the differential, a RepMap from term_reps[d] to
+    term_reps[d + 1] (absent where either term is empty).
+    """
+
+    def __init__(self, q, terms, term_reps, diffs):
         self.quiver = q
-        self.terms = {d: tuple(t) for d, t in terms.items() if t}
-        self.diffs = {d: blocks for d, blocks in diffs.items()
-                      if d in self.terms and (d + 1) in self.terms}
-        self._term_reps = {}
+        self.terms = terms
+        self.term_reps = term_reps
+        self.diffs = diffs
 
     def degrees(self):
         return sorted(self.terms)
@@ -116,18 +69,7 @@ class ProjComplex:
         return self.terms.get(d, ())
 
     def term_rep(self, d):
-        if d not in self._term_reps:
-            self._term_reps[d] = reps.proj_sum_rep(self.quiver, self.term(d))
-        return self._term_reps[d]
-
-    def diff(self, d):
-        """Assembled differential out of degree d (a zero map on empty terms),
-        written between the memoized term_rep(d) and term_rep(d + 1); only
-        the block entries are copied per call."""
-        src, tgt = self.term_rep(d), self.term_rep(d + 1)
-        if d in self.diffs:
-            return _assemble_blocks(src, tgt, self.term(d), self.term(d + 1), self.diffs[d])
-        return reps.zero_map(src, tgt)
+        return self.term_reps[d] if d in self.term_reps else reps.zero_rep(self.quiver)
 
     def __repr__(self):
         return "ProjComplex(%r)" % ({d: self.term(d) for d in self.degrees()},)
@@ -140,10 +82,9 @@ def stalk_complex(q, root, shift):
     m = reps.indec_of_root(q, root)
     res = reps.proj_resolution(m)
     if not res.p1_indices:
-        return ProjComplex(q, {-shift: tuple(res.p0_indices)}, {})
-    blocks = _slice_blocks(q, res.p1_indices, res.p0_indices, res.d)
+        return ProjComplex(q, {-shift: tuple(res.p0_indices)}, {-shift: res.p0}, {})
     return ProjComplex(q, {-1 - shift: tuple(res.p1_indices), -shift: tuple(res.p0_indices)},
-                       {-1 - shift: blocks})
+                       {-1 - shift: res.p1, -shift: res.p0}, {-1 - shift: res.d})
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +105,12 @@ class HomKSpace:
         self._pairs = {d: (x.term_rep(d), y.term_rep(d)) for d in degrees}
         offs, total, rows = reps.intertwiner_system(self._pairs)
         self._offs, self._total = offs, total
-        # each differential of X and Y, assembled once from its block grid
-        dx = {d: x.diff(d).mats for d in x.diffs}
-        dy = {d: y.diff(d).mats for d in y.diffs}
 
         def commute(uoffs, utotal, sign, d, e):
             """Rows, at every vertex, of u^{d+1} dX^d + sign dY^e u^d: maps
             X^d -> Y^{e+1} in the unknown maps u laid out by uoffs."""
-            f = dx.get(d) if d + 1 in uoffs else None
-            g = dy.get(e) if d in uoffs else None
+            f = x.diffs[d].mats if d in x.diffs and d + 1 in uoffs else None
+            g = y.diffs[e].mats if e in y.diffs and d in uoffs else None
             src, tgt = x.term_rep(d), y.term_rep(e + 1)
             out = []
             for v in range(q.n):
