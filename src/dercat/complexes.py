@@ -1,12 +1,16 @@
 """Bounded complexes of projectives: the homotopy-category oracle.
 
 What remains here: stalk_complex, the minimal projective resolution of an
-indecomposable stalk (memoized); HomKSpace, Hom in the homotopy category,
-solved exactly as the chain-map system modulo the image of the homotopy
-system; and sgldim_ringel, the chain-map oracle of sgd.sgldim.  HomKSpace
-builds all three of its linear systems, the intertwiners, the chain condition
-and the boundary map of the homotopies, from reps.commute_rows over unknown
-vectors: no chain map or homotopy is ever built as a RepMap.  The oracle
+indecomposable stalk placed at its shift; HomKSpace, Hom in the homotopy
+category, solved exactly as the chain-map system modulo the image of the
+homotopy system; and sgldim_ringel, the chain-map oracle of sgd.sgldim.
+HomKSpace builds all three of its linear systems, the intertwiners, the chain
+condition and the boundary map of the homotopies, from reps.commute_rows over
+unknown vectors: no chain map or homotopy is ever built as a RepMap.  A chain
+map lives in the degrees where X and Y both have terms, so when they share
+none HomKSpace is 0 at once, with no system built and no elimination.  The
+memo is on the resolution, one per (quiver, root): every shift of a stalk
+places the same resolution, so each root is resolved once.  The oracle
 evaluates length profiles by a scan over shifts (sgldim_scan, _profile),
 asking a Hom function at each shift, where sgd reads them off in closed form;
 it runs the scan on homk_pair_dim, and the test suite also on
@@ -76,11 +80,17 @@ class ProjComplex:
 
 
 @lru_cache(maxsize=None)
+def resolution(q, root):
+    """The minimal projective resolution of the indecomposable of a positive
+    root (memoized per quiver): every shift of its stalk places this one."""
+    return reps.proj_resolution(reps.indec_of_root(q, root))
+
+
 def stalk_complex(q, root, shift):
-    """Minimal complex of the indecomposable stalk M[shift] for a positive root
-    (memoized per quiver)."""
-    m = reps.indec_of_root(q, root)
-    res = reps.proj_resolution(m)
+    """Minimal complex of the indecomposable stalk M[shift] for a positive root:
+    the memoized resolution's p1, p0 and d, by reference, in degrees
+    -1-shift and -shift."""
+    res = resolution(q, root)
     if not res.p1_indices:
         return ProjComplex(q, {-shift: tuple(res.p0_indices)}, {-shift: res.p0}, {})
     return ProjComplex(q, {-1 - shift: tuple(res.p1_indices), -shift: tuple(res.p0_indices)},
@@ -96,19 +106,28 @@ class HomKSpace:
 
     dim is its dimension.  _rep_vecs are chain maps (as unknown vectors laid
     out by _offs) whose classes form a basis modulo _bbasis, a basis of the
-    null-homotopic ones.
+    null-homotopic ones.  When X and Y share no degree every table is empty
+    and dim is 0, with nothing solved.
     """
 
     def __init__(self, x, y):
         q = x.quiver
         degrees = sorted(set(x.terms) & set(y.terms))
+        if not degrees:
+            # a chain map lives in the shared degrees: with none, Hom is 0
+            self.dim, self._rep_vecs, self._bbasis = 0, [], []
+            self._pairs, self._offs, self._total = {}, {}, 0
+            return
         self._pairs = {d: (x.term_rep(d), y.term_rep(d)) for d in degrees}
         offs, total, rows = reps.intertwiner_system(self._pairs)
         self._offs, self._total = offs, total
 
         def commute(uoffs, utotal, sign, d, e):
             """Rows, at every vertex, of u^{d+1} dX^d + sign dY^e u^d: maps
-            X^d -> Y^{e+1} in the unknown maps u laid out by uoffs."""
+            X^d -> Y^{e+1} in the unknown maps u laid out by uoffs (none
+            where Y^{e+1} is empty)."""
+            if e + 1 not in y.terms:
+                return []
             f = x.diffs[d].mats if d in x.diffs and d + 1 in uoffs else None
             g = y.diffs[e].mats if e in y.diffs and d in uoffs else None
             src, tgt = x.term_rep(d), y.term_rep(e + 1)

@@ -11,6 +11,12 @@ def res(q, root, shift=0):
     return cx.stalk_complex(q, root, shift)
 
 
+def _clear_chain_oracle_memos():
+    """Empty the memos the chain oracle fills, so a count sees every build."""
+    for table in (reps.proj_rep, cx.resolution, cx.homk_pair_dim):
+        table.cache_clear()
+
+
 def shift(c, k):
     """The complex c[k]: terms move down k degrees, differentials take the sign (-1)^k."""
     sign = Fraction(-1) ** (k % 2)
@@ -170,8 +176,7 @@ def test_homotopy_boundaries_are_the_composed_maps():
 def test_a_stalk_complex_holds_its_resolutions_terms_and_differential(monkeypatch, capsys):
     # every direct sum is built by a resolution's cover: a stalk complex
     # builds none of its own, and its differential runs between its own terms
-    for table in (reps.proj_rep, cx.stalk_complex, cx.homk_pair_dim):
-        table.cache_clear()
+    _clear_chain_oracle_memos()
     calls = {"all": 0, "covers": 0}
     direct_sum, proj_resolution, stalk_complex = (reps.direct_sum, reps.proj_resolution,
                                                   cx.stalk_complex)
@@ -218,3 +223,65 @@ def test_a_stalk_keeps_the_unsigned_differential_at_every_suspension():
             signed = shift(res(q, r2), k)
             assert signed.terms == y.terms, (name, r2, k)
             assert cx.HomKSpace(x, signed).dim == cx.HomKSpace(x, y).dim, (name, r1, r2, k)
+
+
+def test_a_hom_space_with_no_common_degree_is_zero_with_no_elimination(monkeypatch):
+    # a chain map lives in the degrees X and Y share: with none, Hom is 0 and
+    # the constructor solves nothing
+    calls = [0]
+    rref = linalg.rref
+
+    def counted_rref(a):
+        calls[0] += 1
+        return rref(a)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    checked = 0
+    for name in ("D4-alt", "A5-alt"):
+        q = qv.parse_quiver((INPUTS / ("%s.q" % name)).read_text())
+        roots = qv.positive_roots(q)
+        for r1, r2, gap in itertools.product(roots, roots, range(-3, 4)):
+            x, y = res(q, r1), res(q, r2, gap)
+            if set(x.terms) & set(y.terms):
+                continue
+            before = calls[0]
+            sp = cx.HomKSpace(x, y)
+            assert calls[0] == before, (name, r1, r2, gap)
+            assert sp.dim == 0 == dv.pair_hom_dim(q, r1, 0, r2, gap), (name, r1, r2, gap)
+            checked += 1
+    assert checked
+
+
+def test_homagree_builds_at_most_one_zero_representation_per_root(monkeypatch, capsys):
+    # an empty degree is skipped, not filled with a fresh zero representation;
+    # only the empty syzygy cover of a projective root builds one
+    _clear_chain_oracle_memos()
+    q = qv.parse_quiver((INPUTS / "D4-alt.q").read_text())
+    calls = [0]
+    zero_rep = reps.zero_rep
+
+    def counted_zero_rep(q):
+        calls[0] += 1
+        return zero_rep(q)
+
+    monkeypatch.setattr(reps, "zero_rep", counted_zero_rep)
+    assert cli.main(["verify", "homagree", "--quiver", str(INPUTS / "D4-alt.q")]) == 0
+    assert "failed=0" in capsys.readouterr().err
+    assert calls[0] <= len(qv.positive_roots(q)) + 1, calls
+
+
+def test_homagree_resolves_each_root_once(monkeypatch, capsys):
+    # every shift of a stalk places the one memoized resolution of its root
+    _clear_chain_oracle_memos()
+    q = qv.parse_quiver((INPUTS / "D5-alt.q").read_text())
+    calls = [0]
+    proj_resolution = reps.proj_resolution
+
+    def counted_resolution(m):
+        calls[0] += 1
+        return proj_resolution(m)
+
+    monkeypatch.setattr(reps, "proj_resolution", counted_resolution)
+    assert cli.main(["verify", "homagree", "--quiver", str(INPUTS / "D5-alt.q")]) == 0
+    assert "failed=0" in capsys.readouterr().err
+    assert calls[0] == len(qv.positive_roots(q)) == 20

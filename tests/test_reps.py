@@ -238,10 +238,10 @@ def test_independent_picks_where_the_prefix_rank_grows(rows, k):
 
 def test_the_chain_oracle_builds_each_projective_once_and_never_writes_it(capsys):
     # every complex shares the one proj_rep of each vertex, so a write into it
-    # would reach every Hom computed after; emptied first, so that the
-    # stalk complexes are built again, the table fills during the run
+    # would reach every Hom computed after; emptied first, with the
+    # resolutions, so that the table fills during the run
     q = qv.parse_quiver(D4_ALT.read_text())
-    for memo in (reps.proj_rep, cx.stalk_complex, cx.homk_pair_dim):
+    for memo in (reps.proj_rep, cx.resolution, cx.homk_pair_dim):
         memo.cache_clear()
     assert cli.main(["verify", "homagree", "--quiver", str(D4_ALT)]) == 0
     capsys.readouterr()
