@@ -8,9 +8,12 @@ HomKSpace builds all three of its linear systems, the intertwiners, the chain
 condition and the boundary map of the homotopies, from reps.commute_rows over
 unknown vectors: no chain map or homotopy is ever built as a RepMap.  A chain
 map lives in the degrees where X and Y both have terms, so when they share
-none HomKSpace is 0 at once, with no system built and no elimination.  The
-memo is on the resolution, one per (quiver, root): every shift of a stalk
-places the same resolution, so each root is resolved once.  The oracle
+none HomKSpace is 0 at once, with no system built and no elimination.  Two
+memos: the resolution, one per (quiver, root), since every shift of a stalk
+places the same one, so each root is resolved once; and homk_pair_dim, one
+per (quiver, root, root, shift gap), since a Hom dimension depends on the gap
+only, so the scans over shifts meet each one again.  sgldim_ringel keeps
+none: a repeat costs only the scan.  The oracle
 evaluates length profiles by a scan over shifts (sgldim_scan, _profile),
 asking a Hom function at each shift, where sgd reads them off in closed form;
 it runs the scan on homk_pair_dim, and the test suite also on
@@ -163,9 +166,6 @@ class HomKSpace:
         self.dim = len(self._rep_vecs)
 
 
-# memoized per-quiver tables (functools.lru_cache; cache_info() reports use)
-
-
 @lru_cache(maxsize=None)
 def homk_pair_dim(q, r1, r2, gap):
     """dim Hom_K(res(M1), res(M2)[gap]); depends on the shift gap only."""
@@ -205,7 +205,7 @@ def sgldim_scan(t, pair):
     """sup of ell_T with its witness, the profiles scanned shift by shift
     (_profile) with each Hom dimension read off pair(q, r1, s1, r2, s2)."""
     q = t.quiver
-    indecs = t.basic().indecs()
+    indecs = t.indecs()
     best_val = -1
     best_witness = None
     # ell is invariant under suspension of X, so each root is solved once, at shift 0
@@ -224,28 +224,22 @@ def _chain_pair(q, r1, s1, r2, s2):
 
 
 def _is_projective_slice(t):
-    tb = t.basic()
     q = t.quiver
-    if tb.num_distinct() != q.n or tb.spread != 0:
+    if t.num_distinct() != q.n or t.spread != 0:
         return False
-    return set(r for r, _ in tb.indecs()) == set(qv.proj_roots(q))
+    return set(r for r, _ in t.indecs()) == set(qv.path_counts(q))
 
 
 def sgldim_ringel(t):
     """Cross-oracle value: chain-map profiles, and, when T is the projective
     generator (up to suspension), also Ringel's own definition: the largest
-    length hi - lo of a minimal complex of an indecomposable module.
+    length hi - lo of a minimal complex of an indecomposable module.  On the
+    projective slice those lengths are the degree spans hi - lo of the stalk
+    complexes: these are minimal (see the module docstring), so the span is
+    Ringel's length.
 
     Raises on any disagreement with sgd.sgldim.
     """
-    return _sgldim_ringel(t.basic())
-
-
-@lru_cache(maxsize=None)
-def _sgldim_ringel(t):
-    """sgldim_ringel on a basic T.  On the projective slice the lengths are
-    the degree spans hi - lo of the stalk complexes: these are minimal (see
-    the module docstring), so the span is Ringel's length."""
     if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
     q = t.quiver

@@ -248,6 +248,7 @@ def is_tilting(t):
 
 # memoized on the basic object, so multiplicities and summand order share one
 # entry; mutation and the length profiles test the same T again and again
+# (every mutate re-tests its input)
 @lru_cache(maxsize=None)
 def _is_tilting(tb):
     if tb.is_zero() or tb.num_distinct() != tb.quiver.n:

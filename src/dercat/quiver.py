@@ -12,10 +12,12 @@ vectors and the inverse Coxeter matrix.  The AR translate that it drives
 lives in zq, as one tau-orbit table per quiver.  One topological sort
 (_sinks_first) serves as the cycle check and as the sink-first vertex order.
 
-Root-level maps are memoized per quiver (lru_cache keyed on the quiver,
-whose hash is computed once).  The product route reads the Euler form
-through one per-quiver context, roots_of(q) (Roots): the positive roots
-numbered once, and Euler-form rows and columns by root index.
+Two tables are memoized per quiver (lru_cache keyed on the quiver, whose
+hash is computed once).  roots_of(q) (Roots) is the one root context of the
+product route: the positive roots numbered once, and Euler-form rows and
+columns by root index; positive_roots reads its roots.  path_counts(q) gives
+every projective and injective dimension vector.  The Quiver keeps its own
+sink-first order, which sink_first_order returns.
 """
 
 import heapq
@@ -64,11 +66,11 @@ def _sinks_first(n, arrows):
 class Quiver:
     """Finite acyclic quiver: n vertices 0..n-1 and a tuple of (source, target) arrows.
 
-    Immutable, compared by (n, arrows), with its hash and its neighbour lists
-    computed once: every memo below is keyed on it.
+    Immutable, compared by (n, arrows), with its hash, its neighbour lists
+    and its sink-first order computed once: every memo below is keyed on it.
     """
 
-    __slots__ = ("n", "arrows", "_hash", "_adj")
+    __slots__ = ("n", "arrows", "_hash", "_adj", "_order")
 
     def __init__(self, n, arrows):
         if n < 1:
@@ -85,10 +87,11 @@ class Quiver:
             adj.setdefault(s, set()).add(t)
             adj.setdefault(t, set()).add(s)
         try:
-            _sinks_first(n, arrows)  # the cycle check
+            order = _sinks_first(n, arrows)  # the cycle check, kept as sink_first_order
         except (MemoryError, OverflowError):
             # [0] * n, refused at once: no memory holds this many vertices
             raise QuiverError("too many vertices: %d" % n) from None
+        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_hash", hash((n, arrows)))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(adj.get(v, ()))) for v in range(n)))
 
@@ -276,25 +279,9 @@ def euler_form(q, d, e):
     return total
 
 
-@lru_cache(maxsize=None)
 def positive_roots(q):
-    """All positive roots, sorted, grown height by height from the simple roots.
-
-    For a positive root r, r + e_i is a root exactly when the symmetric form
-    (r, e_i) = 2 r_i - (sum of r_j over the neighbours j of i) is -1, and
-    every root of height h + 1 > 1 is such an r + e_i with r of height h
-    (Gabriel: the positive roots are the positive vectors of Tits form 1).
-    Orientation-free: only the underlying graph enters.  Requires Dynkin input.
-    """
-    ensure_dynkin(q)
-    level = [simple_root(q, i) for i in range(q.n)]
-    roots = list(level)
-    while level:
-        grown = {r[:i] + (r[i] + 1,) + r[i + 1:] for r in level for i in range(q.n)
-                 if sum(r[j] for j in q.neighbors(i)) - 2 * r[i] == 1}
-        roots.extend(grown)
-        level = grown
-    return tuple(sorted(roots))
+    """All positive roots, sorted: the roots of the one root context, roots_of(q)."""
+    return roots_of(q).roots
 
 
 class _Table(dict):
@@ -315,15 +302,28 @@ class Roots:
     root -> its number; rows[a][b] = cols[b][a] = <r_a, r_b>, each row or
     column built on first use (r_a^T E by bilinearity, then dots): no
     roots x roots table unless every root is asked about.
+
+    The roots are grown height by height from the simple roots.  For a
+    positive root r, r + e_i is a root exactly when the symmetric form
+    (r, e_i) = 2 r_i - (sum of r_j over the neighbours j of i) is -1, and
+    every root of height h + 1 > 1 is such an r + e_i with r of height h
+    (Gabriel: the positive roots are the positive vectors of Tits form 1).
+    Orientation-free: only the underlying graph enters.  Requires Dynkin input.
     """
 
     __slots__ = ("roots", "index", "rows", "cols", "_by_vertex")
 
     def __init__(self, q):
-        roots = self.roots = positive_roots(q)
+        ensure_dynkin(q)
+        simple = [simple_root(q, i) for i in range(q.n)]
+        level, roots = simple, list(simple)
+        while level:
+            level = {r[:i] + (r[i] + 1,) + r[i + 1:] for r in level for i in range(q.n)
+                     if sum(r[j] for j in q.neighbors(i)) - 2 * r[i] == 1}
+            roots.extend(level)
+        roots = self.roots = tuple(sorted(roots))
         self.index = {r: a for a, r in enumerate(roots)}
         self._by_vertex = tuple(zip(*roots))
-        simple = [simple_root(q, i) for i in range(q.n)]
         self.rows = _Table(lambda a: self.dots([euler_form(q, roots[a], e) for e in simple]))
         self.cols = _Table(lambda b: self.dots([euler_form(q, e, roots[b]) for e in simple]))
 
@@ -345,14 +345,14 @@ def simple_root(q, i):
     return tuple(1 if j == i else 0 for j in range(q.n))
 
 
-@lru_cache(maxsize=None)
 def sink_first_order(q):
     """Vertex order in which every arrow points from a later to an earlier vertex.
 
     Processing vertices in this order keeps each one a sink of the partially
     reflected quiver, which is what the reflection-functor constructions need.
+    The quiver sorted its vertices so once, as its cycle check.
     """
-    return _sinks_first(q.n, q.arrows)
+    return q._order
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +361,8 @@ def path_counts(q):
 
     P is the inverse of the Euler matrix: E = I - A for the arrow count matrix
     A, which is nilpotent, so E^-1 = I + A + A^2 + ...  Filled sinks first:
-    row v is e_v plus the rows of the targets of v's arrows.
+    row v is e_v plus the rows of the targets of v's arrows.  Memoized: each
+    projective (proj_dims) and injective is read off it again and again.
     """
     rows = {}
     for v in sink_first_order(q):
@@ -384,8 +385,3 @@ def coxeter_inverse(q):
 def proj_dims(q, i):
     """Dimension vector of the indecomposable projective at vertex i: row i of P."""
     return path_counts(q)[i]
-
-
-@lru_cache(maxsize=None)
-def proj_roots(q):
-    return tuple(proj_dims(q, i) for i in range(q.n))

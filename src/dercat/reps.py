@@ -18,13 +18,16 @@ Beyond the chain oracle this module serves only `dercat ind list --reps`
 integer route (quiver, derived, zq, sgd, slices, mutation) imports reps,
 nor linalg, on which it runs.
 
-All functions are pure.  The memoized tables are functools.lru_cache
-entries keyed on the quiver: the indecomposable projectives (proj_rep, one
-per vertex) and the indecomposables (indec_of_root, one per root), so
-results are identical under any evaluation order.  Those tables hand every
-caller the same Representation, so no representation is written after
-construction: whatever is built from one (a direct sum, a RepMap, a
-resolution) copies its entries.
+All functions are pure.  The memoized tables are functools.lru_cache entries
+keyed on the quiver: the indecomposable projectives (proj_rep, one per
+vertex, shared by every complex) and the indecomposables (indec_of_root, one
+per root), so results are identical under any evaluation order.  The CLI
+reads each indecomposable once, through complexes.resolution; the test suite
+resolves every root in several tests, and the memo builds each
+indecomposable once for all of them.  Those tables hand every caller the
+same Representation, so no representation is written after construction:
+whatever is built from one (a direct sum, a RepMap, a resolution) copies its
+entries.
 """
 
 from collections import namedtuple
@@ -308,7 +311,8 @@ def _sigma(q, r, v):
 @lru_cache(maxsize=None)
 def indec_of_root(q, root):
     """The indecomposable representation with the given positive root (a tuple)
-    as dimension vector (memoized).
+    as dimension vector (memoized for the test suite's sweeps over every root:
+    the CLI reads each one once, through complexes.resolution).
 
     Built by reducing the root to a simple one along an admissible sink sequence
     and applying the inverse reflection functors; deterministic.

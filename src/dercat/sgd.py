@@ -13,11 +13,12 @@ is built; roots appear only in an error message.  The scan over shifts is
 the oracle's own code, complexes.sgldim_scan, fed chain-map Hom dimensions
 by sgldim_ringel and derived.pair_hom_dim by the test suite.  Like the other
 product modules, this one imports neither reps, complexes, linalg nor
-fractions.
+fractions.  Nothing here is memoized: a repeat of sgldim costs one profile
+pass over the cached root context, and the tilting test it starts with is
+derived's memo.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import derived as dv, quiver as qv
 from .quiver import InternalInconsistencyError
@@ -53,21 +54,15 @@ def profile(c, pairs, a, k):
 
 
 def sgldim(t):
-    """sup of ell_T over the indecomposables of D^b(kQ), with a witness."""
-    return _sgldim(t.basic())
-
-
-# memoized on the basic object, so multiplicities and summand order share one
-# entry (complexes.sgldim_ringel is memoized the same way)
-@lru_cache(maxsize=None)
-def _sgldim(tb):
-    if not dv.is_tilting(tb):
+    """sup of ell_T over the indecomposables of D^b(kQ), with a witness.  Only
+    T's distinct pairs enter, so multiplicities and summand order do not."""
+    if not dv.is_tilting(t):
         raise ValueError("strong global dimension needs a tilting object")
-    c = qv.roots_of(tb.quiver)
+    c = qv.roots_of(t.quiver)
     # ell is invariant under suspension of X, so each root is solved once, at
     # shift 0; the witness has the largest ell, then the largest ell_minus,
     # then the least root
-    profs = [profile(c, tb.pairs, a, 0) for a in range(len(c.roots))]
+    profs = [profile(c, t.pairs, a, 0) for a in range(len(c.roots))]
     neg_ell, shift, a = min((p.ell_minus - p.ell_plus, -p.ell_minus, a)
                             for a, p in enumerate(profs))
-    return SgdReport(-neg_ell, dv.DerivedObject.of_pairs(tb.quiver, ((a, shift),)))
+    return SgdReport(-neg_ell, dv.DerivedObject.of_pairs(t.quiver, ((a, shift),)))

@@ -89,7 +89,6 @@ def zq_vertex(q, x):
     return m + k * len(o.walks[i]), i
 
 
-@lru_cache(maxsize=None)
 def knitting_order(q):
     """All positive roots ordered by (tau-orbit depth, slice position).
 

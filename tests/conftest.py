@@ -68,7 +68,7 @@ def inj_dims(q, i):
 def tau_reference(q, root, shift):
     """tau of M(root)[shift] as a (root, shift) pair, by C on modules and
     tau P_i = I_i[-1] on projectives."""
-    projs = qv.proj_roots(q)
+    projs = qv.path_counts(q)
     if root in projs:
         return inj_dims(q, projs.index(root)), shift - 1
     return apply(coxeter_matrix(q), root), shift

@@ -299,13 +299,13 @@ def test_closed_stdout_is_not_a_usage_error(tmp_path):
     path = tmp_path / "a5.q"
     path.write_text("vertices 5\narrow 1 2\narrow 3 2\narrow 3 4\narrow 5 4\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "dercat.cli", "ind", "list", "--reps",
-                             "--quiver", str(path)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()   # the reader goes away before the first write
-    err = proc.stderr.read().decode()
-    # 0 only if the whole output was written before the close took effect
-    assert proc.wait() in (141, 0)
+    with subprocess.Popen([sys.executable, "-m", "dercat.cli", "ind", "list", "--reps",
+                           "--quiver", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()   # the reader goes away before the first write
+        err = proc.stderr.read().decode()
+        # 0 only if the whole output was written before the close took effect
+        assert proc.wait() in (141, 0)
     assert "error:" not in err and "Traceback" not in err
 
 

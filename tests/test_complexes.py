@@ -116,7 +116,7 @@ def test_stalk_complexes_are_minimal():
     # at vertex i would be an isomorphism): nothing is contractible, and
     # hi - lo is Ringel's length, 0 exactly on the projective roots, else 1
     for q in reference_quivers():
-        projs = set(qv.proj_roots(q))
+        projs = set(qv.path_counts(q))
         for r in qv.positive_roots(q):
             c = res(q, r)
             assert not set(c.term(-1)) & set(c.term(0)), (q, r)

@@ -287,11 +287,11 @@ def test_root_memos_agree_with_direct_formulas(path):
     roots = qv.positive_roots(q)
     c = qv.roots_of(q)
     assert c.roots == roots and c.index == {r: a for a, r in enumerate(roots)}
-    assert qv.proj_roots(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
-    projs, injs = qv.proj_roots(q), [inj_dims(q, i) for i in range(q.n)]
+    assert qv.path_counts(q) == tuple(qv.proj_dims(q, i) for i in range(q.n))
+    projs, injs = qv.path_counts(q), [inj_dims(q, i) for i in range(q.n)]
     # an equal quiver parsed again reads the same memo entries
     same = qv.parse_quiver(path.read_text())
-    assert same is not q and hash(same) == hash(q) and qv.proj_roots(same) is projs
+    assert same is not q and hash(same) == hash(q) and qv.path_counts(same) is projs
     assert qv.roots_of(same) is c and zq.orbits(same) is zq.orbits(q)
     # tau on modules is C, with tau P_i = I_i[-1]; tau^-1 is C^-1, with tau^-1 I_i = P_i[1]
     phi, phi_inv = coxeter_matrix(q), qv.coxeter_inverse(q)

@@ -124,7 +124,7 @@ def test_ar_formula_sampled(a3, d4):
     # dim Ext^1(Y, X) = dim Hom(X, tau Y) for Y non-projective, whose tau is
     # the module of root C dim Y; for Y = P_i, tau Y = I_i[-1] and Ext^1(Y, -) = 0
     for q in (a3, d4):
-        projs = qv.proj_roots(q)
+        projs = qv.path_counts(q)
         for r1, r2 in itertools.product(qv.positive_roots(q), repeat=2):
             tr, ts = root_of(q, zq.tau_pair(q, pair_of(q, r1, 0)))
             if r1 in projs:

@@ -78,7 +78,7 @@ def test_zq_dictionary_round_trip(a3, d4):
             # m = 0 is the projective slice at suspension 0
             assert (obj[1] >= 0) == (m >= 0)
         assert [zq.zq_pair(q, 0, i) for i in range(q.n)] == [pair_of(q, r, 0)
-                                                              for r in qv.proj_roots(q)]
+                                                              for r in qv.path_counts(q)]
 
 
 @pytest.mark.parametrize("name", ["E7-alt", "E8-alt"])
